@@ -17,11 +17,16 @@ plot
 Exit codes: 0 for a successful (optimal/complete) run, 2 when the problem
 is infeasible, 1 for usage, I/O, or data errors.
 
-Reports are dictionaries serialized as JSON with ``schema_version`` 1.
+Reports are dictionaries serialized as JSON with ``schema_version`` 2.
 Every float is rounded to 6 significant digits before serialization, and
 nothing time- or machine-dependent enters the report (iteration counts
 stand in for timing), so a given config and input produce byte-identical
 output; wall-clock time goes to stderr.
+
+Schema 2 dropped ``config.tol_schedule`` and ``solution.lp.stages`` with
+the ``--tol-schedule`` option (every LP is solved at feasibility
+tolerance 1e-9), and the ``converge`` command no longer takes or records
+``--m`` and ``--adjacency``, which it never used.
 """
 
 from __future__ import annotations
@@ -37,16 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .closed_form import (
-    ConditionalHomogeneousSolution,
-    HomogeneousSolution,
-    solve_conditional_homogeneous,
-    solve_homogeneous,
-)
+from .closed_form import HomogeneousSolution, solve_conditional_homogeneous
 from .errors import DegenerateTableError, EstimationError, ParameterError, UndefinedStatisticError
 from .grid_lp import DiscretizedProblem, atoms_from_solution, build_problem
 from .lp_solver import relax_and_retry
-from .model import StratifiedTable, joint_probs, odds_ratio
+from .model import StratifiedTable, odds_ratio
 from .postprocess import ADJACENCIES, MixtureSolution, cluster_atoms
 from .svgplot import convergence_svg, mixture_svg
 from .tables import load_table, resample_table, smooth_table
@@ -60,7 +60,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_M_SWEEP = tuple(range(25, 100, 5))
 
@@ -75,7 +75,6 @@ class RunConfig:
     r2_propensity: float | None = None
     r2_prognosis: float | None = None
     epsilon: float = 1e-3
-    tol_schedule: tuple[float, ...] = (1e-9,)
     adjacency: str = "vertex"
     smooth: bool = False
     replicates: int = 0
@@ -92,8 +91,6 @@ class RunConfig:
             raise ParameterError("replicate count must be >= 0")
         if self.replicates > 0 and self.seed is None:
             raise ParameterError("a seed is required when replicates > 0")
-        if not self.tol_schedule:
-            raise ParameterError("tolerance schedule must be nonempty")
         if self.adjacency not in ADJACENCIES:
             raise ParameterError(
                 f"adjacency must be one of {ADJACENCIES}, got {self.adjacency!r}"
@@ -107,7 +104,6 @@ class RunConfig:
             "r2_propensity": self.r2_propensity,
             "r2_prognosis": self.r2_prognosis,
             "epsilon": self.epsilon,
-            "tol_schedule": list(self.tol_schedule),
             "adjacency": self.adjacency,
             "smooth": self.smooth,
             "replicates": self.replicates,
@@ -182,10 +178,13 @@ def _homogeneous_dict(label: str, weight: float, sol: HomogeneousSolution) -> di
     }
 
 
-def _closed_form_dict(table: StratifiedTable) -> dict | None:
+def _closed_form_dict(table: StratifiedTable, strict: bool = False) -> dict | None:
+    """Per-category closed form; ``None`` on a degenerate table unless strict."""
     try:
         cond = solve_conditional_homogeneous(table)
     except (DegenerateTableError, UndefinedStatisticError):
+        if strict:
+            raise
         return None
     return {
         "entropy": cond.entropy_per_individual,
@@ -235,20 +234,8 @@ def _atom_dict(atom) -> dict:
     }
 
 
-def _stage_dicts(solution) -> list[dict]:
-    return [
-        {
-            "feasibility_tol": s.feasibility_tol,
-            "status": s.status,
-            "iterations": s.iterations,
-            "objective": s.objective,
-        }
-        for s in solution.stages
-    ]
-
-
 def _solve_lp(config: RunConfig, table: StratifiedTable):
-    """Shared LP pipeline: build, solve through the schedule, cluster."""
+    """Shared LP pipeline: build the grid problem and solve it."""
     problem = build_problem(
         table,
         config.m,
@@ -256,7 +243,7 @@ def _solve_lp(config: RunConfig, table: StratifiedTable):
         r2_prognosis=config.r2_prognosis,
         epsilon=config.epsilon,
     )
-    solution = relax_and_retry(problem.as_lp(), config.tol_schedule)
+    solution = relax_and_retry(problem.as_lp(), (1e-9,))  # one stage
     return problem, solution
 
 
@@ -268,23 +255,17 @@ def run_estimate(config: RunConfig) -> dict:
         "command": "estimate",
         "config": config.as_dict(),
         "input": _input_summary(table),
-        "closed_form": _closed_form_dict(table),
+        "closed_form": _closed_form_dict(table, strict=config.mode == "closed-form"),
     }
 
     if config.mode == "closed-form":
-        if table.n_categories == 1:
-            sol = solve_homogeneous(joint_probs(table, 0))
-            components = [_homogeneous_dict(table.labels[0], 1.0, sol)]
-            entropy = sol.entropy_per_individual
-        else:
-            cond = solve_conditional_homogeneous(table)
-            components = [
-                _homogeneous_dict(label, weight, s)
-                for label, weight, s in cond.components
-            ]
-            entropy = cond.entropy_per_individual
+        closed_form = report["closed_form"]
+        entropy = closed_form["entropy"]
         report["status"] = "optimal"
-        report["solution"] = {"kind": "homogeneous", "components": components}
+        report["solution"] = {
+            "kind": "homogeneous",
+            "components": closed_form["components"],
+        }
         report["entropy"] = {"achieved": entropy, "closed_form_bound": entropy}
         report["timing"] = {"iterations": 0}
         return _round6(report)
@@ -296,7 +277,6 @@ def run_estimate(config: RunConfig) -> dict:
         "iterations": solution.iterations,
         "n_rows": problem.n_rows,
         "n_columns": problem.n_columns,
-        "stages": _stage_dicts(solution),
         "infeasible_rows": list(solution.infeasible_rows),
     }
     report["status"] = solution.status
@@ -345,8 +325,7 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
     total_iterations = 0
     n_ok = 0
     for m in m_values:
-        problem = build_problem(table, m, epsilon=config.epsilon)
-        solution = relax_and_retry(problem.as_lp(), config.tol_schedule)
+        _, solution = _solve_lp(dataclasses.replace(config, m=m), table)
         total_iterations += solution.iterations
         point = {
             "m": m,
@@ -359,10 +338,12 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
         }
         n_ok += solution.status == "optimal"
         series.append(point)
+    settings = config.as_dict()
+    del settings["m"], settings["adjacency"]  # the sweep sets m and clusters nothing
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "converge",
-        "config": {**config.as_dict(), "m_values": m_values},
+        "config": {**settings, "m_values": m_values},
         "input": _input_summary(table),
         "reference_entropy": reference,
         "series": series,
@@ -403,14 +384,7 @@ def run_bootstrap(config: RunConfig) -> dict:
     pooled_atoms = []
     total_iterations = base_solution.iterations
     for index, rep_table in enumerate(replicate_tables):
-        rep_problem = build_problem(
-            rep_table,
-            config.m,
-            r2_propensity=config.r2_propensity,
-            r2_prognosis=config.r2_prognosis,
-            epsilon=config.epsilon,
-        )
-        rep_solution = relax_and_retry(rep_problem.as_lp(), config.tol_schedule)
+        rep_problem, rep_solution = _solve_lp(config, rep_table)
         total_iterations += rep_solution.iterations
         per_replicate.append(
             {
@@ -493,10 +467,13 @@ def emit_plot(report: dict, path) -> None:
     Path(path).write_text(svg, encoding="utf-8")
 
 
-def _add_common(parser: argparse.ArgumentParser, with_r2: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, single_grid: bool = True) -> None:
+    """Options of every solving command; ``single_grid`` adds the ones
+    that only a run on one fixed grid uses (resolution, R2 targets,
+    clustering)."""
     parser.add_argument("--input", required=True, help="input CSV table")
-    parser.add_argument("--m", type=int, default=75, help="grid resolution")
-    if with_r2:
+    if single_grid:
+        parser.add_argument("--m", type=int, default=75, help="grid resolution")
         parser.add_argument(
             "--r2-propensity", type=float, default=None,
             help="target discrimination R2 of the exposure model",
@@ -505,17 +482,13 @@ def _add_common(parser: argparse.ArgumentParser, with_r2: bool = True) -> None:
             "--r2-prognosis", type=float, default=None,
             help="target discrimination R2 of the outcome model",
         )
+        parser.add_argument(
+            "--adjacency", choices=ADJACENCIES, default="vertex",
+            help="cell adjacency used when merging solution atoms into clusters",
+        )
     parser.add_argument(
         "--epsilon", type=float, default=1e-3,
         help="two-sided relaxation of the frequency-matching rows",
-    )
-    parser.add_argument(
-        "--tol-schedule", default="1e-9",
-        help="comma-separated decreasing solver feasibility tolerances",
-    )
-    parser.add_argument(
-        "--adjacency", choices=ADJACENCIES, default="vertex",
-        help="cell adjacency used when merging solution atoms into clusters",
     )
     parser.add_argument(
         "--smooth", action="store_true",
@@ -540,8 +513,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(est)
 
-    conv = sub.add_parser("converge", help="entropy vs grid resolution study")
-    _add_common(conv, with_r2=False)
+    # no prefix matching: "--m" must not silently mean "--m-values"
+    conv = sub.add_parser(
+        "converge", help="entropy vs grid resolution study", allow_abbrev=False
+    )
+    _add_common(conv, single_grid=False)
     conv.add_argument(
         "--m-values", default=",".join(str(m) for m in DEFAULT_M_SWEEP),
         help="comma-separated grid resolutions",
@@ -559,26 +535,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    try:
-        schedule = tuple(float(t) for t in str(args.tol_schedule).split(",") if t)
-    except ValueError:
-        raise ParameterError(
-            f"bad tolerance schedule {args.tol_schedule!r}"
-        ) from None
+    optional = ("mode", "m", "r2_propensity", "r2_prognosis", "adjacency",
+                "replicates", "seed")
     return RunConfig(
         input_path=args.input,
-        mode=getattr(args, "mode", "lp"),
-        m=args.m,
-        r2_propensity=getattr(args, "r2_propensity", None),
-        r2_prognosis=getattr(args, "r2_prognosis", None),
         epsilon=args.epsilon,
-        tol_schedule=schedule,
-        adjacency=getattr(args, "adjacency", "vertex"),
         smooth=args.smooth,
-        replicates=getattr(args, "replicates", 0),
-        seed=getattr(args, "seed", None),
         json_out=args.json_out,
         svg_out=args.svg_out,
+        **{name: getattr(args, name) for name in optional if hasattr(args, name)},
     )
 
 

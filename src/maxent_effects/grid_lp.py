@@ -20,9 +20,23 @@ Rows, in fixed order:
   a target discrimination R-squared.
 
 Columns are indexed ``((category * m + j) * m + k) * m + l`` where j, k, l
-index the propensity, baseline-risk, and exposed-risk bins.  Coefficient
-arrays over the m**3 cells are shared across categories, so memory is
-about ``7 * 8 * m**3`` bytes regardless of how many categories there are.
+index the propensity, baseline-risk, and exposed-risk bins.  The grid is
+stored once, shared by all categories, as a ``(6, m**3)`` coefficient
+matrix ``coef`` over the cells in (j, k, l) order:
+
+* rows 0-3: the center's four cell probabilities (:func:`model.cell_probs`);
+* row 4: ``(pi - P(e=1))**2``, the cell's exposure-variance contribution;
+* row 5: ``(r - P(d=1))**2`` with ``r = (1-pi) r0 + pi r1``, its
+  outcome-variance contribution;
+
+plus the vector ``entropy`` of the centers' entropies.  Column
+``(c, cell)`` is ``coef[:, cell]`` spread onto LP rows
+``row_index[c]``: category c's four frequency rows, then the two
+variance rows.  An absent variance row points at index ``n_rows``, a
+padding slot that is never part of the LP, so pricing one category's
+span is ``entropy[a:b] - y_c @ coef[:, a:b]`` with ``y_c`` the duals at
+``row_index[c]`` (zero at the padding).  Memory is about
+``7 * 8 * m**3`` bytes regardless of how many categories there are.
 """
 
 from __future__ import annotations
@@ -30,12 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .closed_form import r2_to_variance_bound
 from .errors import ParameterError
 from .lp_solver import InequalityRow, LpProblem, LpSolution, RangeRow
-from .model import PropensityPrognosisTriple, StratifiedTable
+from .model import PropensityPrognosisTriple, StratifiedTable, cell_entropy, cell_probs
 
 __all__ = [
     "CubeGrid",
@@ -47,7 +60,8 @@ __all__ = [
     "MASS_FLOOR",
 ]
 
-#: Largest grid resolution; 7 coefficient arrays at m=256 are ~940 MB.
+#: Largest grid resolution; the 6 coefficient rows and the entropy vector
+#: at m=256 are ~940 MB.
 MAX_RESOLUTION = 256
 
 #: Solution masses below this are numerical noise, not atoms.
@@ -162,26 +176,34 @@ class DiscretizedProblem:
         self.rows = tuple(rows)
         self.n_columns = d * grid.n_cells
 
-        # Shared per-cell coefficients, flattened in (j, k, l) order.
+        # LP rows of each category's six coefficient rows; n_rows pads.
+        self.row_index = np.full((d, 6), len(rows))
+        self.row_index[:, :4] = 4 * np.arange(d)[:, None] + np.arange(4)
+        if self.variance_row_exposure is not None:
+            self.row_index[:, 4] = self.variance_row_exposure
+        if self.variance_row_outcome is not None:
+            self.row_index[:, 5] = self.variance_row_outcome
+
         ctr = grid.centers
-        pi = ctr[:, None, None]
-        r0 = ctr[None, :, None]
-        r1 = ctr[None, None, :]
-        shape = (grid.m,) * 3
-        self.coef_e0d1 = np.broadcast_to((1.0 - pi) * r0, shape).ravel().copy()
-        self.coef_e1d1 = np.broadcast_to(pi * r1, shape).ravel().copy()
-        self.coef_e0d0 = np.broadcast_to((1.0 - pi) * (1.0 - r0), shape).ravel().copy()
-        self.coef_e1d0 = np.broadcast_to(pi * (1.0 - r1), shape).ravel().copy()
-        self.cell_entropy = -(
-            xlogy(self.coef_e0d1, self.coef_e0d1)
-            + xlogy(self.coef_e1d1, self.coef_e1d1)
-            + xlogy(self.coef_e0d0, self.coef_e0d0)
-            + xlogy(self.coef_e1d0, self.coef_e1d0)
+        m = grid.m
+        coef = np.empty((6, m, m, m))
+        self._coefficients(
+            ctr[:, None, None], ctr[None, :, None], ctr[None, None, :], out=coef
         )
-        dev_e = (ctr - self.marginal_exposure) ** 2
-        self.coef_var_exposure = np.broadcast_to(dev_e[:, None, None], shape).ravel().copy()
-        risk = self.coef_e0d1 + self.coef_e1d1
-        self.coef_var_outcome = (risk - self.marginal_outcome) ** 2
+        self.coef = coef.reshape(6, grid.n_cells)
+        self.entropy = cell_entropy(self.coef[:4])
+
+    def _coefficients(self, pi, r0, r1, out=None) -> np.ndarray:
+        """The six coefficient rows of triples (pi, r0, r1), broadcast."""
+        pi, r0, r1 = (np.asarray(x, dtype=float) for x in (pi, r0, r1))
+        if out is None:
+            out = np.empty((6, *np.broadcast_shapes(pi.shape, r0.shape, r1.shape)))
+        cell_probs(pi, r0, r1, out=out[:4])
+        out[4] = (pi - self.marginal_exposure) ** 2
+        risk = np.add(out[0], out[1], out=out[5])
+        risk -= self.marginal_outcome
+        np.square(risk, out=risk)
+        return out
 
     # -- LP plumbing --------------------------------------------------
 
@@ -198,61 +220,31 @@ class DiscretizedProblem:
         return category, j, k, l
 
     def _columns(self, idx: np.ndarray) -> np.ndarray:
-        cells = idx % self.grid.n_cells
-        cats = idx // self.grid.n_cells
-        out = np.zeros((self.n_rows, idx.size))
-        for c in range(self.table.n_categories):
-            sel = cats == c
-            if not sel.any():
-                continue
-            cc = cells[sel]
-            out[4 * c + 0, sel] = self.coef_e0d1[cc]
-            out[4 * c + 1, sel] = self.coef_e1d1[cc]
-            out[4 * c + 2, sel] = self.coef_e0d0[cc]
-            out[4 * c + 3, sel] = self.coef_e1d0[cc]
-        if self.variance_row_exposure is not None:
-            out[self.variance_row_exposure] = self.coef_var_exposure[cells]
-        if self.variance_row_outcome is not None:
-            out[self.variance_row_outcome] = self.coef_var_outcome[cells]
-        return out
+        cats, cells = np.divmod(idx, self.grid.n_cells)
+        out = np.zeros((self.n_rows + 1, idx.size))
+        out[self.row_index[cats].T, np.arange(idx.size)] = self.coef[:, cells]
+        return out[:-1]
 
     def _objective(self, idx: np.ndarray) -> np.ndarray:
-        return self.cell_entropy[idx % self.grid.n_cells]
+        return self.entropy[idx % self.grid.n_cells]
 
     def _reduced_costs(
         self, duals: np.ndarray, start: int, stop: int, include_objective: bool = True
     ) -> np.ndarray:
-        """Fast pricing over [start, stop) using the shared cell arrays."""
+        """Fast pricing over [start, stop): ``entropy - y_c @ coef`` per category."""
         n_cells = self.grid.n_cells
+        padded = np.append(duals, 0.0)
         rc = np.empty(stop - start)
-        c_first = start // n_cells
-        c_last = (stop - 1) // n_cells
-        for c in range(c_first, c_last + 1):
+        for c in range(start // n_cells, (stop - 1) // n_cells + 1):
             lo = max(start, c * n_cells)
             hi = min(stop, (c + 1) * n_cells)
             a, b = lo - c * n_cells, hi - c * n_cells
+            seg = rc[lo - start : hi - start]
+            np.matmul(padded[self.row_index[c]], self.coef[:, a:b], out=seg)
             if include_objective:
-                seg = self.cell_entropy[a:b].copy()
+                np.subtract(self.entropy[a:b], seg, out=seg)
             else:
-                seg = np.zeros(b - a)
-            pairs = (
-                (duals[4 * c + 0], self.coef_e0d1),
-                (duals[4 * c + 1], self.coef_e1d1),
-                (duals[4 * c + 2], self.coef_e0d0),
-                (duals[4 * c + 3], self.coef_e1d0),
-            )
-            for y, coef in pairs:
-                if y != 0.0:
-                    seg -= y * coef[a:b]
-            if self.variance_row_exposure is not None:
-                y = duals[self.variance_row_exposure]
-                if y != 0.0:
-                    seg -= y * self.coef_var_exposure[a:b]
-            if self.variance_row_outcome is not None:
-                y = duals[self.variance_row_outcome]
-                if y != 0.0:
-                    seg -= y * self.coef_var_outcome[a:b]
-            rc[lo - start : hi - start] = seg
+                np.negative(seg, out=seg)
         return rc
 
     def as_lp(self) -> LpProblem:
@@ -273,28 +265,11 @@ class DiscretizedProblem:
         Accepts any iterable of objects with category, pi, r0, r1, mass
         attributes, on or off the grid.
         """
-        act = np.zeros(self.n_rows)
-        for atom in atoms:
-            c = atom.category
-            if not (0 <= c < self.table.n_categories):
-                raise ParameterError(f"atom category {c} out of range")
-            w = atom.mass
-            e0d1 = (1.0 - atom.pi) * atom.r0
-            e1d1 = atom.pi * atom.r1
-            act[4 * c + 0] += w * e0d1
-            act[4 * c + 1] += w * e1d1
-            act[4 * c + 2] += w * ((1.0 - atom.pi) - e0d1)
-            act[4 * c + 3] += w * (atom.pi - e1d1)
-            if self.variance_row_exposure is not None:
-                act[self.variance_row_exposure] += (
-                    w * (atom.pi - self.marginal_exposure) ** 2
-                )
-            if self.variance_row_outcome is not None:
-                risk = e0d1 + e1d1
-                act[self.variance_row_outcome] += (
-                    w * (risk - self.marginal_outcome) ** 2
-                )
-        return act
+        cats, pi, r0, r1, mass = self._atom_arrays(atoms)
+        act = np.zeros(self.n_rows + 1)
+        # unbuffered: each row sums its atoms in order, as a loop would
+        np.add.at(act, self.row_index[cats].T, mass * self._coefficients(pi, r0, r1))
+        return act[:-1]
 
     def residuals(self, activities: np.ndarray) -> np.ndarray:
         """Per-row constraint violation (0 where satisfied)."""
@@ -312,18 +287,19 @@ class DiscretizedProblem:
 
     def entropy_of(self, atoms) -> float:
         """Mass-weighted per-individual entropy of an atom set."""
-        total = 0.0
-        for atom in atoms:
-            p = np.array(
-                [
-                    (1.0 - atom.pi) * atom.r0,
-                    atom.pi * atom.r1,
-                    (1.0 - atom.pi) * (1.0 - atom.r0),
-                    atom.pi * (1.0 - atom.r1),
-                ]
-            )
-            total += atom.mass * float(-np.sum(xlogy(p, p)))
-        return total
+        _, pi, r0, r1, mass = self._atom_arrays(atoms)
+        return float(mass @ cell_entropy(cell_probs(pi, r0, r1)))
+
+    def _atom_arrays(self, atoms):
+        """(category, pi, r0, r1, mass) columns of an atom set, validated."""
+        fields = np.array(
+            [(a.category, a.pi, a.r0, a.r1, a.mass) for a in atoms], dtype=float
+        ).reshape(-1, 5)
+        cats = fields[:, 0].astype(np.int64)
+        bad = (cats < 0) | (cats >= self.table.n_categories)
+        if bad.any():
+            raise ParameterError(f"atom category {cats[bad][0]} out of range")
+        return (cats, *fields[:, 1:].T)
 
 
 def build_problem(

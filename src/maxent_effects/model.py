@@ -9,10 +9,11 @@ four joint (exposure, outcome) cells:
     P(e=0, d=1) = (1-pi) * r0        P(e=1, d=1) = pi * r1
     P(e=0, d=0) = (1-pi) * (1-r0)    P(e=1, d=0) = pi * (1-r1)
 
-This module holds those types, the entropy of the induced four-cell
-distribution, the expected individual risk, Tjur's coefficient of
-discrimination, and the normalization of observed counts into joint
-probabilities.  Everything here is a pure function of immutable inputs.
+This module holds those types, the vectorized four-cell map
+:func:`cell_probs` (the only place it is written out) and the entropy of
+the induced distribution, the expected individual risk, Tjur's
+coefficient of discrimination, and the normalization of observed counts
+into joint probabilities.  Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = [
     "JointOutcomeProbs",
     "CategoryCounts",
     "StratifiedTable",
+    "cell_probs",
+    "cell_entropy",
     "entropy",
     "binary_entropy",
     "expected_risk",
@@ -72,13 +75,7 @@ class PropensityPrognosisTriple:
 
     def joint_outcomes(self) -> JointOutcomeProbs:
         """Joint (exposure, outcome) cell probabilities induced by the triple."""
-        pi, r0, r1 = self.pi, self.r0, self.r1
-        return JointOutcomeProbs(
-            p01=(1.0 - pi) * r0,
-            p11=pi * r1,
-            p00=(1.0 - pi) * (1.0 - r0),
-            p10=pi * (1.0 - r1),
-        )
+        return JointOutcomeProbs(*cell_probs(*self.as_tuple()).tolist())
 
     def swapped(self) -> PropensityPrognosisTriple:
         """The same individual under exposure-label swap: (1-pi, r1, r0)."""
@@ -121,8 +118,7 @@ class JointOutcomeProbs:
 
     def shannon_entropy(self) -> float:
         """Shannon entropy (nats) of the four-cell distribution."""
-        q = self.as_array()
-        return float(-np.sum(xlogy(q, q)))
+        return cell_entropy(self.as_array())
 
 
 @dataclass(frozen=True)
@@ -214,28 +210,53 @@ def binary_entropy(p):
     return out if out.ndim else float(out)
 
 
+def cell_probs(pi, r0, r1, out=None) -> np.ndarray:
+    """Joint cell probabilities of triples, stacked on a new first axis.
+
+    Broadcasts ``pi``, ``r0`` and ``r1`` against each other and returns an
+    array of shape ``(4, *broadcast_shape)`` whose rows are, in constraint
+    order,
+
+        (1-pi) r0,   pi r1,   (1-pi)(1-r0),   pi (1-r1),
+
+    i.e. P(e=0,d=1), P(e=1,d=1), P(e=0,d=0), P(e=1,d=0).  Each row is
+    written by broadcast assignment, so ``out`` (an existing array of that
+    shape) can receive a full grid from 1-d axis vectors without any
+    full-size temporary.
+    """
+    pi, r0, r1 = (np.asarray(x, dtype=float) for x in (pi, r0, r1))
+    if out is None:
+        out = np.empty((4, *np.broadcast_shapes(pi.shape, r0.shape, r1.shape)))
+    out[0] = (1.0 - pi) * r0
+    out[1] = pi * r1
+    out[2] = (1.0 - pi) * (1.0 - r0)
+    out[3] = pi * (1.0 - r1)
+    return out
+
+
+def cell_entropy(q) -> np.ndarray | float:
+    """Entropy (nats), ``-sum_i q_i log q_i``, over the first axis of ``q``.
+
+    ``q`` stacks four-cell distributions as :func:`cell_probs` returns
+    them; zero cells contribute 0.  Rows are accumulated one at a time, so
+    a grid's entropy needs one row-sized temporary, not a copy of ``q``.
+    """
+    q = np.asarray(q, dtype=float)
+    h = -xlogy(q[0], q[0])
+    for row in q[1:]:
+        h -= xlogy(row, row)
+    return h if h.ndim else float(h)
+
+
 def entropy(t: PropensityPrognosisTriple) -> float:
     """Entropy (nats) of the four-cell joint distribution induced by ``t``.
 
-    Evaluates the four-term form
-
-        H = -sum_q q * log(q),
-        q in {(1-pi)r0, pi*r1, (1-pi)(1-r0), pi(1-r1)},
-
-    with the convention ``x*log(x) -> 0`` at x = 0, so the closed cube is
+    ``H = -sum_q q log q`` over the cells of :func:`cell_probs`, with the
+    convention ``x*log(x) -> 0`` at x = 0, so the closed cube is
     admissible.  The result lies in [0, log 4], with the maximum attained
     only at (0.5, 0.5, 0.5).
     """
-    pi, r0, r1 = t.pi, t.r0, t.r1
-    q = np.array(
-        [
-            (1.0 - pi) * r0,
-            pi * r1,
-            (1.0 - pi) * (1.0 - r0),
-            pi * (1.0 - r1),
-        ]
-    )
-    return float(-np.sum(xlogy(q, q)))
+    return cell_entropy(cell_probs(*t.as_tuple()))
 
 
 def expected_risk(t: PropensityPrognosisTriple) -> float:

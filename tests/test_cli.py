@@ -32,7 +32,6 @@ class TestRunConfig:
         config = RunConfig(input_path="x.csv")
         assert config.mode == "lp"
         assert config.adjacency == "vertex"
-        assert config.tol_schedule == (1e-9,)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ParameterError):
@@ -51,10 +50,6 @@ class TestRunConfig:
             RunConfig(input_path="x.csv", replicates=5)
         RunConfig(input_path="x.csv", replicates=5, seed=1)
 
-    def test_empty_schedule_rejected(self):
-        with pytest.raises(ParameterError):
-            RunConfig(input_path="x.csv", tol_schedule=())
-
     def test_unknown_adjacency_rejected(self):
         with pytest.raises(ParameterError):
             RunConfig(input_path="x.csv", adjacency="corner")
@@ -71,7 +66,8 @@ class TestEstimateReport:
         report = run_estimate(
             RunConfig(input_path=MARGINAL, mode="closed-form")
         )
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
+        assert "tol_schedule" not in report["config"]
         assert report["command"] == "estimate"
         assert report["status"] == "optimal"
         assert report["solution"]["kind"] == "homogeneous"
@@ -88,7 +84,7 @@ class TestEstimateReport:
         lp = report["solution"]["lp"]
         assert lp["n_rows"] == 4
         assert lp["n_columns"] == 16 ** 3
-        assert lp["stages"][0]["feasibility_tol"] == 1e-9
+        assert "stages" not in lp
         assert report["solution"]["mixture"]["clusters"]
         # the 0.01 row slack lets the LP beat the continuum optimum by up
         # to the entropy modulus of the drift, and lets total mass drift
@@ -161,6 +157,13 @@ class TestConvergenceReport:
             run_convergence(config, m_values=())
         with pytest.raises(ParameterError):
             run_convergence(config, m_values=(12, 1))
+
+    def test_config_omits_settings_the_sweep_ignores(self):
+        config = RunConfig(input_path=MARGINAL, epsilon=0.01)
+        report = run_convergence(config, m_values=(12,))
+        assert "m" not in report["config"]
+        assert "adjacency" not in report["config"]
+        assert report["config"]["m_values"] == [12]
 
     def test_infeasible_points_recorded(self):
         config = RunConfig(input_path=MARGINAL, epsilon=1e-6)
@@ -328,6 +331,22 @@ class TestMainEntry:
             ["estimate", "--input", MARGINAL, "--tol-schedule", "fast"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("option", (["--m", "50"], ["--adjacency", "face"]))
+    def test_converge_rejects_single_grid_options(self, option, capsys):
+        code = main(["converge", "--input", MARGINAL, "--m-values", "12", *option])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_degenerate_closed_form_exit_code(self, tmp_path, capsys):
+        # nobody exposed: pi = 0 leaves r1 undefined
+        table = tmp_path / "unexposed.csv"
+        table.write_text(
+            "category,exposure,outcome,count\na,0,1,5\na,0,0,20\n", encoding="utf-8"
+        )
+        code = main(["estimate", "--input", str(table), "--mode", "closed-form"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_converge_subcommand(self, tmp_path):
         out = tmp_path / "conv.json"

@@ -144,18 +144,24 @@ class TestProblemAssembly:
             assert values[pos] == pytest.approx(entropy(t), abs=1e-12)
 
     def test_fast_pricing_matches_generic(self):
-        p = build_problem(TABLE_B, 6, r2_propensity=0.05, r2_prognosis=0.02)
         rng = np.random.default_rng(RNG_SEED + 4)
-        duals = rng.normal(size=p.n_rows)
-        # span crossing the category boundary at 216
-        start, stop = 150, 350
-        idx = np.arange(start, stop)
-        for include in (True, False):
-            fast = p._reduced_costs(duals, start, stop, include)
-            generic = -(duals @ p._columns(idx))
-            if include:
-                generic = generic + p._objective(idx)
-            assert fast == pytest.approx(generic, abs=1e-12)
+        # both variance rows, only the outcome row, and none
+        for r2 in ({"r2_propensity": 0.05, "r2_prognosis": 0.02},
+                   {"r2_prognosis": 0.02}, {}):
+            p = build_problem(TABLE_B, 6, **r2)
+            random_duals = rng.normal(size=p.n_rows)
+            sparse_duals = random_duals.copy()
+            sparse_duals[[1, 4, 5, p.n_rows - 1]] = 0.0  # exact zeros
+            # span crossing the category boundary at 216
+            start, stop = 150, 350
+            idx = np.arange(start, stop)
+            for duals in (random_duals, sparse_duals, np.zeros(p.n_rows)):
+                for include in (True, False):
+                    fast = p._reduced_costs(duals, start, stop, include)
+                    generic = -(duals @ p._columns(idx))
+                    if include:
+                        generic = generic + p._objective(idx)
+                    assert fast == pytest.approx(generic, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -307,17 +313,18 @@ class TestAtomsAndEvaluation:
         p = build_problem(TABLE_B, 10, r2_propensity=0.05, r2_prognosis=0.02)
         atoms = [
             Atom(0, "a", 0, 0, 0, 0.41, 0.21, 0.63, 0.3),
-            Atom(1, "b", 0, 0, 0, 0.37, 0.12, 0.52, 0.7),
+            Atom(1, "b", 0, 0, 0, 0.37, 0.12, 0.52, 0.5),
+            Atom(0, "a", 0, 0, 0, 0.93, 0.07, 0.18, 0.2),
         ]
         act = p.activities(atoms)
+        manual = np.zeros(p.n_rows)
         for atom in atoms:
-            c = atom.category
-            assert act[4 * c + 0] == pytest.approx(
-                atom.mass * (1 - atom.pi) * atom.r0, abs=1e-15
-            )
-            assert act[4 * c + 1] == pytest.approx(
-                atom.mass * atom.pi * atom.r1, abs=1e-15
-            )
+            c, w = atom.category, atom.mass
+            manual[4 * c + 0] += w * (1 - atom.pi) * atom.r0
+            manual[4 * c + 1] += w * atom.pi * atom.r1
+            manual[4 * c + 2] += w * (1 - atom.pi) * (1 - atom.r0)
+            manual[4 * c + 3] += w * atom.pi * (1 - atom.r1)
+        assert act[:8] == pytest.approx(manual[:8], abs=1e-15)
         var_e = sum(a.mass * (a.pi - p.marginal_exposure) ** 2 for a in atoms)
         assert act[8] == pytest.approx(var_e, abs=1e-15)
         risk = lambda a: (1 - a.pi) * a.r0 + a.pi * a.r1

@@ -17,6 +17,7 @@ from maxent_effects.model import (
     PropensityPrognosisTriple,
     StratifiedTable,
     binary_entropy,
+    cell_probs,
     entropy,
     expected_risk,
     joint_probs,
@@ -59,6 +60,29 @@ class TestTriple:
         t = PropensityPrognosisTriple(0.25, 0.125, 0.75)
         assert t.swapped().swapped() == t
         assert t.swapped() == PropensityPrognosisTriple(0.75, 0.75, 0.125)
+
+
+class TestCellProbs:
+    def test_arrays_match_explicit_products(self):
+        rng = np.random.default_rng(RNG_SEED + 7)
+        pi, r0, r1 = rng.uniform(size=(3, 40))
+        q = cell_probs(pi, r0, r1)
+        assert q.shape == (4, 40)
+        for i in range(40):
+            expected = [
+                (1 - pi[i]) * r0[i],
+                pi[i] * r1[i],
+                (1 - pi[i]) * (1 - r0[i]),
+                pi[i] * (1 - r1[i]),
+            ]
+            assert q[:, i].tolist() == expected
+
+    def test_broadcasts_axes_into_out(self):
+        x = np.array([0.1, 0.5, 0.8])
+        out = np.empty((4, 3, 3, 3))
+        q = cell_probs(x[:, None, None], x[None, :, None], x[None, None, :], out=out)
+        assert q is out
+        assert out[:, 2, 0, 1].tolist() == cell_probs(0.8, 0.1, 0.5).tolist()
 
 
 class TestEntropy:
