@@ -438,7 +438,23 @@ def run_bootstrap(config: RunConfig) -> dict:
 
 
 def emit_plot(report: dict, path) -> None:
-    """Write the SVG corresponding to a report dictionary."""
+    """Write the SVG corresponding to a report dictionary.
+
+    Raises :class:`ParameterError` for anything that is not a plottable
+    report.
+    """
+    if not isinstance(report, dict):
+        raise ParameterError("not a report: expected a JSON object")
+    try:
+        svg = _report_svg(report)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ParameterError(
+            f"malformed {report.get('command')!r} report: {exc!r}"
+        ) from exc
+    Path(path).write_text(svg, encoding="utf-8")
+
+
+def _report_svg(report: dict) -> str:
     command = report.get("command")
     if command in ("estimate", "bootstrap"):
         solution = report.get("solution") or {}
@@ -464,7 +480,7 @@ def emit_plot(report: dict, path) -> None:
         svg = convergence_svg(points, report["reference_entropy"])
     else:
         raise ParameterError(f"cannot plot a {command!r} report")
-    Path(path).write_text(svg, encoding="utf-8")
+    return svg
 
 
 def _add_common(parser: argparse.ArgumentParser, single_grid: bool = True) -> None:
@@ -570,20 +586,20 @@ def main(argv=None) -> int:
             report = run_convergence(config, m_values)
         else:
             report = run_bootstrap(config)
+        text = json.dumps(report, indent=2) + "\n"
+        if config.json_out:
+            Path(config.json_out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        if config.svg_out:
+            try:
+                emit_plot(report, config.svg_out)
+            except ParameterError as exc:
+                print(f"plot skipped: {exc}", file=sys.stderr)
     except (EstimationError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    text = json.dumps(report, indent=2) + "\n"
-    if config.json_out:
-        Path(config.json_out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    if config.svg_out:
-        try:
-            emit_plot(report, config.svg_out)
-        except ParameterError as exc:
-            print(f"plot skipped: {exc}", file=sys.stderr)
     elapsed = time.perf_counter() - started
     print(f"wall time: {elapsed:.2f}s", file=sys.stderr)
     return _EXIT_BY_STATUS.get(report["status"], 1)

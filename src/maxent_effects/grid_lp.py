@@ -47,7 +47,7 @@ import numpy as np
 
 from .closed_form import r2_to_variance_bound
 from .errors import ParameterError
-from .lp_solver import InequalityRow, LpProblem, LpSolution, RangeRow
+from .lp_solver import InequalityRow, LpProblem, LpSolution, RangeRow, row_bounds
 from .model import PropensityPrognosisTriple, StratifiedTable, cell_entropy, cell_probs
 
 __all__ = [
@@ -126,7 +126,8 @@ class DiscretizedProblem:
     Immutable once built; exposes the LP via :meth:`as_lp` and exact
     (non-discretized) row activities for arbitrary atom sets via
     :meth:`activities`, which is what residual reporting uses after
-    cluster centroids move off the grid.
+    cluster centroids move off the grid.  ``rows`` holds the row objects
+    and ``lower``/``upper`` their bounds (:func:`lp_solver.row_bounds`).
     """
 
     def __init__(
@@ -137,8 +138,8 @@ class DiscretizedProblem:
         r2_prognosis: float | None = None,
         epsilon: float = 1e-3,
     ):
-        if epsilon < 0.0:
-            raise ParameterError(f"epsilon must be nonnegative, got {epsilon}")
+        if not 0.0 <= epsilon < np.inf:
+            raise ParameterError(f"epsilon must be finite and nonnegative, got {epsilon}")
         self.table = table
         self.grid = grid
         self.epsilon = float(epsilon)
@@ -174,6 +175,7 @@ class DiscretizedProblem:
             self.variance_row_outcome = len(rows)
             rows.append(InequalityRow(self.variance_bound_outcome))
         self.rows = tuple(rows)
+        self.lower, self.upper = row_bounds(self.rows)
         self.n_columns = d * grid.n_cells
 
         # LP rows of each category's six coefficient rows; n_rows pads.
@@ -254,7 +256,6 @@ class DiscretizedProblem:
             columns_fn=self._columns,
             objective_fn=self._objective,
             reduced_cost_fn=self._reduced_costs,
-            name=f"grid(m={self.grid.m}, categories={self.table.n_categories})",
         )
 
     # -- exact evaluation of arbitrary atom sets ----------------------
@@ -276,14 +277,8 @@ class DiscretizedProblem:
         activities = np.asarray(activities, dtype=float)
         if activities.shape != (self.n_rows,):
             raise ParameterError("activity vector length must equal the row count")
-        out = np.zeros(self.n_rows)
-        for i, row in enumerate(self.rows):
-            a = activities[i]
-            if isinstance(row, RangeRow):
-                out[i] = max(row.lower - a, a - row.upper, 0.0)
-            else:
-                out[i] = max(row.rhs - a, 0.0)
-        return out
+        excess = np.maximum(self.lower - activities, activities - self.upper)
+        return np.maximum(excess, 0.0)
 
     def entropy_of(self, atoms) -> float:
         """Mass-weighted per-individual entropy of an atom set."""

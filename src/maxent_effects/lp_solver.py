@@ -9,19 +9,30 @@ variable is found by a chunked pricing scan over the column generator.
 
 Implementation notes
 --------------------
+* :class:`LpProblem` converts its rows once into ``lower``/``upper``
+  bound arrays (``upper = +inf`` for an inequality row).
+* With n structural columns and R rows, the working variables are the
+  structurals ``0..n-1`` followed by 2R logicals ``n..n+2R-1``.  Logical
+  ``i`` (counted from n) is ``sign[i]`` times the unit column of row
+  ``i % R``, with upper bound ``upper[i]``: logicals ``0..R-1`` are the
+  slacks, ``R..2R-1`` the artificials.
 * Interval rows are handled as range rows with one bounded slack each
-  (a.w + s = hi, 0 <= s <= hi - lo) instead of being split in two.
+  (a.w + s = hi, 0 <= s <= hi - lo) instead of being split in two; an
+  inequality row's slack has sign -1 and no upper bound.
 * Feasibility comes from a big-M-free two-phase start with one artificial
   variable per row.  Phase one is accepted as soon as the total artificial
-  mass drops below ``feasibility_tol``; surviving artificial values are
-  frozen so phase two cannot drift further from feasibility.
+  mass drops below ``feasibility_tol``; surviving artificial values become
+  the artificials' upper bounds so phase two cannot drift further from
+  feasibility.  Artificials never re-enter the basis.
 * The basis (at most rows x rows, so tiny) is LU-factorized afresh every
   iteration; at this scale refactorization is cheaper than bookkeeping
   and numerically safer than product-form updates.
-* Pivot selection is largest reduced cost with lowest-index tie-breaking;
-  after a stall of ``10 * n_rows`` consecutive degenerate steps the solver
-  switches to Bland's rule until the objective moves again.  All scan and
-  reduction orders are fixed, so identical inputs give identical output.
+* Pivot selection is largest reduced cost above ``OPTIMALITY_TOL`` with
+  lowest-index tie-breaking; after a stall of ``10 * n_rows`` consecutive
+  degenerate steps the solver switches to Bland's rule until the
+  objective moves again.  A solve stops with ``iteration_limit`` after
+  ``MAX_ITERATIONS`` pivots.  All scan and reduction orders are fixed, so
+  identical inputs give identical output.
 """
 
 from __future__ import annotations
@@ -43,7 +54,10 @@ __all__ = [
     "solve",
     "price_columns",
     "relax_and_retry",
+    "row_bounds",
     "ROW_CAP",
+    "OPTIMALITY_TOL",
+    "MAX_ITERATIONS",
 ]
 
 #: This solver is specialized to short problems; refuse anything taller.
@@ -52,8 +66,16 @@ ROW_CAP = 1024
 #: Columns priced per block during the entering-variable scan.
 PRICE_CHUNK = 1 << 18
 
+#: A column enters only if its reduced cost exceeds this.
+OPTIMALITY_TOL = 1e-9
+
+#: Pivots per solve before it stops with ``iteration_limit``.
+MAX_ITERATIONS = 50_000
+
 _PIVOT_TOL = 1e-10
 _DEGENERATE_STEP = 1e-12
+# Bland's rule takes over after this many degenerate steps per row.
+_STALL_PER_ROW = 10
 
 
 @dataclass(frozen=True)
@@ -86,6 +108,8 @@ class LpProblem:
     Parameters
     ----------
     rows : sequence of RangeRow | InequalityRow
+        Converted once into the bound arrays ``lower`` and ``upper``
+        (``upper = +inf`` for an inequality row).
     n_columns : int
         Total number of structural columns.
     columns_fn : callable(indices) -> ndarray (n_rows, len(indices))
@@ -98,33 +122,18 @@ class LpProblem:
         default derives it from ``columns_fn``.
     """
 
-    def __init__(
-        self,
-        rows,
-        n_columns: int,
-        columns_fn,
-        objective_fn,
-        reduced_cost_fn=None,
-        name: str = "lp",
-    ):
-        self.rows: tuple[Row, ...] = tuple(rows)
-        if not self.rows:
-            raise ParameterError("problem needs at least one row")
-        if len(self.rows) > ROW_CAP:
-            raise ParameterError(
-                f"{len(self.rows)} rows exceeds the {ROW_CAP}-row cap of this solver"
-            )
+    def __init__(self, rows, n_columns: int, columns_fn, objective_fn, reduced_cost_fn=None):
+        self.lower, self.upper = row_bounds(rows)
         if n_columns <= 0:
             raise ParameterError("problem needs at least one column")
         self.n_columns = int(n_columns)
         self._columns_fn = columns_fn
         self._objective_fn = objective_fn
         self._reduced_cost_fn = reduced_cost_fn
-        self.name = name
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.lower.size
 
     def columns(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
@@ -153,7 +162,7 @@ class LpProblem:
         return rc
 
     @classmethod
-    def from_dense(cls, objective, matrix, rows, name: str = "dense") -> LpProblem:
+    def from_dense(cls, objective, matrix, rows) -> LpProblem:
         """Convenience constructor from an explicit coefficient matrix."""
         a = np.asarray(matrix, dtype=float)
         c = np.asarray(objective, dtype=float)
@@ -164,8 +173,36 @@ class LpProblem:
             c.size,
             columns_fn=lambda idx: a[:, idx],
             objective_fn=lambda idx: c[idx],
-            name=name,
         )
+
+
+def row_bounds(rows) -> tuple[np.ndarray, np.ndarray]:
+    """``(lower, upper)`` arrays of a row sequence, validated.
+
+    An inequality row has ``upper = +inf``.  Every row needs a finite
+    right-hand side: ``upper`` where it is finite, else ``lower`` (NaN
+    counts as infinite).
+    """
+    rows = tuple(rows)
+    if not rows:
+        raise ParameterError("problem needs at least one row")
+    if len(rows) > ROW_CAP:
+        raise ParameterError(
+            f"{len(rows)} rows exceeds the {ROW_CAP}-row cap of this solver"
+        )
+    lower, upper = np.array(
+        [(r.lower, r.upper) if isinstance(r, RangeRow) else (r.rhs, np.inf) for r in rows],
+        dtype=float,
+    ).T.copy()
+    bad = np.flatnonzero(~np.isfinite(_rhs(lower, upper)))
+    if bad.size:
+        raise ParameterError(f"row {bad[0]} needs a finite right-hand side, got {rows[bad[0]]}")
+    return lower, upper
+
+
+def _rhs(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Right-hand side of each row's equality form: upper, else lower."""
+    return np.where(np.isfinite(upper), upper, lower)
 
 
 @dataclass(frozen=True)
@@ -184,8 +221,7 @@ class LpSolution:
 
     ``columns``/``masses`` hold only the nonzero structural variables of
     the final vertex, sorted by column index; at optimality their count
-    never exceeds the row count.  ``basis`` and ``at_upper`` snapshot the
-    working basis for warm starts.
+    never exceeds the row count.
     """
 
     status: str  # optimal | infeasible | iteration_limit | unbounded
@@ -195,8 +231,6 @@ class LpSolution:
     row_activity: np.ndarray
     duals: np.ndarray
     iterations: int
-    basis: tuple[int, ...]
-    at_upper: tuple[int, ...]
     infeasible_rows: tuple[int, ...] = ()
     stages: tuple[StageResult, ...] = ()
 
@@ -219,21 +253,20 @@ def price_columns(
     largest reduced cost above ``tol`` (ties broken by lowest index), or
     ``None`` when no column improves, which certifies dual feasibility of
     ``dual_values`` over the whole column set.  Under ``rule="bland"`` the
-    first improving index is returned instead.  The scan visits fixed-size
+    first improving index is returned instead.  Columns in ``exclude``
+    (any iterable of indices) are skipped.  The scan visits fixed-size
     chunks in index order and never materializes the full matrix.
     """
     duals = np.asarray(dual_values, dtype=float)
     if duals.shape != (problem.n_rows,):
         raise ParameterError("dual vector length must equal the row count")
-    excluded = sorted(int(e) for e in exclude)
+    excluded = np.fromiter(exclude, dtype=np.int64)
     best_idx = -1
     best_rc = tol
     for start in range(0, problem.n_columns, PRICE_CHUNK):
         stop = min(start + PRICE_CHUNK, problem.n_columns)
         rc = problem.reduced_costs(duals, start, stop, include_objective)
-        for e in excluded:
-            if start <= e < stop:
-                rc[e - start] = -np.inf
+        rc[excluded[(excluded >= start) & (excluded < stop)] - start] = -np.inf
         if rule == "bland":
             hits = np.flatnonzero(rc > tol)
             if hits.size:
@@ -252,39 +285,26 @@ def price_columns(
 class _Simplex:
     """One solve: working problem, state, and the pivot loop."""
 
-    def __init__(self, problem, feasibility_tol, optimality_tol, max_iterations):
-        if feasibility_tol <= 0 or optimality_tol <= 0:
-            raise ParameterError("tolerances must be positive")
+    def __init__(self, problem, feasibility_tol):
+        if not feasibility_tol > 0:
+            raise ParameterError("feasibility_tol must be positive")
         self.p = problem
         self.feas_tol = float(feasibility_tol)
-        self.opt_tol = float(optimality_tol)
-        self.max_iter = int(max_iterations)
         self.R = problem.n_rows
         self.n = problem.n_columns
-        self.slack0 = self.n
-        self.art0 = self.n + self.R
+        self.art0 = self.n + self.R  # first artificial's working id
 
-        b = np.empty(self.R)
-        slack_sign = np.empty(self.R)
-        slack_ub = np.empty(self.R)
-        for i, row in enumerate(problem.rows):
-            if isinstance(row, RangeRow):
-                b[i] = row.upper
-                slack_sign[i] = 1.0
-                slack_ub[i] = row.upper - row.lower
-            else:
-                b[i] = row.rhs
-                slack_sign[i] = -1.0
-                slack_ub[i] = np.inf
-        self.b = b
-        self.slack_sign = slack_sign
-        self.slack_ub = slack_ub
-        self.art_sign = np.where(b >= 0.0, 1.0, -1.0)
-        self.art_ub = np.full(self.R, np.inf)
+        lower, upper = problem.lower, problem.upper
+        ranged = np.isfinite(upper)
+        self.b = _rhs(lower, upper)
+        art_sign = np.where(self.b >= 0.0, 1.0, -1.0)
+        self.sign = np.concatenate([np.where(ranged, 1.0, -1.0), art_sign])
+        self.upper = np.concatenate(
+            [np.where(ranged, upper - lower, np.inf), np.full(self.R, np.inf)]
+        )
+        self.at_upper = np.zeros(2 * self.R, dtype=bool)
 
         self.basis = np.arange(self.art0, self.art0 + self.R, dtype=np.int64)
-        # nonbasic-at-upper flags for slacks [0:R) and artificials [R:2R)
-        self.at_upper = np.zeros(2 * self.R, dtype=bool)
         self.iterations = 0
         self.phase = 1
         self.x_basis = np.zeros(self.R)
@@ -297,14 +317,9 @@ class _Simplex:
         struct = ids < self.n
         if struct.any():
             out[:, struct] = self.p.columns(ids[struct])
-        for pos in np.flatnonzero(~struct):
-            w = int(ids[pos])
-            if w < self.art0:
-                i = w - self.slack0
-                out[i, pos] = self.slack_sign[i]
-            else:
-                i = w - self.art0
-                out[i, pos] = self.art_sign[i]
+        pos = np.flatnonzero(~struct)
+        logical = ids[pos] - self.n
+        out[logical % self.R, pos] = self.sign[logical]
         return out
 
     def _work_cost(self, ids: np.ndarray) -> np.ndarray:
@@ -319,19 +334,13 @@ class _Simplex:
 
     def _work_ub(self, ids: np.ndarray) -> np.ndarray:
         out = np.full(ids.size, np.inf)
-        slack = (ids >= self.slack0) & (ids < self.art0)
-        out[slack] = self.slack_ub[ids[slack] - self.slack0]
-        art = ids >= self.art0
-        out[art] = self.art_ub[ids[art] - self.art0]
+        logical = ids >= self.n
+        out[logical] = self.upper[ids[logical] - self.n]
         return out
 
     def _effective_rhs(self) -> np.ndarray:
-        up_s = self.at_upper[: self.R]
-        up_a = self.at_upper[self.R :]
-        b = self.b.copy()
-        b -= np.where(up_s, self.slack_sign * self.slack_ub, 0.0)
-        b -= np.where(up_a, self.art_sign * self.art_ub, 0.0)
-        return b
+        shift = np.where(self.at_upper, self.sign * self.upper, 0.0)
+        return self.b - shift[: self.R] - shift[self.R :]
 
     # -- one phase of pivoting ---------------------------------------
 
@@ -344,30 +353,20 @@ class _Simplex:
         return lu
 
     def _price_slacks(self, y: np.ndarray, rule: str):
-        """Best nonbasic slack candidate as (work_id, reduced_cost) or None."""
-        in_basis = np.zeros(2 * self.R, dtype=bool)
-        nb = self.basis[self.basis >= self.slack0] - self.slack0
-        in_basis[nb] = True
-        best = None
-        # Slacks: cost 0, column +/- e_i; artificials never re-enter.
-        rc = -self.slack_sign * y
-        for i in range(self.R):
-            if in_basis[i] or self.slack_ub[i] <= 0.0:
-                continue
-            if self.at_upper[i]:
-                if rc[i] < -self.opt_tol:
-                    cand = (self.slack0 + i, rc[i])
-                else:
-                    continue
-            elif rc[i] > self.opt_tol:
-                cand = (self.slack0 + i, rc[i])
-            else:
-                continue
-            if rule == "bland":
-                return cand
-            if best is None or abs(cand[1]) > abs(best[1]):
-                best = cand
-        return best
+        """Best nonbasic slack candidate as (work_id, reduced_cost) or None.
+
+        Slacks cost 0, so a slack's reduced cost is ``-sign * y``; it
+        improves by rising from its lower bound or falling from its upper.
+        """
+        rc = -self.sign[: self.R] * y
+        basic = np.zeros(2 * self.R, dtype=bool)
+        basic[self.basis[self.basis >= self.n] - self.n] = True
+        improving = np.where(self.at_upper[: self.R], rc < -OPTIMALITY_TOL, rc > OPTIMALITY_TOL)
+        cands = np.flatnonzero(improving & ~basic[: self.R] & (self.upper[: self.R] > 0.0))
+        if not cands.size:
+            return None
+        i = cands[0] if rule == "bland" else cands[np.argmax(np.abs(rc[cands]))]
+        return self.n + int(i), rc[i]
 
     def _infeasibility(self) -> float:
         art = self.basis >= self.art0
@@ -377,7 +376,6 @@ class _Simplex:
         stall = 0
         bland = False
         last_objective = -np.inf
-        basic_struct = set()
 
         while True:
             lu = self._refactor()
@@ -394,18 +392,16 @@ class _Simplex:
             if self.phase == 1 and self._infeasibility() <= self.feas_tol:
                 return "feasible"
 
-            if self.iterations >= self.max_iter:
+            if self.iterations >= MAX_ITERATIONS:
                 return "iteration_limit"
 
             # -- entering variable
-            basic_struct.clear()
-            basic_struct.update(int(v) for v in self.basis if v < self.n)
             rule = "bland" if bland else "dantzig"
             cand_struct = price_columns(
                 self.p,
                 y,
-                tol=self.opt_tol,
-                exclude=basic_struct,
+                tol=OPTIMALITY_TOL,
+                exclude=self.basis[self.basis < self.n],
                 rule=rule,
                 include_objective=(self.phase == 2),
             )
@@ -423,7 +419,7 @@ class _Simplex:
             else:
                 enter = cand_struct[0]
 
-            enter_at_upper = enter >= self.slack0 and self.at_upper[enter - self.slack0]
+            enter_at_upper = enter >= self.n and self.at_upper[enter - self.n]
             a_enter = self._work_columns(np.array([enter], dtype=np.int64))[:, 0]
             d = lu_solve(lu, a_enter, check_finite=False)
             if not np.all(np.isfinite(d)):
@@ -451,7 +447,7 @@ class _Simplex:
                 # Bound flip: the entering variable traverses its own range.
                 if not np.isfinite(ub_enter):
                     return "unbounded"
-                i = enter - self.slack0
+                i = enter - self.n
                 self.at_upper[i] = not self.at_upper[i]
                 t = ub_enter
             else:
@@ -465,12 +461,12 @@ class _Simplex:
                     pos = int(tie_pos[np.argmax(np.abs(step[tie_pos]))])
                 leaving = int(self.basis[pos])
                 to_upper = t_upp[pos] < t_low[pos]
-                if leaving >= self.slack0:
-                    self.at_upper[leaving - self.slack0] = to_upper
+                if leaving >= self.n:
+                    self.at_upper[leaving - self.n] = to_upper
                 elif to_upper:
                     raise EstimationError("structural variable cannot leave at +inf")
-                if enter >= self.slack0:
-                    self.at_upper[enter - self.slack0] = False
+                if enter >= self.n:
+                    self.at_upper[enter - self.n] = False
                 self.basis[pos] = enter
                 t = t_basic
 
@@ -480,7 +476,7 @@ class _Simplex:
                 bland = False
             else:
                 stall += 1
-                if stall > 10 * self.R:
+                if stall > _STALL_PER_ROW * self.R:
                     bland = True
             last_objective = max(last_objective, objective)
 
@@ -488,50 +484,13 @@ class _Simplex:
 
     def _freeze_artificials(self):
         """Clamp artificials so phase two cannot regrow any infeasibility."""
-        self.art_ub = np.zeros(self.R)
-        for pos, w in enumerate(self.basis):
-            if w >= self.art0:
-                self.art_ub[w - self.art0] = max(float(self.x_basis[pos]), 0.0)
+        art = self.basis >= self.art0
+        self.upper[self.R :] = 0.0
+        self.upper[self.basis[art] - self.n] = np.maximum(self.x_basis[art], 0.0)
 
     def _violation_rows(self) -> tuple[int, ...]:
-        rows = []
-        for pos, w in enumerate(self.basis):
-            if w >= self.art0 and self.x_basis[pos] > self.feas_tol:
-                rows.append(int(w - self.art0))
-        return tuple(sorted(rows))
-
-    def warm_start(self, basis, at_upper_ids) -> bool:
-        """Adopt a previous basis if it is primal feasible within tolerance."""
-        basis = np.asarray(sorted(int(v) for v in basis), dtype=np.int64)
-        if basis.size != self.R or basis.size != np.unique(basis).size:
-            return False
-        if np.any(basis < 0) or np.any(basis >= self.art0):
-            return False
-        at_upper = np.zeros(2 * self.R, dtype=bool)
-        for w in at_upper_ids:
-            w = int(w)
-            if not (self.slack0 <= w < self.art0) or w in basis:
-                return False
-            at_upper[w - self.slack0] = True
-        saved = (self.basis, self.at_upper)
-        self.basis = basis
-        self.at_upper = at_upper
-        self.art_ub = np.zeros(self.R)
-        try:
-            lu = self._refactor()
-            x = lu_solve(lu, self._effective_rhs(), check_finite=False)
-        except EstimationError:
-            self.basis, self.at_upper = saved
-            self.art_ub = np.full(self.R, np.inf)
-            return False
-        ub = self._work_ub(basis)
-        violation = float(np.max(np.maximum(-x, x - ub), initial=0.0))
-        if not np.all(np.isfinite(x)) or violation > self.feas_tol:
-            self.basis, self.at_upper = saved
-            self.art_ub = np.full(self.R, np.inf)
-            return False
-        self.x_basis = x
-        return True
+        violated = (self.basis >= self.art0) & (self.x_basis > self.feas_tol)
+        return tuple(int(i) for i in np.sort(self.basis[violated] - self.art0))
 
     def extract(self, status: str, infeasible_rows=()) -> LpSolution:
         struct = self.basis < self.n
@@ -555,46 +514,26 @@ class _Simplex:
             row_activity=activity,
             duals=self.duals.copy(),
             iterations=self.iterations,
-            basis=tuple(int(v) for v in self.basis),
-            at_upper=tuple(
-                int(self.slack0 + i) for i in np.flatnonzero(self.at_upper[: self.R])
-            ),
             infeasible_rows=tuple(infeasible_rows),
         )
 
 
-def solve(
-    problem: LpProblem,
-    feasibility_tol: float = 1e-9,
-    optimality_tol: float = 1e-9,
-    max_iterations: int = 50_000,
-    warm_start: LpSolution | None = None,
-) -> LpSolution:
+def solve(problem: LpProblem, feasibility_tol: float = 1e-9) -> LpSolution:
     """Maximize the problem's objective over its rows and w >= 0.
 
     Returns an :class:`LpSolution` whose status is ``optimal`` when no
-    column prices above ``optimality_tol`` and all rows are satisfied
-    within ``feasibility_tol``; ``infeasible`` carries the offending rows.
-    A ``warm_start`` solution's basis is adopted when it is still primal
-    feasible, skipping phase one.  Identical inputs produce bit-identical
-    solutions.
+    column prices above ``OPTIMALITY_TOL`` and all rows are satisfied
+    within ``feasibility_tol``; ``infeasible`` and ``iteration_limit``
+    carry the rows phase one left violated.  Identical inputs produce
+    bit-identical solutions.
     """
-    if max_iterations <= 0:
-        raise ParameterError("max_iterations must be positive")
-    s = _Simplex(problem, feasibility_tol, optimality_tol, max_iterations)
-
-    warmed = False
-    if warm_start is not None and warm_start.status != "infeasible":
-        warmed = s.warm_start(warm_start.basis, warm_start.at_upper)
-
-    if not warmed:
-        s.phase = 1
-        outcome = s._run_phase()
-        if outcome == "iteration_limit":
-            return s.extract("iteration_limit", s._violation_rows())
-        if outcome != "feasible" and s._infeasibility() > s.feas_tol:
-            return s.extract("infeasible", s._violation_rows())
-        s._freeze_artificials()
+    s = _Simplex(problem, feasibility_tol)
+    outcome = s._run_phase()
+    if outcome == "iteration_limit":
+        return s.extract("iteration_limit", s._violation_rows())
+    if outcome != "feasible" and s._infeasibility() > s.feas_tol:
+        return s.extract("infeasible", s._violation_rows())
+    s._freeze_artificials()
 
     s.phase = 2
     outcome = s._run_phase()
@@ -603,18 +542,13 @@ def solve(
     return s.extract(outcome)
 
 
-def relax_and_retry(
-    problem: LpProblem,
-    schedule,
-    optimality_tol: float = 1e-9,
-    max_iterations: int = 50_000,
-) -> LpSolution:
+def relax_and_retry(problem: LpProblem, schedule) -> LpSolution:
     """Solve through a decreasing feasibility-tolerance schedule.
 
-    The loosest stage establishes feasibility; each tighter stage re-solves
-    warm-starting from the previous basis.  The returned solution is the
-    tightest stage that succeeded, with every stage's outcome recorded in
-    ``stages``.  Infeasibility at the loosest stage is final.
+    Each stage solves from scratch at its tolerance.  The returned
+    solution is the tightest stage that succeeded, with every stage's
+    outcome recorded in ``stages``.  Infeasibility at the loosest stage is
+    final.
     """
     schedule = [float(t) for t in schedule]
     if not schedule:
@@ -626,13 +560,7 @@ def relax_and_retry(
     best: LpSolution | None = None
     last: LpSolution | None = None
     for tol in schedule:
-        sol = solve(
-            problem,
-            feasibility_tol=tol,
-            optimality_tol=optimality_tol,
-            max_iterations=max_iterations,
-            warm_start=best,
-        )
+        sol = solve(problem, feasibility_tol=tol)
         stages.append(StageResult(tol, sol.status, sol.iterations, sol.objective))
         last = sol
         if sol.status == "optimal":

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from maxent_effects import lp_solver
 from maxent_effects.cli import (
     RunConfig,
     emit_plot,
@@ -326,6 +327,20 @@ class TestMainEntry:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ("--json-out", "--svg-out"))
+    def test_unwritable_output_exit_code(self, option, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        code = main(["estimate", "--input", MARGINAL, "--mode", "closed-form", option, str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_iteration_limit_exit_code(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(lp_solver, "MAX_ITERATIONS", 1)
+        out = tmp_path / "r.json"
+        code = main(["estimate", "--input", MARGINAL, "--m", "10", "--json-out", str(out)])
+        assert code == 1
+        assert json.loads(out.read_text(encoding="utf-8"))["status"] == "iteration_limit"
+
     def test_bad_schedule_exit_code(self, capsys):
         code = main(
             ["estimate", "--input", MARGINAL, "--tol-schedule", "fast"]
@@ -423,6 +438,14 @@ class TestMainEntry:
         bad.write_text("{not json", encoding="utf-8")
         code = main(["plot", "--input", str(bad), "--svg-out", str(tmp_path / "x.svg")])
         assert code == 1
+
+    @pytest.mark.parametrize("report", ([1, 2], {"command": "converge"}))
+    def test_non_report_json_exit_code(self, report, tmp_path, capsys):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        code = main(["plot", "--input", str(path), "--svg-out", str(tmp_path / "x.svg")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_svg_out_written_alongside_report(self, tmp_path):
         svg = tmp_path / "mix.svg"

@@ -166,6 +166,9 @@ class TestProblemAssembly:
     def test_validation(self):
         with pytest.raises(ParameterError):
             build_problem(TABLE_A, 10, epsilon=-1e-9)
+        for eps in (np.inf, np.nan):
+            with pytest.raises(ParameterError, match="epsilon"):
+                build_problem(TABLE_A, 10, epsilon=eps)
         with pytest.raises(ParameterError):
             build_problem(TABLE_A, 0)
 
@@ -300,8 +303,6 @@ class TestAtomsAndEvaluation:
             row_activity=np.zeros(p.n_rows),
             duals=np.zeros(p.n_rows),
             iterations=0,
-            basis=(),
-            at_upper=(),
         )
         atoms = atoms_from_solution(p, fake)
         assert len(atoms) == 1
@@ -345,6 +346,12 @@ class TestAtomsAndEvaluation:
                 assert res[i] == pytest.approx(max(row.lower, 0.0), abs=1e-15)
             else:
                 assert res[i] == pytest.approx(row.rhs, abs=1e-15)
+        res = p.residuals(np.ones(p.n_rows))
+        for i, row in enumerate(p.rows):
+            if isinstance(row, RangeRow):
+                assert res[i] == pytest.approx(1.0 - row.upper, abs=1e-15)
+            else:
+                assert res[i] == pytest.approx(max(row.rhs - 1.0, 0.0), abs=1e-15)
         with pytest.raises(ParameterError):
             p.residuals(np.zeros(3))
 
