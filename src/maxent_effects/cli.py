@@ -15,7 +15,8 @@ plot
     Re-render the SVG from a previously written JSON report.
 
 Exit codes: 0 for a successful (optimal/complete) run, 2 when the problem
-is infeasible, 1 for usage, I/O, or data errors.
+is infeasible, 1 for usage, I/O, or data errors (including R2 targets in
+closed-form mode, whose solution is the unconstrained one).
 
 Reports are dictionaries serialized as JSON with ``schema_version`` 2.
 Every float is rounded to 6 significant digits before serialization, and
@@ -87,6 +88,12 @@ class RunConfig:
             raise ParameterError(f"unknown mode {self.mode!r}")
         if self.mode == "lp" and self.m < 2:
             raise ParameterError("lp mode requires a grid resolution m >= 2")
+        if self.mode == "closed-form" and (
+            self.r2_propensity is not None or self.r2_prognosis is not None
+        ):
+            raise ParameterError(
+                "the closed form is the unconstrained solution; R2 targets need lp mode"
+            )
         if self.replicates < 0:
             raise ParameterError("replicate count must be >= 0")
         if self.replicates > 0 and self.seed is None:
@@ -234,14 +241,19 @@ def _atom_dict(atom) -> dict:
     }
 
 
-def _solve_lp(config: RunConfig, table: StratifiedTable):
-    """Shared LP pipeline: build the grid problem and solve it."""
+def _solve_lp(config: RunConfig, table: StratifiedTable, cells_from=None):
+    """Shared LP pipeline: build the grid problem and solve it.
+
+    ``cells_from`` is a problem on the same grid whose cell rows and
+    entropy the new problem reuses (see :class:`DiscretizedProblem`).
+    """
     problem = build_problem(
         table,
         config.m,
         r2_propensity=config.r2_propensity,
         r2_prognosis=config.r2_prognosis,
         epsilon=config.epsilon,
+        cells_from=cells_from,
     )
     solution = relax_and_retry(problem.as_lp(), (1e-9,))  # one stage
     return problem, solution
@@ -384,7 +396,8 @@ def run_bootstrap(config: RunConfig) -> dict:
     pooled_atoms = []
     total_iterations = base_solution.iterations
     for index, rep_table in enumerate(replicate_tables):
-        rep_problem, rep_solution = _solve_lp(config, rep_table)
+        # replicates share the baseline's grid: reuse its cell rows and entropy
+        rep_problem, rep_solution = _solve_lp(config, rep_table, cells_from=base_problem)
         total_iterations += rep_solution.iterations
         per_replicate.append(
             {

@@ -128,6 +128,12 @@ class DiscretizedProblem:
     :meth:`activities`, which is what residual reporting uses after
     cluster centroids move off the grid.  ``rows`` holds the row objects
     and ``lower``/``upper`` their bounds (:func:`lp_solver.row_bounds`).
+
+    Coefficient rows 0-3 and ``entropy`` depend only on the grid.  Given
+    ``cells_from``, a problem on the same grid (say, the original table
+    of a bootstrap), the new problem copies its rows 0-3 and shares its
+    ``entropy`` instead of recomputing them; only the variance rows and
+    the row bounds come from ``table``.
     """
 
     def __init__(
@@ -137,9 +143,14 @@ class DiscretizedProblem:
         r2_propensity: float | None = None,
         r2_prognosis: float | None = None,
         epsilon: float = 1e-3,
+        cells_from: DiscretizedProblem | None = None,
     ):
         if not 0.0 <= epsilon < np.inf:
             raise ParameterError(f"epsilon must be finite and nonnegative, got {epsilon}")
+        if cells_from is not None and cells_from.grid != grid:
+            raise ParameterError(
+                f"cannot reuse cells of an m={cells_from.grid.m} grid on m={grid.m}"
+            )
         self.table = table
         self.grid = grid
         self.epsilon = float(epsilon)
@@ -189,18 +200,27 @@ class DiscretizedProblem:
         ctr = grid.centers
         m = grid.m
         coef = np.empty((6, m, m, m))
-        self._coefficients(
-            ctr[:, None, None], ctr[None, :, None], ctr[None, None, :], out=coef
-        )
+        pi = ctr[:, None, None]
+        if cells_from is None:
+            cell_probs(pi, ctr[None, :, None], ctr[None, None, :], out=coef[:4])
+        else:
+            coef[:4] = cells_from.coef[:4].reshape(4, m, m, m)
+        self._variance_rows(pi, out=coef)
         self.coef = coef.reshape(6, grid.n_cells)
-        self.entropy = cell_entropy(self.coef[:4])
+        self.entropy = (
+            cell_entropy(self.coef[:4]) if cells_from is None else cells_from.entropy
+        )
 
-    def _coefficients(self, pi, r0, r1, out=None) -> np.ndarray:
+    def _coefficients(self, pi, r0, r1) -> np.ndarray:
         """The six coefficient rows of triples (pi, r0, r1), broadcast."""
         pi, r0, r1 = (np.asarray(x, dtype=float) for x in (pi, r0, r1))
-        if out is None:
-            out = np.empty((6, *np.broadcast_shapes(pi.shape, r0.shape, r1.shape)))
+        out = np.empty((6, *np.broadcast_shapes(pi.shape, r0.shape, r1.shape)))
         cell_probs(pi, r0, r1, out=out[:4])
+        return self._variance_rows(pi, out)
+
+    def _variance_rows(self, pi, out: np.ndarray) -> np.ndarray:
+        """Fill rows 4-5 of ``out`` from the propensities ``pi`` and the
+        cell probabilities already in rows 0-3."""
         out[4] = (pi - self.marginal_exposure) ** 2
         risk = np.add(out[0], out[1], out=out[5])
         risk -= self.marginal_outcome
@@ -303,14 +323,17 @@ def build_problem(
     r2_propensity: float | None = None,
     r2_prognosis: float | None = None,
     epsilon: float = 1e-3,
+    cells_from: DiscretizedProblem | None = None,
 ) -> DiscretizedProblem:
-    """Discretize a stratified table onto an m-resolution cube grid."""
+    """Discretize a stratified table onto an m-resolution cube grid,
+    reusing the grid-only arrays of ``cells_from`` when given."""
     return DiscretizedProblem(
         table,
         CubeGrid(m),
         r2_propensity=r2_propensity,
         r2_prognosis=r2_prognosis,
         epsilon=epsilon,
+        cells_from=cells_from,
     )
 
 

@@ -4,8 +4,10 @@ Solves  maximize c.w  subject to per-row constraints and w >= 0, where a
 row is either an interval  lo <= a.w <= hi  or an inequality  a.w >= rhs.
 The problems this package builds have a handful of rows (a few dozen) and
 up to tens of millions of columns, so the solver never materializes the
-constraint matrix: columns are generated on demand and the entering
-variable is found by a chunked pricing scan over the column generator.
+constraint matrix: columns are generated on demand, and the entering
+variable comes from a small pool of cached candidate columns, which a
+chunked pricing scan over the column generator refills when the pool
+prices out.
 
 Implementation notes
 --------------------
@@ -27,9 +29,20 @@ Implementation notes
 * The basis (at most rows x rows, so tiny) is LU-factorized afresh every
   iteration; at this scale refactorization is cheaper than bookkeeping
   and numerically safer than product-form updates.
+* Pricing is pool first (partial pricing, column generation inside the
+  one running simplex).  Each phase keeps a pool of structural columns:
+  their ids, dense columns and phase costs, one block per refill.  A
+  pivot prices only the pool, ``cost - y @ columns``, while some nonbasic
+  member improves (ties by lowest id).  When none does, a full scan of all columns
+  (:func:`price_columns`, ``PRICE_CHUNK`` columns at a time) supplies the
+  entering column and adds the ``POOL_PER_CHUNK`` best improving columns
+  of every chunk to the pool.  ``optimal`` is declared only when a full
+  scan and the slacks find nothing, so the certificate covers every
+  column.
 * Pivot selection is largest reduced cost above ``OPTIMALITY_TOL`` with
   lowest-index tie-breaking; after a stall of ``10 * n_rows`` consecutive
-  degenerate steps the solver switches to Bland's rule until the
+  degenerate steps the solver switches to Bland's rule, which skips the
+  pool and takes the first improving column of a full scan, until the
   objective moves again.  A solve stops with ``iteration_limit`` after
   ``MAX_ITERATIONS`` pivots.  All scan and reduction orders are fixed, so
   identical inputs give identical output.
@@ -63,8 +76,11 @@ __all__ = [
 #: This solver is specialized to short problems; refuse anything taller.
 ROW_CAP = 1024
 
-#: Columns priced per block during the entering-variable scan.
-PRICE_CHUNK = 1 << 18
+#: Columns priced per block during a full pricing scan.
+PRICE_CHUNK = 1 << 16
+
+#: Improving columns of each scanned chunk that join the pricing pool.
+POOL_PER_CHUNK = 32
 
 #: A column enters only if its reduced cost exceeds this.
 OPTIMALITY_TOL = 1e-9
@@ -246,6 +262,7 @@ def price_columns(
     exclude=(),
     rule: str = "dantzig",
     include_objective: bool = True,
+    candidates: list | None = None,
 ):
     """Scan all structural columns for the best entering candidate.
 
@@ -256,6 +273,11 @@ def price_columns(
     first improving index is returned instead.  Columns in ``exclude``
     (any iterable of indices) are skipped.  The scan visits fixed-size
     chunks in index order and never materializes the full matrix.
+
+    A ``candidates`` list receives the ids of the ``POOL_PER_CHUNK`` best
+    improving columns of every chunk, best first over the whole scan
+    (ties by lowest index), so its first entry is the returned column.
+    Under ``rule="bland"`` it receives nothing.
     """
     duals = np.asarray(dual_values, dtype=float)
     if duals.shape != (problem.n_rows,):
@@ -263,6 +285,7 @@ def price_columns(
     excluded = np.fromiter(exclude, dtype=np.int64)
     best_idx = -1
     best_rc = tol
+    found_ids, found_rcs = [], []
     for start in range(0, problem.n_columns, PRICE_CHUNK):
         stop = min(start + PRICE_CHUNK, problem.n_columns)
         rc = problem.reduced_costs(duals, start, stop, include_objective)
@@ -272,14 +295,69 @@ def price_columns(
             if hits.size:
                 j = int(hits[0])
                 return start + j, float(rc[j])
-        else:
-            j = int(np.argmax(rc))
-            if rc[j] > best_rc:
-                best_rc = float(rc[j])
-                best_idx = start + j
+            continue
+        j = int(np.argmax(rc))
+        if rc[j] > best_rc:
+            best_rc = float(rc[j])
+            best_idx = start + j
+        if candidates is not None:
+            top = _best_improving(rc, tol)
+            found_ids.append(start + top)
+            found_rcs.append(rc[top])
+    if found_ids:
+        ids, rcs = np.concatenate(found_ids), np.concatenate(found_rcs)
+        # stable: equal costs keep their ascending-id order
+        candidates.extend(ids[np.argsort(-rcs, kind="stable")].tolist())
     if best_idx < 0:
         return None
     return best_idx, best_rc
+
+
+def _best_improving(rc: np.ndarray, tol: float) -> np.ndarray:
+    """Positions of the ``POOL_PER_CHUNK`` largest entries above ``tol``,
+    best first, ties by lowest position."""
+    hits = np.flatnonzero(rc > tol)
+    if hits.size > POOL_PER_CHUNK:
+        improving = rc[hits]
+        kth = hits.size - POOL_PER_CHUNK
+        hits = hits[improving >= np.partition(improving, kth)[kth]]
+    return hits[np.argsort(-rc[hits], kind="stable")[:POOL_PER_CHUNK]]
+
+
+class _Pool:
+    """Candidate structural columns of one phase.
+
+    ``ids`` holds the members in the order they joined; ``_sorted`` is
+    ``ids[_order]``, ascending.  Each refill's dense columns and phase
+    costs stay one block, so a refill never copies the pool.
+    """
+
+    def __init__(self, problem: LpProblem, cost_fn):
+        self._problem = problem
+        self._cost_fn = cost_fn
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self.ids = self._sorted = self._order = np.empty(0, dtype=np.int64)
+
+    def add(self, ids) -> None:
+        new = np.setdiff1d(ids, self._sorted, assume_unique=True)
+        if new.size:
+            self._blocks.append((self._problem.columns(new), self._cost_fn(new)))
+            self.ids = np.concatenate([self.ids, new])
+            self._order = np.argsort(self.ids, kind="stable")
+            self._sorted = self.ids[self._order]
+
+    def price(self, y: np.ndarray, basic: np.ndarray):
+        """Best member above ``OPTIMALITY_TOL`` that is not in ``basic``, as
+        ``(column_index, reduced_cost)`` (ties by lowest index), or None."""
+        if not self.ids.size:
+            return None
+        rc = np.concatenate([cost - y @ cols for cols, cost in self._blocks])
+        pos = np.minimum(np.searchsorted(self._sorted, basic), self.ids.size - 1)
+        rc[self._order[pos[self._sorted[pos] == basic]]] = -np.inf
+        best = rc.max()
+        if best > OPTIMALITY_TOL:
+            return int(self.ids[rc == best].min()), float(best)
+        return None
 
 
 class _Simplex:
@@ -376,6 +454,7 @@ class _Simplex:
         stall = 0
         bland = False
         last_objective = -np.inf
+        pool = _Pool(self.p, self._work_cost)
 
         while True:
             lu = self._refactor()
@@ -395,16 +474,23 @@ class _Simplex:
             if self.iterations >= MAX_ITERATIONS:
                 return "iteration_limit"
 
-            # -- entering variable
+            # -- entering variable: the pool first, all columns if it prices out
             rule = "bland" if bland else "dantzig"
-            cand_struct = price_columns(
-                self.p,
-                y,
-                tol=OPTIMALITY_TOL,
-                exclude=self.basis[self.basis < self.n],
-                rule=rule,
-                include_objective=(self.phase == 2),
-            )
+            basic = self.basis[self.basis < self.n]
+            cand_struct = None if bland else pool.price(y, basic)
+            if cand_struct is None:
+                found = None if bland else []
+                cand_struct = price_columns(
+                    self.p,
+                    y,
+                    tol=OPTIMALITY_TOL,
+                    exclude=basic,
+                    rule=rule,
+                    include_objective=(self.phase == 2),
+                    candidates=found,
+                )
+                if found:
+                    pool.add(found)
             cand_slack = self._price_slacks(y, rule)
             if cand_struct is None and cand_slack is None:
                 return "optimal"

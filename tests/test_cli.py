@@ -1,11 +1,16 @@
 """Report assembly, determinism, exit codes, and SVG rendering."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxent_effects import lp_solver
+import maxent_effects
+from maxent_effects import cli, lp_solver
 from maxent_effects.cli import (
     RunConfig,
     emit_plot,
@@ -54,6 +59,12 @@ class TestRunConfig:
     def test_unknown_adjacency_rejected(self):
         with pytest.raises(ParameterError):
             RunConfig(input_path="x.csv", adjacency="corner")
+
+    def test_closed_form_rejects_r2_targets(self):
+        # the closed form is the unconstrained optimum; a target would be ignored
+        for target in ({"r2_propensity": 0.3}, {"r2_prognosis": 0.2}):
+            with pytest.raises(ParameterError, match="R2"):
+                RunConfig(input_path="x.csv", mode="closed-form", **target)
 
     def test_as_dict_round_trips_through_json(self):
         config = small_lp_config(r2_propensity=0.3, seed=11, replicates=2)
@@ -192,6 +203,17 @@ class TestBootstrapReport:
         first = json.dumps(run_bootstrap(config), sort_keys=True)
         second = json.dumps(run_bootstrap(config), sort_keys=True)
         assert first == second
+
+    def test_replicates_reusing_baseline_cells_give_identical_report(self, monkeypatch):
+        config = small_lp_config(replicates=3, seed=29, r2_prognosis=0.05)
+        reused = json.dumps(run_bootstrap(config), sort_keys=True)
+        real = cli.build_problem
+
+        def fresh(*args, cells_from=None, **kwargs):
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_problem", fresh)
+        assert json.dumps(run_bootstrap(config), sort_keys=True) == reused
 
     def test_different_seeds_differ(self):
         a = run_bootstrap(small_lp_config(replicates=2, seed=1))
@@ -362,6 +384,28 @@ class TestMainEntry:
         code = main(["estimate", "--input", str(table), "--mode", "closed-form"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_closed_form_with_r2_target_exit_code(self, capsys):
+        code = main(
+            ["estimate", "--input", MARGINAL, "--mode", "closed-form",
+             "--r2-propensity", "0.3"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+    def test_package_runs_as_module(self):
+        src = str(Path(maxent_effects.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxent_effects", "estimate", "--mode", "closed-form",
+             "--input", MARGINAL],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert json.loads(proc.stdout)["status"] == "optimal"
 
     def test_converge_subcommand(self, tmp_path):
         out = tmp_path / "conv.json"

@@ -163,6 +163,20 @@ class TestProblemAssembly:
                         generic = generic + p._objective(idx)
                     assert fast == pytest.approx(generic, abs=1e-12)
 
+    def test_reused_cells_equal_a_fresh_build(self):
+        base = build_problem(TABLE_A, 7)
+        r2 = {"r2_propensity": 0.05, "r2_prognosis": 0.02}
+        fresh = build_problem(TABLE_A, 7, epsilon=0.01, **r2)
+        reused = build_problem(TABLE_A, 7, epsilon=0.01, cells_from=base, **r2)
+        assert np.array_equal(reused.coef, fresh.coef)
+        assert np.array_equal(reused.entropy, fresh.entropy)
+        assert reused.entropy is base.entropy
+        assert not np.shares_memory(reused.coef, base.coef)
+        assert np.array_equal(reused.lower, fresh.lower)
+        assert np.array_equal(reused.upper, fresh.upper)
+        with pytest.raises(ParameterError, match="m=7"):
+            build_problem(TABLE_A, 8, cells_from=base)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             build_problem(TABLE_A, 10, epsilon=-1e-9)

@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 
 from maxent_effects import lp_solver
 from maxent_effects.errors import ParameterError
+from maxent_effects.grid_lp import build_problem
 from maxent_effects.lp_solver import (
     ROW_CAP,
     InequalityRow,
@@ -15,6 +16,7 @@ from maxent_effects.lp_solver import (
     relax_and_retry,
     solve,
 )
+from maxent_effects.model import StratifiedTable
 
 RNG_SEED = 90210
 
@@ -374,6 +376,93 @@ class TestPricing:
         with_obj = price_columns(p, duals)
         assert with_obj == (0, 3.0)
         assert price_columns(p, duals, include_objective=False) is None
+
+
+def scan_candidates(objective, exclude, keep, chunk, tol=0.0):
+    """Expected candidate ids of a zero-dual scan, computed one column at a time."""
+    picked = []
+    for start in range(0, len(objective), chunk):
+        ids = [
+            i
+            for i in range(start, min(start + chunk, len(objective)))
+            if i not in exclude and objective[i] > tol
+        ]
+        picked += sorted(ids, key=lambda i: (-objective[i], i))[:keep]
+    return sorted(picked, key=lambda i: (-objective[i], i))
+
+
+class TestPoolPricing:
+    # three categories at m=8 with both variance rows: 14 rows, 1,536 columns
+    TABLE = StratifiedTable.from_counts(
+        {"a": (55, 117, 165, 63), "b": (39, 77, 221, 63), "c": (30, 90, 200, 80)}
+    )
+
+    @pytest.mark.parametrize("keep", (32, 2))
+    def test_candidates_best_first_across_chunks(self, monkeypatch, keep):
+        monkeypatch.setattr(lp_solver, "PRICE_CHUNK", 7)
+        monkeypatch.setattr(lp_solver, "POOL_PER_CHUNK", keep)
+        rng = np.random.default_rng(RNG_SEED + 10)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            # few distinct values: ties within and across chunks
+            objective = rng.integers(-2, 4, size=n).astype(float)
+            n_excluded = int(rng.integers(0, n + 1))
+            exclude = set(rng.choice(n, size=n_excluded, replace=False).tolist())
+            p = dense(objective, np.ones((1, n)), [RangeRow(0.0, 1.0)])
+            found = []
+            best = price_columns(p, np.zeros(1), exclude=exclude, candidates=found)
+            assert best == price_columns(p, np.zeros(1), exclude=exclude)
+            assert found == scan_candidates(objective, exclude, keep, 7)
+            assert not exclude & set(found)
+            if best is None:
+                assert found == []
+            else:
+                assert found[0] == best[0]
+
+    def test_bland_scan_gathers_no_candidates(self):
+        p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
+        found = []
+        assert price_columns(p, np.zeros(1), rule="bland", candidates=found) == (1, 2.0)
+        assert found == []
+
+    def test_pool_masks_basic_members_and_breaks_ties_low(self):
+        objective = np.array([1.0, 5.0, 2.0, 5.0, 5.0, 0.5])
+        p = dense(objective, np.ones((1, 6)), [RangeRow(0.0, 1.0)])
+        pool = lp_solver._Pool(p, p.objective)
+        pool.add([4, 1, 5])
+        pool.add([3, 1, 0])  # 1 is already a member
+        assert sorted(pool.ids.tolist()) == [0, 1, 3, 4, 5]
+        y = np.zeros(1)
+        assert pool.price(y, np.array([], dtype=np.int64)) == (1, 5.0)
+        assert pool.price(y, np.array([1])) == (3, 5.0)
+        assert pool.price(y, np.array([1, 3, 4])) == (0, 1.0)
+        assert pool.price(np.array([5.0]), np.array([], dtype=np.int64)) is None
+
+    def test_grid_lp_matches_reference_with_fewer_scans(self, monkeypatch):
+        grid = build_problem(
+            self.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
+        )
+        problem = grid.as_lp()
+        scans = []
+        real = lp_solver.price_columns
+
+        def spy(*args, **kwargs):
+            scans.append(kwargs["include_objective"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp_solver, "price_columns", spy)
+        sol = solve(problem)
+        monkeypatch.undo()
+
+        ids = np.arange(problem.n_columns)
+        ref = reference_solve(problem.objective(ids), problem.columns(ids), grid.rows)
+        assert sol.status == "optimal"
+        assert ref.status == 0
+        assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
+        assert False in scans and True in scans  # both phases scanned
+        assert len(scans) < sol.iterations
+        # the certificate: at the returned duals no column prices out
+        assert price_columns(problem, sol.duals, tol=1e-7) is None
 
 
 class TestRelaxAndRetry:
