@@ -7,7 +7,6 @@ from .closed_form import (
     r2_to_variance_bound,
     solve_conditional_homogeneous,
     solve_homogeneous,
-    theoretical_tjur_r2,
 )
 from .errors import (
     DegenerateTableError,
@@ -34,7 +33,6 @@ from .model import (
     StratifiedTable,
     binary_entropy,
     entropy,
-    expected_risk,
     joint_probs,
     odds_ratio,
     tjur_r2,
@@ -43,10 +41,8 @@ from .postprocess import (
     Cluster,
     MixtureSolution,
     cluster_atoms,
-    effect_summaries,
     mixture_from_solution,
 )
 from .tables import load_table, loads_table, resample_table, smooth_table
-from .cli import RunConfig, run_bootstrap, run_convergence, run_estimate
 
 __version__ = "0.1.0"

@@ -19,15 +19,20 @@ is infeasible, 1 for usage, I/O, or data errors (including R2 targets in
 closed-form mode, whose solution is the unconstrained one).
 
 Reports are dictionaries serialized as JSON with ``schema_version`` 2.
-Every float is rounded to 6 significant digits before serialization, and
-nothing time- or machine-dependent enters the report (iteration counts
-stand in for timing), so a given config and input produce byte-identical
-output; wall-clock time goes to stderr.
+Each starts with ``schema_version``, ``command``, ``config`` and
+``input``; ``timing`` holds only the iteration count.  Every float is
+rounded to 6 significant digits before serialization, and no clock
+enters the report, so reruns of a config and input on one machine with
+one BLAS kernel produce byte-identical output; wall-clock time goes to
+stderr.  Another BLAS kernel (say, ``OPENBLAS_CORETYPE=Haswell``) can
+round pricing sums differently and take other pivots to the same
+optimum, which changes the iteration counts.
 
-Schema 2 dropped ``config.tol_schedule`` and ``solution.lp.stages`` with
-the ``--tol-schedule`` option (every LP is solved at feasibility
-tolerance 1e-9), and the ``converge`` command no longer takes or records
-``--m`` and ``--adjacency``, which it never used.
+Schema 2 dropped ``config.tol_schedule`` and the per-tolerance LP
+records under ``solution.lp`` with the ``--tol-schedule`` option (every
+LP is solved at feasibility tolerance 1e-9), and the ``converge``
+command no longer takes or records ``--m`` and ``--adjacency``, which it
+never used.
 """
 
 from __future__ import annotations
@@ -259,28 +264,35 @@ def _solve_lp(config: RunConfig, table: StratifiedTable, cells_from=None):
     return problem, solution
 
 
+def _report(command: str, settings: dict, table: StratifiedTable, **fields) -> dict:
+    """A rounded report: the keys every command starts with, then
+    ``fields`` in the order given."""
+    return _round6(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "config": settings,
+            "input": _input_summary(table),
+            **fields,
+        }
+    )
+
+
 def run_estimate(config: RunConfig) -> dict:
     """One estimation run; see the module docstring for the report shape."""
     table = _load_input(config)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "estimate",
-        "config": config.as_dict(),
-        "input": _input_summary(table),
-        "closed_form": _closed_form_dict(table, strict=config.mode == "closed-form"),
-    }
+    closed_form = _closed_form_dict(table, strict=config.mode == "closed-form")
 
     if config.mode == "closed-form":
-        closed_form = report["closed_form"]
         entropy = closed_form["entropy"]
-        report["status"] = "optimal"
-        report["solution"] = {
-            "kind": "homogeneous",
-            "components": closed_form["components"],
-        }
-        report["entropy"] = {"achieved": entropy, "closed_form_bound": entropy}
-        report["timing"] = {"iterations": 0}
-        return _round6(report)
+        return _report(
+            "estimate", config.as_dict(), table,
+            closed_form=closed_form,
+            status="optimal",
+            solution={"kind": "homogeneous", "components": closed_form["components"]},
+            entropy={"achieved": entropy, "closed_form_bound": entropy},
+            timing={"iterations": 0},
+        )
 
     problem, solution = _solve_lp(config, table)
     lp_info = {
@@ -291,29 +303,29 @@ def run_estimate(config: RunConfig) -> dict:
         "n_columns": problem.n_columns,
         "infeasible_rows": list(solution.infeasible_rows),
     }
-    report["status"] = solution.status
-    report["timing"] = {"iterations": solution.iterations}
-    if solution.status not in ("optimal",):
-        report["solution"] = {"kind": "mixture", "lp": lp_info}
-        return _round6(report)
-
-    atoms = atoms_from_solution(problem, solution)
-    mix = cluster_atoms(problem, atoms, adjacency=config.adjacency)
-    atom_residuals = problem.residuals(problem.activities(atoms))
-    lp_info["max_residual_atoms"] = float(np.max(atom_residuals, initial=0.0))
-    bound = report["closed_form"]["entropy"] if report["closed_form"] else None
-    report["solution"] = {
-        "kind": "mixture",
-        "lp": lp_info,
-        "atoms": [_atom_dict(a) for a in atoms],
-        "mixture": _mixture_dict(mix),
-    }
-    report["entropy"] = {
-        "achieved": solution.objective,
-        "closed_form_bound": bound,
-        "gap": (bound - solution.objective) if bound is not None else None,
-    }
-    return _round6(report)
+    solution_dict = {"kind": "mixture", "lp": lp_info}
+    optimal_only = {}
+    if solution.status == "optimal":
+        atoms = atoms_from_solution(problem, solution)
+        mix = cluster_atoms(problem, atoms, adjacency=config.adjacency)
+        atom_residuals = problem.residuals(problem.activities(atoms))
+        lp_info["max_residual_atoms"] = float(np.max(atom_residuals, initial=0.0))
+        solution_dict["atoms"] = [_atom_dict(a) for a in atoms]
+        solution_dict["mixture"] = _mixture_dict(mix)
+        bound = closed_form["entropy"] if closed_form else None
+        optimal_only["entropy"] = {
+            "achieved": solution.objective,
+            "closed_form_bound": bound,
+            "gap": (bound - solution.objective) if bound is not None else None,
+        }
+    return _report(
+        "estimate", config.as_dict(), table,
+        closed_form=closed_form,
+        status=solution.status,
+        timing={"iterations": solution.iterations},
+        solution=solution_dict,
+        **optimal_only,
+    )
 
 
 def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
@@ -352,27 +364,26 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
         series.append(point)
     settings = config.as_dict()
     del settings["m"], settings["adjacency"]  # the sweep sets m and clusters nothing
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "converge",
-        "config": {**settings, "m_values": m_values},
-        "input": _input_summary(table),
-        "reference_entropy": reference,
-        "series": series,
-        "status": "complete" if n_ok else "infeasible",
-        "timing": {"iterations": total_iterations},
-    }
-    return _round6(report)
+    return _report(
+        "converge", {**settings, "m_values": m_values}, table,
+        reference_entropy=reference,
+        series=series,
+        status="complete" if n_ok else "infeasible",
+        timing={"iterations": total_iterations},
+    )
 
 
 def run_bootstrap(config: RunConfig) -> dict:
     """Pooled-resampling stability study.
 
-    Draws all replicate tables up front from one seeded generator, solves
+    Draws the replicate tables in order from one seeded generator, solves
     each replicate with the same LP config, pools the raw atoms of the
     successful replicates with mass divided by their count, and clusters
     the pool against the original problem's rows (so reported residuals
-    measure drift from the observed table, not from any replicate).
+    measure drift from the observed table, not from any replicate).  A
+    replicate whose table cannot be posed (a category or margin drew no
+    individuals) is listed as ``degenerate`` and dropped; the draws of
+    the others do not change.
     """
     if config.replicates < 1:
         raise ParameterError("bootstrap needs replicates >= 1")
@@ -380,10 +391,6 @@ def run_bootstrap(config: RunConfig) -> dict:
         raise ParameterError("bootstrap operates on lp mode only")
     table = _load_input(config)
     rng = np.random.default_rng(config.seed)
-    replicate_tables = [
-        resample_table(table, rng) for _ in range(config.replicates)
-    ]
-
     base_problem, base_solution = _solve_lp(config, table)
     baseline = None
     if base_solution.status == "optimal":
@@ -395,9 +402,14 @@ def run_bootstrap(config: RunConfig) -> dict:
     per_replicate = []
     pooled_atoms = []
     total_iterations = base_solution.iterations
-    for index, rep_table in enumerate(replicate_tables):
-        # replicates share the baseline's grid: reuse its cell rows and entropy
-        rep_problem, rep_solution = _solve_lp(config, rep_table, cells_from=base_problem)
+    for index in range(config.replicates):
+        try:
+            rep_table = resample_table(table, rng)
+            # replicates share the baseline's grid: reuse its cell rows and entropy
+            rep_problem, rep_solution = _solve_lp(config, rep_table, cells_from=base_problem)
+        except DegenerateTableError:
+            per_replicate.append({"replicate": index, "status": "degenerate", "iterations": 0})
+            continue
         total_iterations += rep_solution.iterations
         per_replicate.append(
             {
@@ -431,23 +443,19 @@ def run_bootstrap(config: RunConfig) -> dict:
         solution_dict["mixture"] = _mixture_dict(mix)
         solution_dict["n_pooled_atoms"] = len(pooled)
         status = "optimal"
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bootstrap",
-        "config": config.as_dict(),
-        "input": _input_summary(table),
-        "baseline": baseline,
-        "replicates": {
+    return _report(
+        "bootstrap", config.as_dict(), table,
+        baseline=baseline,
+        replicates={
             "requested": config.replicates,
             "succeeded": n_ok,
             "dropped": config.replicates - n_ok,
             "per_replicate": per_replicate,
         },
-        "status": status,
-        "solution": solution_dict,
-        "timing": {"iterations": total_iterations},
-    }
-    return _round6(report)
+        status=status,
+        solution=solution_dict,
+        timing={"iterations": total_iterations},
+    )
 
 
 def emit_plot(report: dict, path) -> None:

@@ -37,7 +37,6 @@ __all__ = [
     "solve_homogeneous",
     "solve_conditional_homogeneous",
     "r2_to_variance_bound",
-    "theoretical_tjur_r2",
 ]
 
 
@@ -147,27 +146,3 @@ def r2_to_variance_bound(r2: float, marginal: float) -> float:
             f"marginal must lie strictly inside (0, 1), got {marginal!r}"
         )
     return r2 * marginal * (1.0 - marginal)
-
-
-def theoretical_tjur_r2(variance: float, marginal: float) -> float:
-    """Discrimination achieved by an idealized model fitting the true
-    latent probabilities: ``var / (marginal * (1 - marginal))``.
-
-    ``variance`` is the variance of the latent probabilities and
-    ``marginal`` the marginal event rate.  The result lies in [0, 1];
-    a variance above ``marginal * (1 - marginal)`` is impossible for any
-    distribution supported on [0, 1] with that mean.
-    """
-    if not (0.0 < marginal < 1.0):
-        raise DegenerateTableError(
-            f"marginal must lie strictly inside (0, 1), got {marginal!r}"
-        )
-    if variance < 0.0:
-        raise DomainError(f"variance must be nonnegative, got {variance!r}")
-    ceiling = marginal * (1.0 - marginal)
-    if variance > ceiling + 1e-15:
-        raise DomainError(
-            f"variance {variance!r} exceeds {ceiling!r}, impossible for a "
-            "distribution on [0, 1] with this mean"
-        )
-    return min(variance / ceiling, 1.0)

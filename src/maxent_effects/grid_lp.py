@@ -87,10 +87,6 @@ class CubeGrid:
         return (np.arange(self.m) + 0.5) / self.m
 
     @property
-    def width(self) -> float:
-        return 1.0 / self.m
-
-    @property
     def n_cells(self) -> int:
         return self.m**3
 
@@ -154,8 +150,6 @@ class DiscretizedProblem:
         self.table = table
         self.grid = grid
         self.epsilon = float(epsilon)
-        self.r2_propensity = r2_propensity
-        self.r2_prognosis = r2_prognosis
 
         n = table.total
         d = table.n_categories
@@ -171,20 +165,18 @@ class DiscretizedProblem:
                 rows.append(RangeRow(target - self.epsilon, target + self.epsilon))
         self.variance_row_exposure: int | None = None
         self.variance_row_outcome: int | None = None
-        self.variance_bound_exposure: float | None = None
-        self.variance_bound_outcome: float | None = None
         if r2_propensity is not None:
-            self.variance_bound_exposure = r2_to_variance_bound(
+            variance_bound_exposure = r2_to_variance_bound(
                 r2_propensity, self.marginal_exposure
             )
             self.variance_row_exposure = len(rows)
-            rows.append(InequalityRow(self.variance_bound_exposure))
+            rows.append(InequalityRow(variance_bound_exposure))
         if r2_prognosis is not None:
-            self.variance_bound_outcome = r2_to_variance_bound(
+            variance_bound_outcome = r2_to_variance_bound(
                 r2_prognosis, self.marginal_outcome
             )
             self.variance_row_outcome = len(rows)
-            rows.append(InequalityRow(self.variance_bound_outcome))
+            rows.append(InequalityRow(variance_bound_outcome))
         self.rows = tuple(rows)
         self.lower, self.upper = row_bounds(self.rows)
         self.n_columns = d * grid.n_cells

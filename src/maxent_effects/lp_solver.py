@@ -50,7 +50,6 @@ Implementation notes
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,6 @@ __all__ = [
     "InequalityRow",
     "LpProblem",
     "LpSolution",
-    "StageResult",
     "solve",
     "price_columns",
     "relax_and_retry",
@@ -221,16 +219,6 @@ def _rhs(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(upper), upper, lower)
 
 
-@dataclass(frozen=True)
-class StageResult:
-    """Outcome of one tolerance stage of :func:`relax_and_retry`."""
-
-    feasibility_tol: float
-    status: str
-    iterations: int
-    objective: float
-
-
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     """Solver output.
@@ -248,10 +236,6 @@ class LpSolution:
     duals: np.ndarray
     iterations: int
     infeasible_rows: tuple[int, ...] = ()
-    stages: tuple[StageResult, ...] = ()
-
-    def mass_map(self) -> dict[int, float]:
-        return {int(c): float(m) for c, m in zip(self.columns, self.masses)}
 
 
 def price_columns(
@@ -631,10 +615,10 @@ def solve(problem: LpProblem, feasibility_tol: float = 1e-9) -> LpSolution:
 def relax_and_retry(problem: LpProblem, schedule) -> LpSolution:
     """Solve through a decreasing feasibility-tolerance schedule.
 
-    Each stage solves from scratch at its tolerance.  The returned
-    solution is the tightest stage that succeeded, with every stage's
-    outcome recorded in ``stages``.  Infeasibility at the loosest stage is
-    final.
+    Each tolerance is solved from scratch, loosest first.  Returns the
+    solution of the tightest tolerance that solved to optimality or, if
+    none did, the last solution computed.  Infeasibility is final: no
+    tighter tolerance is tried.
     """
     schedule = [float(t) for t in schedule]
     if not schedule:
@@ -642,16 +626,11 @@ def relax_and_retry(problem: LpProblem, schedule) -> LpSolution:
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ParameterError("tolerance schedule must be strictly decreasing")
 
-    stages: list[StageResult] = []
-    best: LpSolution | None = None
-    last: LpSolution | None = None
+    best = None
     for tol in schedule:
         sol = solve(problem, feasibility_tol=tol)
-        stages.append(StageResult(tol, sol.status, sol.iterations, sol.objective))
-        last = sol
         if sol.status == "optimal":
             best = sol
         elif sol.status == "infeasible":
             break
-    chosen = best if best is not None else last
-    return dataclasses.replace(chosen, stages=tuple(stages))
+    return best if best is not None else sol

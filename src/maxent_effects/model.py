@@ -11,9 +11,9 @@ four joint (exposure, outcome) cells:
 
 This module holds those types, the vectorized four-cell map
 :func:`cell_probs` (the only place it is written out) and the entropy of
-the induced distribution, the expected individual risk, Tjur's
-coefficient of discrimination, and the normalization of observed counts
-into joint probabilities.  Everything here is a pure function of immutable inputs.
+the induced distribution, Tjur's coefficient of discrimination, and the
+normalization of observed counts into joint probabilities.  Everything
+here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "cell_entropy",
     "entropy",
     "binary_entropy",
-    "expected_risk",
     "tjur_r2",
     "joint_probs",
 ]
@@ -257,15 +256,6 @@ def entropy(t: PropensityPrognosisTriple) -> float:
     only at (0.5, 0.5, 0.5).
     """
     return cell_entropy(cell_probs(*t.as_tuple()))
-
-
-def expected_risk(t: PropensityPrognosisTriple) -> float:
-    """Expected individual risk r = pi*r1 + (1-pi)*r0.
-
-    This is the marginal outcome probability for one individual, always
-    between min(r0, r1) and max(r0, r1).
-    """
-    return t.pi * t.r1 + (1.0 - t.pi) * t.r0
 
 
 def tjur_r2(fitted, observed) -> float:

@@ -41,7 +41,6 @@ __all__ = [
     "MixtureSolution",
     "cluster_atoms",
     "mixture_from_solution",
-    "effect_summaries",
     "DUST_THRESHOLD",
     "ADJACENCIES",
 ]
@@ -79,14 +78,6 @@ class Cluster:
     @property
     def risk_difference(self) -> float:
         return self.r1 - self.r0
-
-    @property
-    def diameter(self) -> float:
-        """Largest L1 distance from the centroid to a member center."""
-        return max(
-            abs(a.pi - self.pi) + abs(a.r0 - self.r0) + abs(a.r1 - self.r1)
-            for a in self.atoms
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,12 +243,3 @@ def mixture_from_solution(
         dust_threshold,
         adjacency,
     )
-
-
-def effect_summaries(mixture: MixtureSolution):
-    """Per-cluster causal contrasts.
-
-    Returns a list of (cluster, relative_risk, risk_difference) in the
-    mixture's cluster order; relative risk is None where r0 is zero.
-    """
-    return [(c, c.relative_risk, c.risk_difference) for c in mixture.clusters]

@@ -73,11 +73,15 @@ class TestRunConfig:
         assert json.loads(text)["adjacency"] == "vertex"
 
 
+HEAD_KEYS = ["schema_version", "command", "config", "input"]
+
+
 class TestEstimateReport:
     def test_closed_form_report_shape(self):
         report = run_estimate(
             RunConfig(input_path=MARGINAL, mode="closed-form")
         )
+        assert list(report)[:4] == HEAD_KEYS
         assert report["schema_version"] == 2
         assert "tol_schedule" not in report["config"]
         assert report["command"] == "estimate"
@@ -89,6 +93,34 @@ class TestEstimateReport:
         assert component["r1"] == pytest.approx(0.321486, abs=1e-6)
         assert report["entropy"]["achieved"] == pytest.approx(0.946511, abs=1e-6)
         assert report["timing"] == {"iterations": 0}
+        # every command writes the same four head keys and an iteration-only
+        # timing; the JSON key order is part of the report
+        reports = {
+            "estimate": run_estimate(small_lp_config()),
+            "converge": run_convergence(
+                RunConfig(input_path=MARGINAL, epsilon=0.01), m_values=(8, 12)
+            ),
+            "bootstrap": run_bootstrap(small_lp_config(replicates=2, seed=3)),
+        }
+        for command, other in reports.items():
+            assert list(other)[:4] == HEAD_KEYS
+            assert other["schema_version"] == 2
+            assert other["command"] == command
+            assert other["input"] == report["input"]
+            assert list(other["timing"]) == ["iterations"]
+            assert other["timing"]["iterations"] > 0
+        assert list(reports["estimate"])[4:] == [
+            "closed_form", "status", "timing", "solution", "entropy"
+        ]
+        assert list(reports["converge"])[4:] == [
+            "reference_entropy", "series", "status", "timing"
+        ]
+        assert list(reports["bootstrap"])[4:] == [
+            "baseline", "replicates", "status", "solution", "timing"
+        ]
+        assert list(report)[4:] == [
+            "closed_form", "status", "solution", "entropy", "timing"
+        ]
 
     def test_lp_report_carries_mixture_and_gap(self):
         report = run_estimate(small_lp_config())
@@ -214,6 +246,53 @@ class TestBootstrapReport:
 
         monkeypatch.setattr(cli, "build_problem", fresh)
         assert json.dumps(run_bootstrap(config), sort_keys=True) == reused
+
+    @pytest.mark.parametrize(
+        "cells, options, degenerate_draw",
+        [
+            # category b holds 2 of 1102 individuals, so some replicates draw none
+            (
+                "a,0,0,500\na,0,1,300\na,1,0,200\na,1,1,100\nb,0,0,1\nb,1,1,1\n",
+                [],
+                lambda drawn: (drawn.sum(axis=1) == 0).any(),
+            ),
+            # one exposed individual in 21, so some replicates draw nobody
+            # exposed, and the R2 target needs an exposure margin inside (0, 1)
+            (
+                "a,0,0,10\na,0,1,10\na,1,1,1\n",
+                ["--r2-propensity", "0.1", "--epsilon", "0.01"],
+                lambda drawn: drawn[:, [1, 3]].sum() == 0,
+            ),
+        ],
+        ids=["empty-category", "empty-margin"],
+    )
+    def test_degenerate_replicate_is_dropped(
+        self, cells, options, degenerate_draw, tmp_path, capsys
+    ):
+        table = tmp_path / "small.csv"
+        table.write_text("category,exposure,outcome,count\n" + cells, encoding="utf-8")
+        out = tmp_path / "boot.json"
+        code = main(["bootstrap", "--input", str(table), "--m", "10", *options,
+                     "--replicates", "20", "--seed", "1", "--json-out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        replicates = json.loads(out.read_text(encoding="utf-8"))["replicates"]
+        # the draws are those of resampling alone: one multinomial per replicate
+        rng = np.random.default_rng(1)
+        counts = cli.load_table(str(table)).counts_matrix()
+        expected = [
+            i for i in range(20)
+            if degenerate_draw(
+                rng.multinomial(round(counts.sum()), counts.ravel() / counts.sum())
+                .reshape(-1, 4)
+            )
+        ]
+        assert expected  # the seed exercises the degenerate path
+        log = replicates["per_replicate"]
+        assert [r["replicate"] for r in log if r["status"] == "degenerate"] == expected
+        assert all(r["iterations"] == 0 for r in log if r["status"] == "degenerate")
+        assert all(r["status"] == "optimal" for r in log if r["replicate"] not in expected)
+        assert replicates["dropped"] == len(expected)
+        assert replicates["succeeded"] == 20 - len(expected)
 
     def test_different_seeds_differ(self):
         a = run_bootstrap(small_lp_config(replicates=2, seed=1))
@@ -395,11 +474,12 @@ class TestMainEntry:
         assert "error:" in captured.err
         assert captured.out == ""
 
-    def test_package_runs_as_module(self):
+    @pytest.mark.parametrize("module", ["maxent_effects", "maxent_effects.cli"])
+    def test_package_runs_as_module(self, module):
         src = str(Path(maxent_effects.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
-            [sys.executable, "-m", "maxent_effects", "estimate", "--mode", "closed-form",
+            [sys.executable, "-m", module, "estimate", "--mode", "closed-form",
              "--input", MARGINAL],
             capture_output=True, text=True, env=env, timeout=120,
         )

@@ -9,15 +9,14 @@ from maxent_effects.closed_form import (
     r2_to_variance_bound,
     solve_conditional_homogeneous,
     solve_homogeneous,
-    theoretical_tjur_r2,
 )
 from maxent_effects.datasets import marginal_table, stratified_table
 from maxent_effects.errors import DegenerateTableError, DomainError
 from maxent_effects.model import (
     PropensityPrognosisTriple,
     StratifiedTable,
+    cell_probs,
     entropy,
-    expected_risk,
     joint_probs,
     tjur_r2,
 )
@@ -97,7 +96,9 @@ class TestHomogeneous:
         for _ in range(100):
             probs = joint_probs(random_table(rng))
             sol = solve_homogeneous(probs)
-            assert abs(expected_risk(sol.triple) - probs.marginal_outcome) < 1e-12
+            # expected risk (1-pi) r0 + pi r1: the two case rows of cell_probs
+            risk = cell_probs(*sol.triple.as_tuple())[:2].sum()
+            assert abs(risk - probs.marginal_outcome) < 1e-12
 
     def test_degenerate_margins_rejected(self):
         empty_exposed = StratifiedTable.from_counts({"x": (3, 0, 7, 0)})
@@ -188,7 +189,8 @@ class TestVarianceBridge:
         for _ in range(300):
             r2 = rng.uniform(0.0, 1.0)
             p = rng.uniform(0.01, 0.99)
-            recovered = theoretical_tjur_r2(r2_to_variance_bound(r2, p), p)
+            # the discrimination identity D = var / (P (1 - P)) inverts the bound
+            recovered = r2_to_variance_bound(r2, p) / (p * (1 - p))
             assert recovered == pytest.approx(r2, abs=1e-12)
 
     def test_reference_values(self):
@@ -201,21 +203,19 @@ class TestVarianceBridge:
 
     def test_edge_values(self):
         assert r2_to_variance_bound(0.0, 0.37) == 0.0
-        assert theoretical_tjur_r2(0.0, 0.37) == 0.0
         p = 0.37
-        assert theoretical_tjur_r2(p * (1 - p), p) == pytest.approx(1.0, abs=1e-15)
+        # perfect discrimination needs the largest variance a mean-p law allows
+        assert r2_to_variance_bound(1.0, p) == pytest.approx(p * (1 - p), abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             r2_to_variance_bound(1.5, 0.5)
+        with pytest.raises(DomainError):
+            r2_to_variance_bound(-0.01, 0.5)
         with pytest.raises(DegenerateTableError):
             r2_to_variance_bound(0.5, 0.0)
         with pytest.raises(DegenerateTableError):
-            theoretical_tjur_r2(0.01, 1.0)
-        with pytest.raises(DomainError):
-            theoretical_tjur_r2(-0.01, 0.5)
-        with pytest.raises(DomainError):
-            theoretical_tjur_r2(0.3, 0.5)  # above 0.25 ceiling
+            r2_to_variance_bound(0.5, 1.0)
 
 
 class TestSamplingIdentity:
@@ -246,7 +246,8 @@ class TestSamplingIdentity:
             PropensityPrognosisTriple(0.2, 0.05, 0.15),
             PropensityPrognosisTriple(0.8, 0.10, 0.50),
         ]
-        risks = np.array([expected_risk(t) for t in triples])
+        # expected risk (1-pi) r0 + pi r1: the two case rows of cell_probs
+        risks = np.array([cell_probs(*t.as_tuple())[:2].sum() for t in triples])
         assignment = rng.integers(0, len(triples), size=n)
         r = risks[assignment]
         d = (rng.uniform(size=n) < r).astype(int)

@@ -53,7 +53,7 @@ class TestCubeGrid:
     def test_centers_and_width(self):
         g = CubeGrid(4)
         assert g.centers == pytest.approx([0.125, 0.375, 0.625, 0.875])
-        assert g.width == 0.25
+        assert np.diff(g.centers) == pytest.approx([0.25] * 3)  # width 1/m
         assert g.n_cells == 64
 
     def test_ravel_round_trip(self):

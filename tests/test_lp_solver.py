@@ -122,7 +122,8 @@ class TestExactSmallProblems:
         sol = solve(dense([1.0, 2.0], [[1.0, 1.0]], [RangeRow(1.0, 1.0)]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-12)
-        assert sol.mass_map() == pytest.approx({1: 1.0})
+        assert sol.columns.tolist() == [1]
+        assert sol.masses == pytest.approx([1.0])
 
     def test_range_row_upper_binds(self):
         sol = solve(dense([1.0], [[1.0]], [RangeRow(2.0, 5.0)]))
@@ -146,7 +147,8 @@ class TestExactSmallProblems:
         )
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(4.0, abs=1e-12)
-        assert sol.mass_map() == pytest.approx({0: 4.0})
+        assert sol.columns.tolist() == [0]
+        assert sol.masses == pytest.approx([4.0])
 
     def test_contradictory_rows_infeasible(self):
         sol = solve(
@@ -475,15 +477,31 @@ class TestRelaxAndRetry:
         with pytest.raises(ParameterError):
             relax_and_retry(p, [1e-9, 1e-6])
 
-    def test_all_stages_recorded(self):
+    @staticmethod
+    def spy_on_solve(monkeypatch):
+        """Record (tolerance, solution) of every solve relax_and_retry runs."""
+        calls = []
+        real = lp_solver.solve
+
+        def spy(problem, feasibility_tol):
+            sol = real(problem, feasibility_tol)
+            calls.append((feasibility_tol, sol))
+            return sol
+
+        monkeypatch.setattr(lp_solver, "solve", spy)
+        return calls
+
+    def test_every_tolerance_solved_tightest_returned(self, monkeypatch):
+        calls = self.spy_on_solve(monkeypatch)
         p = dense([1.0, 2.0], [[1.0, 1.0]], [RangeRow(1.0, 1.0)])
         sol = relax_and_retry(p, [1e-3, 1e-9])
         assert sol.status == "optimal"
-        assert len(sol.stages) == 2
-        assert [s.feasibility_tol for s in sol.stages] == [1e-3, 1e-9]
-        assert all(s.status == "optimal" for s in sol.stages)
+        assert [tol for tol, _ in calls] == [1e-3, 1e-9]
+        assert all(s.status == "optimal" for _, s in calls)
+        assert sol is calls[-1][1]
 
-    def test_returns_tightest_feasible_stage(self):
+    def test_returns_tightest_feasible_stage(self, monkeypatch):
+        calls = self.spy_on_solve(monkeypatch)
         # two rows pin the same activity 5e-4 apart: satisfiable at 1e-3
         # slack but not at 1e-6
         p = dense(
@@ -493,12 +511,12 @@ class TestRelaxAndRetry:
         )
         sol = relax_and_retry(p, [1e-3, 1e-6])
         assert sol.status == "optimal"
-        assert len(sol.stages) == 2
-        assert sol.stages[0].status == "optimal"
-        assert sol.stages[1].status == "infeasible"
+        assert [s.status for _, s in calls] == ["optimal", "infeasible"]
+        assert sol is calls[0][1]
         assert sol.objective == pytest.approx(1.0, abs=2e-3)
 
-    def test_loosest_stage_infeasibility_is_final(self):
+    def test_loosest_stage_infeasibility_is_final(self, monkeypatch):
+        calls = self.spy_on_solve(monkeypatch)
         p = dense(
             [1.0],
             [[1.0], [1.0]],
@@ -506,5 +524,5 @@ class TestRelaxAndRetry:
         )
         sol = relax_and_retry(p, [1e-2, 1e-6])
         assert sol.status == "infeasible"
-        assert len(sol.stages) == 1
+        assert [tol for tol, _ in calls] == [1e-2]
         assert sol.infeasible_rows

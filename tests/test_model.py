@@ -19,7 +19,6 @@ from maxent_effects.model import (
     binary_entropy,
     cell_probs,
     entropy,
-    expected_risk,
     joint_probs,
     odds_ratio,
     tjur_r2,
@@ -135,10 +134,13 @@ class TestEntropy:
 
 
 class TestExpectedRisk:
+    """An individual's expected risk (1-pi) r0 + pi r1 is the sum of the
+    two case rows (0 and 1) of :func:`cell_probs`."""
+
     def test_between_risks(self):
         rng = np.random.default_rng(RNG_SEED + 5)
         for t in random_triples(rng, 200):
-            r = expected_risk(t)
+            r = cell_probs(*t.as_tuple())[:2].sum()
             assert min(t.r0, t.r1) - 1e-15 <= r <= max(t.r0, t.r1) + 1e-15
 
     def test_closed_form_triple_reproduces_pooled_risk(self):
@@ -152,7 +154,7 @@ class TestExpectedRisk:
             r0 = p.p01 / (p.p01 + p.p00)
             r1 = p.p11 / (p.p11 + p.p10)
             t = PropensityPrognosisTriple(pi, r0, r1)
-            assert abs(expected_risk(t) - (p.p01 + p.p11)) < 1e-12
+            assert abs(cell_probs(*t.as_tuple())[:2].sum() - (p.p01 + p.p11)) < 1e-12
 
 
 class TestTjurR2:

@@ -15,7 +15,6 @@ from maxent_effects.postprocess import (
     DUST_THRESHOLD,
     Cluster,
     cluster_atoms,
-    effect_summaries,
     mixture_from_solution,
 )
 
@@ -131,7 +130,6 @@ class TestCondensation:
         atom = make_atom(problem, 1, 6, 2, 8, 1.0)
         (cluster,) = cluster_atoms(problem, [atom]).clusters
         assert (cluster.pi, cluster.r0, cluster.r1) == (atom.pi, atom.r0, atom.r1)
-        assert cluster.diameter == 0.0
         assert cluster.atoms == (atom,)
 
     def test_mass_is_conserved(self):
@@ -160,16 +158,6 @@ class TestCondensation:
         seen = [a for c in mix.clusters for a in c.atoms]
         assert len(seen) == len(atoms)
         assert {(a.j, a.k, a.l) for a in seen} == {(a.j, a.k, a.l) for a in atoms}
-
-    def test_diameter_is_max_l1_spread(self):
-        problem = make_problem(m=10)
-        atoms = [
-            make_atom(problem, 0, 3, 3, 3, 0.5),
-            make_atom(problem, 0, 4, 4, 4, 0.5),
-        ]
-        (cluster,) = cluster_atoms(problem, atoms).clusters
-        # centroid sits midway, 0.05 per axis from each member center
-        assert cluster.diameter == pytest.approx(0.15, abs=1e-12)
 
 
 class TestDustAndOrdering:
@@ -290,18 +278,21 @@ class TestResidualAccounting:
 
 
 class TestEffectSummaries:
-    def test_summaries_follow_cluster_order(self):
+    def test_contrasts_are_risk_ratio_and_difference(self):
         problem = make_problem()
         atoms = [
             make_atom(problem, 0, 2, 1, 7, 0.7),
             make_atom(problem, 1, 6, 2, 4, 0.3),
         ]
         mix = cluster_atoms(problem, atoms, dust_threshold=0.0)
-        rows = effect_summaries(mix)
-        assert [r[0] for r in rows] == list(mix.clusters)
-        for cluster, rr, rd in rows:
-            assert rr == pytest.approx(cluster.r1 / cluster.r0, abs=1e-15)
-            assert rd == pytest.approx(cluster.r1 - cluster.r0, abs=1e-15)
+        assert len(mix.clusters) == 2
+        for cluster in mix.clusters:
+            assert cluster.relative_risk == pytest.approx(
+                cluster.r1 / cluster.r0, abs=1e-15
+            )
+            assert cluster.risk_difference == pytest.approx(
+                cluster.r1 - cluster.r0, abs=1e-15
+            )
 
     def test_relative_risk_undefined_at_zero_baseline(self):
         atom = Atom(0, "a", 0, 0, 0, 0.5, 0.0, 0.3, 1.0)
