@@ -31,7 +31,6 @@ from .model import (
     JointOutcomeProbs,
     PropensityPrognosisTriple,
     StratifiedTable,
-    binary_entropy,
     entropy,
     joint_probs,
     odds_ratio,

@@ -50,7 +50,7 @@ import numpy as np
 
 from .closed_form import HomogeneousSolution, solve_conditional_homogeneous
 from .errors import DegenerateTableError, EstimationError, ParameterError, UndefinedStatisticError
-from .grid_lp import DiscretizedProblem, atoms_from_solution, build_problem
+from .grid_lp import atoms_from_solution, build_problem, nearest_columns
 from .lp_solver import relax_and_retry
 from .model import StratifiedTable, odds_ratio
 from .postprocess import ADJACENCIES, MixtureSolution, cluster_atoms
@@ -91,6 +91,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("closed-form", "lp"):
             raise ParameterError(f"unknown mode {self.mode!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ParameterError(
+                f"epsilon must be finite and nonnegative, got {self.epsilon}"
+            )
         if self.mode == "lp" and self.m < 2:
             raise ParameterError("lp mode requires a grid resolution m >= 2")
         if self.mode == "closed-form" and (
@@ -246,11 +250,12 @@ def _atom_dict(atom) -> dict:
     }
 
 
-def _solve_lp(config: RunConfig, table: StratifiedTable, cells_from=None):
+def _solve_lp(config: RunConfig, table: StratifiedTable, cells_from=None, pool=()):
     """Shared LP pipeline: build the grid problem and solve it.
 
     ``cells_from`` is a problem on the same grid whose cell rows and
-    entropy the new problem reuses (see :class:`DiscretizedProblem`).
+    entropy the new problem reuses (see :class:`DiscretizedProblem`);
+    ``pool`` seeds the solver's pricing pool with column ids.
     """
     problem = build_problem(
         table,
@@ -260,7 +265,7 @@ def _solve_lp(config: RunConfig, table: StratifiedTable, cells_from=None):
         epsilon=config.epsilon,
         cells_from=cells_from,
     )
-    solution = relax_and_retry(problem.as_lp(), (1e-9,))  # one stage
+    solution = relax_and_retry(problem.as_lp(), (1e-9,), pool=pool)  # one stage
     return problem, solution
 
 
@@ -333,7 +338,9 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
 
     Requires a config without variance targets so the closed-form
     conditional solution is the exact continuum optimum the LP converges
-    to from below (up to the epsilon relaxation).
+    to from below (up to the epsilon relaxation).  Each resolution's
+    solve is seeded with the previous one's pool, moved to the nearest
+    cells of the new grid (:func:`grid_lp.nearest_columns`).
     """
     if config.r2_propensity is not None or config.r2_prognosis is not None:
         raise ParameterError(
@@ -348,8 +355,13 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
     series = []
     total_iterations = 0
     n_ok = 0
+    pool, pool_m = (), None
     for m in m_values:
-        _, solution = _solve_lp(dataclasses.replace(config, m=m), table)
+        if pool_m is not None:
+            # seed with the previous resolution's pool, moved to this grid
+            pool = nearest_columns(pool, pool_m, m)
+        _, solution = _solve_lp(dataclasses.replace(config, m=m), table, pool=pool)
+        pool, pool_m = solution.pool, m
         total_iterations += solution.iterations
         point = {
             "m": m,
@@ -383,7 +395,8 @@ def run_bootstrap(config: RunConfig) -> dict:
     measure drift from the observed table, not from any replicate).  A
     replicate whose table cannot be posed (a category or margin drew no
     individuals) is listed as ``degenerate`` and dropped; the draws of
-    the others do not change.
+    the others do not change.  Every replicate's solve is seeded with the
+    baseline solve's pool.
     """
     if config.replicates < 1:
         raise ParameterError("bootstrap needs replicates >= 1")
@@ -405,8 +418,12 @@ def run_bootstrap(config: RunConfig) -> dict:
     for index in range(config.replicates):
         try:
             rep_table = resample_table(table, rng)
-            # replicates share the baseline's grid: reuse its cell rows and entropy
-            rep_problem, rep_solution = _solve_lp(config, rep_table, cells_from=base_problem)
+            # replicates share the baseline's grid: reuse its cell rows and
+            # entropy, and seed each solve with the baseline's pool only, so a
+            # replicate depends on nothing but the baseline and its own table
+            rep_problem, rep_solution = _solve_lp(
+                config, rep_table, cells_from=base_problem, pool=base_solution.pool
+            )
         except DegenerateTableError:
             per_replicate.append({"replicate": index, "status": "degenerate", "iterations": 0})
             continue

@@ -56,6 +56,7 @@ __all__ = [
     "DiscretizedProblem",
     "build_problem",
     "atoms_from_solution",
+    "nearest_columns",
     "MAX_RESOLUTION",
     "MASS_FLOOR",
 ]
@@ -356,3 +357,14 @@ def atoms_from_solution(
             )
         )
     return tuple(atoms)
+
+
+def nearest_columns(columns, m_from: int, m_to: int) -> np.ndarray:
+    """Columns of an m_from-grid problem moved to the nearest cells of an
+    m_to grid: each axis index j becomes ``floor((j + 0.5) * m_to / m_from)``
+    and the category is kept.  Returns sorted unique column ids, say to
+    seed the pool of a solve at the new resolution."""
+    old, new = CubeGrid(m_from), CubeGrid(m_to)
+    cats, cells = np.divmod(np.asarray(columns, dtype=np.int64), old.n_cells)
+    j, k, l = ((2 * axis + 1) * m_to // (2 * m_from) for axis in old.unravel(cells))
+    return np.unique(cats * new.n_cells + new.ravel(j, k, l))

@@ -39,6 +39,13 @@ Implementation notes
   of every chunk to the pool.  ``optimal`` is declared only when a full
   scan and the slacks find nothing, so the certificate covers every
   column.
+* A solve can start from a seeded pool (``solve(..., pool=ids)``): the
+  given structural ids join each phase's pool, with that phase's costs,
+  before its first pivot, so a related LP (the same grid with another
+  right-hand side, or a neighbouring resolution) finds its support
+  without rediscovering it through full scans.  :attr:`LpSolution.pool`
+  holds the final phase's pool plus the returned columns, ready to seed
+  the next solve.  Seeding changes the path, never the certificate.
 * Pivot selection is largest reduced cost above ``OPTIMALITY_TOL`` with
   lowest-index tie-breaking; after a stall of ``10 * n_rows`` consecutive
   degenerate steps the solver switches to Bland's rule, which skips the
@@ -225,7 +232,9 @@ class LpSolution:
 
     ``columns``/``masses`` hold only the nonzero structural variables of
     the final vertex, sorted by column index; at optimality their count
-    never exceeds the row count.
+    never exceeds the row count.  ``pool`` holds the sorted ids of the
+    final phase's candidate pool and the returned columns, the seed for
+    a related solve.
     """
 
     status: str  # optimal | infeasible | iteration_limit | unbounded
@@ -235,6 +244,7 @@ class LpSolution:
     row_activity: np.ndarray
     duals: np.ndarray
     iterations: int
+    pool: np.ndarray
     infeasible_rows: tuple[int, ...] = ()
 
 
@@ -313,7 +323,9 @@ class _Pool:
 
     ``ids`` holds the members in the order they joined; ``_sorted`` is
     ``ids[_order]``, ascending.  Each refill's dense columns and phase
-    costs stay one block, so a refill never copies the pool.
+    costs stay one block, so a refill never copies the pool.  ``cost_fn``
+    is bound to the solve, so a pool must not be stored on it: that
+    cycle would keep the problem alive until the cyclic collector runs.
     """
 
     def __init__(self, problem: LpProblem, cost_fn):
@@ -434,11 +446,10 @@ class _Simplex:
         art = self.basis >= self.art0
         return float(np.sum(np.maximum(self.x_basis[art], 0.0)))
 
-    def _run_phase(self) -> str:
+    def _run_phase(self, pool: _Pool) -> str:
         stall = 0
         bland = False
         last_objective = -np.inf
-        pool = _Pool(self.p, self._work_cost)
 
         while True:
             lu = self._refactor()
@@ -562,7 +573,7 @@ class _Simplex:
         violated = (self.basis >= self.art0) & (self.x_basis > self.feas_tol)
         return tuple(int(i) for i in np.sort(self.basis[violated] - self.art0))
 
-    def extract(self, status: str, infeasible_rows=()) -> LpSolution:
+    def extract(self, status: str, pool_ids: np.ndarray, infeasible_rows=()) -> LpSolution:
         struct = self.basis < self.n
         ids = self.basis[struct]
         vals = np.maximum(self.x_basis[struct], 0.0)
@@ -584,41 +595,62 @@ class _Simplex:
             row_activity=activity,
             duals=self.duals.copy(),
             iterations=self.iterations,
+            pool=np.union1d(pool_ids, ids),
             infeasible_rows=tuple(infeasible_rows),
         )
 
 
-def solve(problem: LpProblem, feasibility_tol: float = 1e-9) -> LpSolution:
+def solve(problem: LpProblem, feasibility_tol: float = 1e-9, pool=()) -> LpSolution:
     """Maximize the problem's objective over its rows and w >= 0.
 
     Returns an :class:`LpSolution` whose status is ``optimal`` when no
     column prices above ``OPTIMALITY_TOL`` and all rows are satisfied
     within ``feasibility_tol``; ``infeasible`` and ``iteration_limit``
-    carry the rows phase one left violated.  Identical inputs produce
+    carry the rows phase one left violated.  ``pool`` (structural column
+    ids, duplicates allowed) seeds each phase's pricing pool, typically
+    with the ``pool`` of a related solution.  Identical inputs produce
     bit-identical solutions.
     """
+    seed = _seed_ids(pool, problem.n_columns)
     s = _Simplex(problem, feasibility_tol)
-    outcome = s._run_phase()
+    phase_pool = _Pool(problem, s._work_cost)
+    phase_pool.add(seed)
+    outcome = s._run_phase(phase_pool)
     if outcome == "iteration_limit":
-        return s.extract("iteration_limit", s._violation_rows())
+        return s.extract("iteration_limit", phase_pool.ids, s._violation_rows())
     if outcome != "feasible" and s._infeasibility() > s.feas_tol:
-        return s.extract("infeasible", s._violation_rows())
+        return s.extract("infeasible", phase_pool.ids, s._violation_rows())
     s._freeze_artificials()
 
     s.phase = 2
-    outcome = s._run_phase()
+    phase_pool = _Pool(problem, s._work_cost)  # phase-2 costs
+    phase_pool.add(seed)
+    outcome = s._run_phase(phase_pool)
     if outcome == "feasible":  # cannot happen in phase 2; defensive
         outcome = "optimal"
-    return s.extract(outcome)
+    return s.extract(outcome, phase_pool.ids)
 
 
-def relax_and_retry(problem: LpProblem, schedule) -> LpSolution:
+def _seed_ids(pool, n_columns: int) -> np.ndarray:
+    """Sorted unique int64 ids of a seed pool, validated against the
+    problem's column count."""
+    ids = np.asarray(pool)
+    if not ids.size:
+        return np.empty(0, dtype=np.int64)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise ParameterError("pool must be a sequence of integer column ids")
+    if ids.min() < 0 or ids.max() >= n_columns:
+        raise ParameterError(f"pool ids must lie in [0, {n_columns})")
+    return np.unique(ids.astype(np.int64))
+
+
+def relax_and_retry(problem: LpProblem, schedule, pool=()) -> LpSolution:
     """Solve through a decreasing feasibility-tolerance schedule.
 
-    Each tolerance is solved from scratch, loosest first.  Returns the
-    solution of the tightest tolerance that solved to optimality or, if
-    none did, the last solution computed.  Infeasibility is final: no
-    tighter tolerance is tried.
+    Each tolerance is solved from scratch, loosest first, every solve
+    seeded with ``pool``.  Returns the solution of the tightest tolerance
+    that solved to optimality or, if none did, the last solution
+    computed.  Infeasibility is final: no tighter tolerance is tried.
     """
     schedule = [float(t) for t in schedule]
     if not schedule:
@@ -628,7 +660,7 @@ def relax_and_retry(problem: LpProblem, schedule) -> LpSolution:
 
     best = None
     for tol in schedule:
-        sol = solve(problem, feasibility_tol=tol)
+        sol = solve(problem, feasibility_tol=tol, pool=pool)
         if sol.status == "optimal":
             best = sol
         elif sol.status == "infeasible":

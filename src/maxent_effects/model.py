@@ -34,7 +34,6 @@ __all__ = [
     "cell_probs",
     "cell_entropy",
     "entropy",
-    "binary_entropy",
     "tjur_r2",
     "joint_probs",
 ]
@@ -200,13 +199,6 @@ class StratifiedTable:
     ) -> StratifiedTable:
         """Build from ``{label: (n01, n11, n00, n10)}`` preserving order."""
         return cls(tuple(CategoryCounts(lbl, *cnt) for lbl, cnt in counts.items()))
-
-
-def binary_entropy(p):
-    """Entropy (nats) of a Bernoulli(p) variable; vectorized, 0 at p in {0,1}."""
-    p = np.asarray(p, dtype=float)
-    out = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
-    return out if out.ndim else float(out)
 
 
 def cell_probs(pi, r0, r1, out=None) -> np.ndarray:

@@ -21,6 +21,7 @@ from maxent_effects.cli import (
 )
 from maxent_effects.datasets import fixture_path
 from maxent_effects.errors import ParameterError
+from maxent_effects.grid_lp import nearest_columns
 from maxent_effects.svgplot import convergence_svg, mixture_svg
 
 MARGINAL = str(fixture_path("table2.csv"))
@@ -65,6 +66,13 @@ class TestRunConfig:
         for target in ({"r2_propensity": 0.3}, {"r2_prognosis": 0.2}):
             with pytest.raises(ParameterError, match="R2"):
                 RunConfig(input_path="x.csv", mode="closed-form", **target)
+
+    @pytest.mark.parametrize("epsilon", (-1.0, -1e-12, float("inf"), float("nan")))
+    def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
+        for mode in ("lp", "closed-form"):
+            with pytest.raises(ParameterError, match="epsilon"):
+                RunConfig(input_path="x.csv", mode=mode, epsilon=epsilon)
+        assert RunConfig(input_path="x.csv", epsilon=0.0).epsilon == 0.0
 
     def test_as_dict_round_trips_through_json(self):
         config = small_lp_config(r2_propensity=0.3, seed=11, replicates=2)
@@ -190,6 +198,19 @@ class TestConvergenceReport:
                 report["reference_entropy"] - point["entropy"], rel=1e-4
             )
 
+    def test_each_resolution_seeded_from_the_previous_one(self, monkeypatch):
+        config = RunConfig(input_path=STRATIFIED, epsilon=0.01)
+        m_values = (10, 16, 8)
+        calls = record_pools(monkeypatch)
+        seeded = run_convergence(config, m_values=m_values)
+        assert len(calls[0][0]) == 0
+        for (_, prev), (pool, _), m_prev, m in zip(calls, calls[1:], m_values, m_values[1:]):
+            assert np.array_equal(pool, nearest_columns(prev.pool, m_prev, m))
+        monkeypatch.undo()
+        record_pools(monkeypatch, seeded=False)
+        unseeded = run_convergence(config, m_values=m_values)
+        assert without_iterations(seeded) == without_iterations(unseeded)
+
     def test_rejects_variance_targets(self):
         config = RunConfig(input_path=MARGINAL, r2_propensity=0.3)
         with pytest.raises(ParameterError):
@@ -214,6 +235,30 @@ class TestConvergenceReport:
         report = run_convergence(config, m_values=(10,))
         assert report["status"] == "infeasible"
         assert report["series"][0]["entropy"] is None
+
+
+def without_iterations(report):
+    """The report with every ``iterations`` field removed, recursively."""
+    if isinstance(report, dict):
+        return {k: without_iterations(v) for k, v in report.items() if k != "iterations"}
+    if isinstance(report, list):
+        return [without_iterations(v) for v in report]
+    return report
+
+
+def record_pools(monkeypatch, seeded=True):
+    """Spy on the CLI's solves: record (seed pool, solution) of each, and
+    drop the seed when ``seeded`` is false."""
+    calls = []
+    real = cli.relax_and_retry
+
+    def spy(problem, schedule, pool=()):
+        sol = real(problem, schedule, pool=pool if seeded else ())
+        calls.append((pool, sol))
+        return sol
+
+    monkeypatch.setattr(cli, "relax_and_retry", spy)
+    return calls
 
 
 class TestBootstrapReport:
@@ -246,6 +291,33 @@ class TestBootstrapReport:
 
         monkeypatch.setattr(cli, "build_problem", fresh)
         assert json.dumps(run_bootstrap(config), sort_keys=True) == reused
+
+    def test_replicates_seeded_from_the_baseline_pool(self, monkeypatch):
+        # both variance rows, as in the benchmark's bootstrap workload
+        config = small_lp_config(replicates=4, seed=31, r2_propensity=0.1, r2_prognosis=0.05)
+        calls = record_pools(monkeypatch)
+        seeded = run_bootstrap(config)
+        (base_pool, base), *replicates = calls
+        assert len(base_pool) == 0 and len(replicates) == 4
+        assert all(pool is base.pool for pool, _ in replicates)
+        monkeypatch.undo()
+        record_pools(monkeypatch, seeded=False)
+        unseeded = run_bootstrap(config)
+        assert without_iterations(seeded) == without_iterations(unseeded)
+
+    def test_seeding_keeps_each_replicate_optimum(self, monkeypatch):
+        # unconstrained, one category: the grid LP has alternative optimal
+        # vertices, and a seeded solve may end at another one of them
+        config = small_lp_config(replicates=4, seed=31)
+        seeded = record_pools(monkeypatch)
+        run_bootstrap(config)
+        monkeypatch.undo()
+        unseeded = record_pools(monkeypatch, seeded=False)
+        run_bootstrap(config)
+        assert [s.status for _, s in seeded] == [s.status for _, s in unseeded]
+        for (_, a), (_, b) in zip(seeded, unseeded):
+            if a.status == "optimal":
+                assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
     @pytest.mark.parametrize(
         "cells, options, degenerate_draw",
@@ -472,6 +544,17 @@ class TestMainEntry:
         assert code == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("epsilon", ("-1", "inf", "nan"))
+    def test_bad_epsilon_exit_code(self, epsilon, capsys):
+        code = main(
+            ["estimate", "--input", MARGINAL, "--mode", "closed-form",
+             "--epsilon", epsilon]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: epsilon must be finite and nonnegative" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("module", ["maxent_effects", "maxent_effects.cli"])

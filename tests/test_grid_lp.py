@@ -16,6 +16,7 @@ from maxent_effects.grid_lp import (
     DiscretizedProblem,
     atoms_from_solution,
     build_problem,
+    nearest_columns,
 )
 from maxent_effects.lp_solver import InequalityRow, LpSolution, RangeRow, solve
 from maxent_effects.model import StratifiedTable, entropy, joint_probs
@@ -72,6 +73,26 @@ class TestCubeGrid:
             CubeGrid(2.5)
         with pytest.raises(ParameterError):
             CubeGrid(True)
+
+
+class TestNearestColumns:
+    def test_tripling_maps_each_axis_index_to_the_middle_cell(self):
+        small, large = CubeGrid(25), CubeGrid(75)
+        columns = np.arange(2 * small.n_cells)[::-1]  # two categories, any order
+        expected = [
+            c * large.n_cells + large.ravel(3 * j + 1, 3 * k + 1, 3 * l + 1)
+            for c in range(2)
+            for j, k, l in map(small.unravel, range(small.n_cells))
+        ]
+        assert nearest_columns(columns, 25, 75).tolist() == expected
+
+    def test_coarsening_keeps_category_and_merges_cells(self):
+        fine, coarse = CubeGrid(10), CubeGrid(3)
+        columns = [fine.ravel(0, 9, 5), fine.ravel(1, 8, 4), 2 * fine.n_cells + fine.ravel(3, 3, 6)]
+        # floor((j + 0.5) * 3 / 10): 0, 1 -> 0; 3, 4, 5, 6 -> 1; 8, 9 -> 2
+        out = nearest_columns(columns, 10, 3)
+        assert out.tolist() == [coarse.ravel(0, 2, 1), 2 * coarse.n_cells + coarse.ravel(1, 1, 1)]
+        assert nearest_columns([], 10, 3).size == 0
 
 
 class TestProblemAssembly:
@@ -317,6 +338,7 @@ class TestAtomsAndEvaluation:
             row_activity=np.zeros(p.n_rows),
             duals=np.zeros(p.n_rows),
             iterations=0,
+            pool=np.array([5, 426]),
         )
         atoms = atoms_from_solution(p, fake)
         assert len(atoms) == 1

@@ -1,5 +1,8 @@
 """Revised-simplex solver: exact optima, randomized cross-checks, staging."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -467,6 +470,110 @@ class TestPoolPricing:
         assert price_columns(problem, sol.duals, tol=1e-7) is None
 
 
+class TestSeededPool:
+    TABLE = TestPoolPricing.TABLE
+
+    def grid_lp(self):
+        return build_problem(
+            self.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
+        ).as_lp()
+
+    @staticmethod
+    def count_scans(monkeypatch):
+        scans = []
+        real = lp_solver.price_columns
+
+        def spy(*args, **kwargs):
+            scans.append(kwargs["include_objective"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp_solver, "price_columns", spy)
+        return scans
+
+    @staticmethod
+    def assert_same_optimum(problem, seeded, unseeded):
+        assert seeded.status == unseeded.status == "optimal"
+        assert seeded.objective == pytest.approx(unseeded.objective, abs=1e-9)
+        # the certificate still covers every column
+        assert price_columns(problem, seeded.duals, tol=1e-7) is None
+        assert set(seeded.columns.tolist()) <= set(seeded.pool.tolist())
+        assert np.array_equal(seeded.pool, np.unique(seeded.pool))
+
+    @pytest.mark.parametrize(
+        "pool, message",
+        [
+            ([0, 5, 40], "lie in"),
+            ([-1, 3], "lie in"),
+            ([1.0, 2.0], "integer"),
+            ([[1, 2]], "integer"),
+            (["3"], "integer"),
+        ],
+        ids=["out-of-range", "negative", "float", "2-d", "string"],
+    )
+    def test_bad_ids_rejected(self, pool, message):
+        p = dense([1.0] * 40, np.ones((1, 40)), [RangeRow(1.0, 1.0)])
+        with pytest.raises(ParameterError, match=message):
+            solve(p, pool=pool)
+        with pytest.raises(ParameterError, match=message):
+            relax_and_retry(p, [1e-9], pool=pool)
+
+    def test_duplicates_and_dtypes_accepted(self):
+        p = dense([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(1.0, 1.0)])
+        for pool in ([1, 1, 0, 1], np.array([2, 2], dtype=np.uint8), np.array([], dtype=float)):
+            sol = solve(p, pool=pool)
+            assert sol.status == "optimal"
+            assert sol.objective == 3.0
+            assert np.array_equal(sol.columns, [2])
+            assert sol.pool.dtype == np.int64
+
+    def test_random_lps_reach_unseeded_optimum(self):
+        rng = np.random.default_rng(RNG_SEED + 11)
+        for _ in range(30):
+            objective, matrix, rows = feasible_instance(rng)
+            problem = dense(objective, matrix, rows)
+            base = solve(problem)
+            n = len(objective)
+            seeds = (
+                base.pool,
+                base.columns,
+                rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False),
+                np.arange(n),
+            )
+            for seed in seeds:
+                self.assert_same_optimum(problem, solve(problem, pool=seed), base)
+
+    def test_grid_lp_reaches_unseeded_optimum_with_fewer_scans(self, monkeypatch):
+        problem = self.grid_lp()
+        scans = self.count_scans(monkeypatch)
+        base = solve(problem)
+        base_scans = len(scans)
+        scans.clear()
+        seeded = solve(problem, pool=base.pool)
+        self.assert_same_optimum(problem, seeded, base)
+        assert len(scans) < base_scans
+        # optimality is still declared by a full phase-2 scan
+        assert scans[-1] is True
+        rng = np.random.default_rng(RNG_SEED + 12)
+        unrelated = rng.choice(problem.n_columns, size=200, replace=False)
+        self.assert_same_optimum(problem, solve(problem, pool=unrelated), base)
+
+    def test_pool_frees_the_problem_without_the_cyclic_collector(self):
+        # a pool stored on the solve would form a cycle through its bound
+        # cost function and keep each problem's grid alive until gc runs
+        gc.collect()
+        gc.disable()
+        try:
+            grid = build_problem(self.TABLE, 8, r2_propensity=0.1, epsilon=1e-2)
+            alive = weakref.ref(grid)
+            problem = grid.as_lp()
+            sol = solve(problem, pool=solve(problem).pool)
+            assert sol.status == "optimal"
+            del grid, problem, sol
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
 class TestRelaxAndRetry:
     def test_schedule_validation(self):
         p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
@@ -483,8 +590,8 @@ class TestRelaxAndRetry:
         calls = []
         real = lp_solver.solve
 
-        def spy(problem, feasibility_tol):
-            sol = real(problem, feasibility_tol)
+        def spy(problem, feasibility_tol, pool):
+            sol = real(problem, feasibility_tol, pool)
             calls.append((feasibility_tol, sol))
             return sol
 

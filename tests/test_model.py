@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 from scipy.stats import entropy as scipy_entropy
 
 from maxent_effects.errors import (
@@ -16,7 +17,6 @@ from maxent_effects.model import (
     JointOutcomeProbs,
     PropensityPrognosisTriple,
     StratifiedTable,
-    binary_entropy,
     cell_probs,
     entropy,
     joint_probs,
@@ -105,13 +105,12 @@ class TestEntropy:
     def test_matches_decomposed_form(self):
         # two algebraic forms: four-term joint entropy versus
         # h(pi) + (1-pi) h(r0) + pi h(r1); they agree to addition error
+        def h(p):
+            return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
+
         rng = np.random.default_rng(RNG_SEED + 2)
         for t in random_triples(rng, 500):
-            decomposed = (
-                binary_entropy(t.pi)
-                + (1.0 - t.pi) * binary_entropy(t.r0)
-                + t.pi * binary_entropy(t.r1)
-            )
+            decomposed = h(t.pi) + (1.0 - t.pi) * h(t.r0) + t.pi * h(t.r1)
             assert abs(entropy(t) - decomposed) < 1e-12
 
     def test_matches_scipy_on_joint_cells(self):
@@ -124,13 +123,6 @@ class TestEntropy:
         rng = np.random.default_rng(RNG_SEED + 4)
         for t in random_triples(rng, 300):
             assert abs(entropy(t) - entropy(t.swapped())) < 1e-12
-
-    def test_binary_entropy_vectorized(self):
-        p = np.array([0.0, 0.25, 0.5, 1.0])
-        h = binary_entropy(p)
-        assert h.shape == (4,)
-        assert h[0] == 0.0 and h[3] == 0.0
-        assert h[2] == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 class TestExpectedRisk:
