@@ -26,7 +26,10 @@ enters the report, so reruns of a config and input on one machine with
 one BLAS kernel produce byte-identical output; wall-clock time goes to
 stderr.  Another BLAS kernel (say, ``OPENBLAS_CORETYPE=Haswell``) can
 round pricing sums differently and take other pivots to the same
-optimum, which changes the iteration counts.
+optimum, which changes the iteration counts.  The grid entropies come
+from numpy's ``log``, which numpy dispatches to a kernel for the CPU it
+runs on; another CPU can round some entropies a last bit apart, with
+the same effect.
 
 Schema 2 dropped ``config.tol_schedule`` and the per-tolerance LP
 records under ``solution.lp`` with the ``--tol-schedule`` option (every
@@ -107,6 +110,8 @@ class RunConfig:
             raise ParameterError("replicate count must be >= 0")
         if self.replicates > 0 and self.seed is None:
             raise ParameterError("a seed is required when replicates > 0")
+        if self.seed is not None and self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         if self.adjacency not in ADJACENCIES:
             raise ParameterError(
                 f"adjacency must be one of {ADJACENCIES}, got {self.adjacency!r}"

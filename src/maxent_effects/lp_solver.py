@@ -26,9 +26,16 @@ Implementation notes
   mass drops below ``feasibility_tol``; surviving artificial values become
   the artificials' upper bounds so phase two cannot drift further from
   feasibility.  Artificials never re-enter the basis.
-* The basis (at most rows x rows, so tiny) is LU-factorized afresh every
-  iteration; at this scale refactorization is cheaper than bookkeeping
-  and numerically safer than product-form updates.
+* Each phase keeps its basis state in place: the rows x rows basis
+  matrix, the basic costs and the basic upper bounds are built once when
+  the phase starts, and a pivot overwrites one column or entry of each.
+  The entering column comes from the pool's cached block when the pool
+  holds it, else from one ``columns_fn`` call for that column.  Every
+  pivot still solves afresh from the kept matrix (``numpy.linalg.solve``,
+  LU with partial pivoting, three solves per pivot): the basis is tiny,
+  so that is cheaper than bookkeeping and numerically safer than
+  product-form or eta updates.  An exactly singular basis raises
+  :class:`EstimationError`.
 * Pricing is pool first (partial pricing, column generation inside the
   one running simplex).  Each phase keeps a pool of structural columns:
   their ids, dense columns and phase costs, one block per refill.  A
@@ -57,10 +64,10 @@ Implementation notes
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import EstimationError, ParameterError
 
@@ -323,21 +330,24 @@ class _Pool:
 
     ``ids`` holds the members in the order they joined; ``_sorted`` is
     ``ids[_order]``, ascending.  Each refill's dense columns and phase
-    costs stay one block, so a refill never copies the pool.  ``cost_fn``
-    is bound to the solve, so a pool must not be stored on it: that
-    cycle would keep the problem alive until the cyclic collector runs.
+    costs stay one block, starting at position ``_starts[b]`` of ``ids``,
+    so a refill never copies the pool.  ``cost_fn`` is bound to the
+    solve, so a pool must not be stored on it: that cycle would keep the
+    problem alive until the cyclic collector runs.
     """
 
     def __init__(self, problem: LpProblem, cost_fn):
         self._problem = problem
         self._cost_fn = cost_fn
         self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._starts: list[int] = []
         self.ids = self._sorted = self._order = np.empty(0, dtype=np.int64)
 
     def add(self, ids) -> None:
         new = np.setdiff1d(ids, self._sorted, assume_unique=True)
         if new.size:
             self._blocks.append((self._problem.columns(new), self._cost_fn(new)))
+            self._starts.append(self.ids.size)
             self.ids = np.concatenate([self.ids, new])
             self._order = np.argsort(self.ids, kind="stable")
             self._sorted = self.ids[self._order]
@@ -354,6 +364,17 @@ class _Pool:
         if best > OPTIMALITY_TOL:
             return int(self.ids[rc == best].min()), float(best)
         return None
+
+    def member(self, column: int):
+        """Cached ``(dense column, phase cost)`` of a member, or None."""
+        pos = int(np.searchsorted(self._sorted, column))
+        if pos == self._sorted.size or self._sorted[pos] != column:
+            return None
+        k = int(self._order[pos])
+        b = bisect_right(self._starts, k) - 1
+        cols, cost = self._blocks[b]
+        k -= self._starts[b]
+        return cols[:, k], cost[k]
 
 
 class _Simplex:
@@ -418,13 +439,21 @@ class _Simplex:
 
     # -- one phase of pivoting ---------------------------------------
 
-    def _refactor(self):
-        bmat = self._work_columns(self.basis)
+    def _solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Solve with the kept basis matrix (or its transpose), afresh."""
         try:
-            lu = lu_factor(bmat, check_finite=False)
-        except Exception as exc:  # singular basis: numerical breakdown
+            return np.linalg.solve(self.bmat.T if transpose else self.bmat, rhs)
+        except np.linalg.LinAlgError as exc:  # exactly singular basis
             raise EstimationError(f"basis factorization failed: {exc}") from exc
-        return lu
+
+    def _entering(self, enter: int, pool: _Pool):
+        """Working column and phase cost of the entering variable: the
+        pool's cached copy when it holds one, else built for it alone."""
+        cached = pool.member(enter) if enter < self.n else None
+        if cached is not None:
+            return cached
+        ids = np.array([enter], dtype=np.int64)
+        return self._work_columns(ids)[:, 0], self._work_cost(ids)[0]
 
     def _price_slacks(self, y: np.ndarray, rule: str):
         """Best nonbasic slack candidate as (work_id, reduced_cost) or None.
@@ -450,18 +479,21 @@ class _Simplex:
         stall = 0
         bland = False
         last_objective = -np.inf
+        # the phase's basis state, kept in place: a pivot overwrites one
+        # column of the matrix and one entry of the costs and bounds
+        self.bmat = self._work_columns(self.basis)
+        self.c_basis = self._work_cost(self.basis)
+        self.ub_basis = self._work_ub(self.basis)
 
         while True:
-            lu = self._refactor()
             b_eff = self._effective_rhs()
-            x = lu_solve(lu, b_eff, check_finite=False)
+            x = self._solve(b_eff)
             if not np.all(np.isfinite(x)):
                 raise EstimationError("numerical breakdown: non-finite basic solution")
             self.x_basis = x
-            c_basis = self._work_cost(self.basis)
-            y = lu_solve(lu, c_basis, trans=1, check_finite=False)
+            y = self._solve(self.c_basis, transpose=True)
             self.duals = y
-            objective = float(c_basis @ x)
+            objective = float(self.c_basis @ x)
 
             if self.phase == 1 and self._infeasibility() <= self.feas_tol:
                 return "feasible"
@@ -501,28 +533,27 @@ class _Simplex:
                 enter = cand_struct[0]
 
             enter_at_upper = enter >= self.n and self.at_upper[enter - self.n]
-            a_enter = self._work_columns(np.array([enter], dtype=np.int64))[:, 0]
-            d = lu_solve(lu, a_enter, check_finite=False)
+            a_enter, c_enter = self._entering(enter, pool)
+            d = self._solve(a_enter)
             if not np.all(np.isfinite(d)):
                 raise EstimationError("numerical breakdown: non-finite direction")
             step = -d if enter_at_upper else d
 
             # -- ratio test: x_basis(t) = x_basis - t*step, t >= 0
-            ub_basis = self._work_ub(self.basis)
             with np.errstate(divide="ignore", invalid="ignore"):
                 t_low = np.where(
                     step > _PIVOT_TOL, np.maximum(x, 0.0) / step, np.inf
                 )
-                room = ub_basis - x
+                room = self.ub_basis - x
                 t_upp = np.where(
-                    (step < -_PIVOT_TOL) & np.isfinite(ub_basis),
+                    (step < -_PIVOT_TOL) & np.isfinite(self.ub_basis),
                     np.maximum(room, 0.0) / (-step),
                     np.inf,
                 )
             t_leave = np.minimum(t_low, t_upp)
             pos_min = int(np.argmin(t_leave))
             t_basic = float(t_leave[pos_min])
-            ub_enter = float(self._work_ub(np.array([enter], dtype=np.int64))[0])
+            ub_enter = float(self.upper[enter - self.n]) if enter >= self.n else np.inf
 
             if ub_enter <= t_basic:
                 # Bound flip: the entering variable traverses its own range.
@@ -549,6 +580,9 @@ class _Simplex:
                 if enter >= self.n:
                     self.at_upper[enter - self.n] = False
                 self.basis[pos] = enter
+                self.bmat[:, pos] = a_enter
+                self.c_basis[pos] = c_enter
+                self.ub_basis[pos] = ub_enter
                 t = t_basic
 
             self.iterations += 1

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DegenerateTableError, DomainError, UndefinedStatisticError
 
@@ -233,9 +232,14 @@ def cell_entropy(q) -> np.ndarray | float:
     a grid's entropy needs one row-sized temporary, not a copy of ``q``.
     """
     q = np.asarray(q, dtype=float)
-    h = -xlogy(q[0], q[0])
-    for row in q[1:]:
-        h -= xlogy(row, row)
+    h = np.zeros(q.shape[1:])
+    term = np.empty_like(h)
+    for row in q:
+        # x log x, 0 where x == 0 (log is skipped there)
+        term.fill(0.0)
+        np.log(row, out=term, where=row != 0.0)
+        term *= row
+        h -= term
     return h if h.ndim else float(h)
 
 

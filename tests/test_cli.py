@@ -61,6 +61,11 @@ class TestRunConfig:
         with pytest.raises(ParameterError):
             RunConfig(input_path="x.csv", adjacency="corner")
 
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ParameterError, match="seed"):
+            RunConfig(input_path="x.csv", replicates=2, seed=-1)
+        assert RunConfig(input_path="x.csv", replicates=2, seed=0).seed == 0
+
     def test_closed_form_rejects_r2_targets(self):
         # the closed form is the unconstrained optimum; a target would be ignored
         for target in ({"r2_propensity": 0.3}, {"r2_prognosis": 0.2}):
@@ -595,6 +600,15 @@ class TestMainEntry:
         code = main(["bootstrap", "--input", MARGINAL, "--replicates", "2"])
         assert code == 1
 
+    def test_negative_seed_exit_code(self, capsys):
+        code = main(
+            ["bootstrap", "--input", MARGINAL, "--replicates", "2", "--seed", "-1"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: seed must be nonnegative" in captured.err
+        assert captured.out == ""
+
     def test_bootstrap_subcommand_runs(self, tmp_path):
         out = tmp_path / "boot.json"
         code = main(
@@ -673,3 +687,49 @@ class TestMainEntry:
         )
         assert code == 0
         assert svg.exists()
+
+
+class TestRuntimeWithoutScipy:
+    """The package and its command line run with scipy unimportable."""
+
+    SRC = str(Path(maxent_effects.__file__).resolve().parents[1])
+    R2 = ["--r2-propensity", "0.30", "--r2-prognosis", "0.20"]
+
+    def run_python(self, code):
+        env = {**os.environ, "PYTHONPATH": self.SRC}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        loaded = self.run_python(
+            "import json, sys\n"
+            "import maxent_effects.cli\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))\n"
+        )
+        assert loaded == []
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        commands = [
+            ["estimate", "--input", MARGINAL, "--m", "25", *self.R2, "--epsilon", "3e-3"],
+            ["converge", "--input", STRATIFIED, "--epsilon", "1.5e-3", "--m-values", "25"],
+            ["bootstrap", "--input", MARGINAL, "--m", "25", *self.R2, "--epsilon", "3e-3",
+             "--replicates", "2", "--seed", "7"],
+        ]
+        commands = [
+            [*argv, "--json-out", str(tmp_path / f"{argv[0]}.json")] for argv in commands
+        ]
+        codes = self.run_python(
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "from maxent_effects import cli\n"
+            f"print(json.dumps([cli.main(argv) for argv in {commands!r}]))\n"
+        )
+        assert codes == [0, 0, 0]
+        for argv in commands:
+            assert json.loads(Path(argv[-1]).read_text(encoding="utf-8"))["status"] in (
+                "optimal", "complete"
+            )

@@ -1,6 +1,7 @@
 """Revised-simplex solver: exact optima, randomized cross-checks, staging."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from maxent_effects import lp_solver
-from maxent_effects.errors import ParameterError
+from maxent_effects.errors import EstimationError, ParameterError
 from maxent_effects.grid_lp import build_problem
 from maxent_effects.lp_solver import (
     ROW_CAP,
@@ -572,6 +573,106 @@ class TestSeededPool:
             assert alive() is None
         finally:
             gc.enable()
+
+
+class TestKeptBasisState:
+    """Each phase's basis matrix, basic costs and basic bounds are kept
+    in place across pivots; at every pivot they must equal a rebuild."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Check the kept state before every basis solve; return one
+        ``(phase, iterations, basis)`` record per pivot."""
+        records = []
+        real = lp_solver._Simplex._solve
+
+        def checked(self, rhs, transpose=False):
+            assert np.array_equal(self.bmat, self._work_columns(self.basis))
+            assert np.array_equal(self.c_basis, self._work_cost(self.basis))
+            assert np.array_equal(self.ub_basis, self._work_ub(self.basis))
+            if transpose:  # once per pivot, before pricing
+                records.append((self.phase, self.iterations, self.basis.copy()))
+            return real(self, rhs, transpose)
+
+        monkeypatch.setattr(lp_solver._Simplex, "_solve", checked)
+        return records
+
+    @staticmethod
+    def bound_flips(records):
+        """Pivots that changed no basic variable: the entering one flipped bounds."""
+        return sum(
+            a[0] == b[0] and b[1] == a[1] + 1 and np.array_equal(a[2], b[2])
+            for a, b in zip(records, records[1:])
+        )
+
+    def test_random_lps_with_bound_flips(self, monkeypatch):
+        records = self.watch(monkeypatch)
+        rng = np.random.default_rng(RNG_SEED + 13)
+        for _ in range(30):
+            objective, matrix, rows = feasible_instance(rng, negative=rng.uniform() < 0.3)
+            assert solve(dense(objective, matrix, rows)).status == "optimal"
+        assert {phase for phase, _, _ in records} == {1, 2}
+        assert self.bound_flips(records) > 0
+
+    def test_bland_mode(self, monkeypatch):
+        monkeypatch.setattr(lp_solver, "_STALL_PER_ROW", 0)
+        records = self.watch(monkeypatch)
+        rules = []
+        real = lp_solver.price_columns
+
+        def spy(*args, **kwargs):
+            rules.append(kwargs["rule"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp_solver, "price_columns", spy)
+        rng = np.random.default_rng(RNG_SEED + 8)
+        for _ in range(12):
+            objective, matrix, rows = degenerate_instance(rng)
+            assert solve(dense(objective, matrix, rows)).status == "optimal"
+        assert "bland" in rules
+        assert records
+
+    def test_phase_switch_on_a_grid_lp(self, monkeypatch):
+        grid = build_problem(
+            TestPoolPricing.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
+        )
+        records = self.watch(monkeypatch)
+        cached = []
+        real_member = lp_solver._Pool.member
+
+        def member(pool, column):
+            found = real_member(pool, column)
+            cached.append(found is not None)
+            return found
+
+        monkeypatch.setattr(lp_solver._Pool, "member", member)
+        sol = solve(grid.as_lp())
+        assert sol.status == "optimal"
+        phases = [phase for phase, _, _ in records]
+        assert phases[0] == 1 and phases[-1] == 2
+        assert sum(cached) > 0  # entering columns came from the pool's cache
+
+    def test_pool_member_is_the_cached_column(self):
+        matrix = np.arange(12.0).reshape(2, 6)
+        p = dense(np.arange(6.0), matrix, [RangeRow(0.0, 1.0)] * 2)
+        pool = lp_solver._Pool(p, p.objective)
+        pool.add([4, 1])
+        pool.add([5, 0, 1])
+        for column in (0, 1, 4, 5):
+            col, cost = pool.member(column)
+            assert np.array_equal(col, matrix[:, column])
+            assert cost == column
+        assert pool.member(2) is None
+        assert pool.member(6) is None
+
+    def test_singular_basis_raises_estimation_error(self):
+        p = dense([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [RangeRow(0.0, 1.0)] * 2)
+        s = lp_solver._Simplex(p, 1e-9)
+        s.basis = np.array([0, 1])  # two equal columns: exactly singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="basis factorization failed"):
+                s._run_phase(lp_solver._Pool(p, s._work_cost))
 
 
 class TestRelaxAndRetry:

@@ -17,6 +17,7 @@ from maxent_effects.model import (
     JointOutcomeProbs,
     PropensityPrognosisTriple,
     StratifiedTable,
+    cell_entropy,
     cell_probs,
     entropy,
     joint_probs,
@@ -123,6 +124,37 @@ class TestEntropy:
         rng = np.random.default_rng(RNG_SEED + 4)
         for t in random_triples(rng, 300):
             assert abs(entropy(t) - entropy(t.swapped())) < 1e-12
+
+
+class TestCellEntropy:
+    # fixed before comparing: a few roundings of one log and four sums
+    TOL = 4 * np.finfo(float).eps
+
+    @staticmethod
+    def reference(q):
+        return -sum(xlogy(row, row) for row in q)
+
+    @pytest.mark.parametrize("m", (2, 25, 75))
+    def test_matches_xlogy_on_every_grid_cell(self, m):
+        c = (np.arange(m) + 0.5) / m
+        q = cell_probs(c[:, None, None], c[None, :, None], c[None, None, :])
+        np.testing.assert_allclose(
+            cell_entropy(q), self.reference(q), rtol=self.TOL, atol=self.TOL
+        )
+
+    def test_zero_one_and_tiny_cells(self):
+        values = np.array([0.0, 1.0, 1e-300])
+        # every assignment of the three values to the four cells
+        q = values[np.indices((3,) * 4).reshape(4, -1)]
+        h = cell_entropy(q)
+        np.testing.assert_allclose(h, self.reference(q), rtol=self.TOL, atol=self.TOL)
+        assert np.all(h[np.all(q != 1e-300, axis=0)] == 0.0)
+        assert cell_entropy(np.zeros((4, 3))).tolist() == [0.0, 0.0, 0.0]
+
+    def test_scalar_input_returns_float(self):
+        h = cell_entropy([0.25, 0.25, 0.5, 0.0])
+        assert type(h) is float
+        assert h == pytest.approx(1.5 * math.log(2.0), rel=self.TOL)
 
 
 class TestExpectedRisk:
