@@ -255,20 +255,15 @@ def _atom_dict(atom) -> dict:
     }
 
 
-def _solve_lp(config: RunConfig, table: StratifiedTable, cells_from=None, pool=()):
-    """Shared LP pipeline: build the grid problem and solve it.
-
-    ``cells_from`` is a problem on the same grid whose cell rows and
-    entropy the new problem reuses (see :class:`DiscretizedProblem`);
-    ``pool`` seeds the solver's pricing pool with column ids.
-    """
+def _solve_lp(config: RunConfig, table: StratifiedTable, pool=()):
+    """Shared LP pipeline: build the grid problem and solve it, seeding
+    the solver's pricing pool with the column ids ``pool``."""
     problem = build_problem(
         table,
         config.m,
         r2_propensity=config.r2_propensity,
         r2_prognosis=config.r2_prognosis,
         epsilon=config.epsilon,
-        cells_from=cells_from,
     )
     solution = relax_and_retry(problem.as_lp(), (1e-9,), pool=pool)  # one stage
     return problem, solution
@@ -400,8 +395,9 @@ def run_bootstrap(config: RunConfig) -> dict:
     measure drift from the observed table, not from any replicate).  A
     replicate whose table cannot be posed (a category or margin drew no
     individuals) is listed as ``degenerate`` and dropped; the draws of
-    the others do not change.  Every replicate's solve is seeded with the
-    baseline solve's pool.
+    the others do not change.  Every replicate's problem shares the
+    baseline's cached grid arrays (see :class:`DiscretizedProblem`), and
+    its solve is seeded with the baseline solve's pool.
     """
     if config.replicates < 1:
         raise ParameterError("bootstrap needs replicates >= 1")
@@ -423,12 +419,9 @@ def run_bootstrap(config: RunConfig) -> dict:
     for index in range(config.replicates):
         try:
             rep_table = resample_table(table, rng)
-            # replicates share the baseline's grid: reuse its cell rows and
-            # entropy, and seed each solve with the baseline's pool only, so a
-            # replicate depends on nothing but the baseline and its own table
-            rep_problem, rep_solution = _solve_lp(
-                config, rep_table, cells_from=base_problem, pool=base_solution.pool
-            )
+            # seed each solve with the baseline's pool only, so a replicate
+            # depends on nothing but the baseline and its own table
+            rep_problem, rep_solution = _solve_lp(config, rep_table, pool=base_solution.pool)
         except DegenerateTableError:
             per_replicate.append({"replicate": index, "status": "degenerate", "iterations": 0})
             continue

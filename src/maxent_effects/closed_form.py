@@ -143,6 +143,6 @@ def r2_to_variance_bound(r2: float, marginal: float) -> float:
         raise DomainError(f"r2 must lie in [0, 1], got {r2!r}")
     if not (0.0 < marginal < 1.0):
         raise DegenerateTableError(
-            f"marginal must lie strictly inside (0, 1), got {marginal!r}"
+            f"marginal must lie strictly inside (0, 1), got {float(marginal)}"
         )
     return r2 * marginal * (1.0 - marginal)

@@ -21,26 +21,33 @@ Rows, in fixed order:
 
 Columns are indexed ``((category * m + j) * m + k) * m + l`` where j, k, l
 index the propensity, baseline-risk, and exposed-risk bins.  The grid is
-stored once, shared by all categories, as a ``(6, m**3)`` coefficient
-matrix ``coef`` over the cells in (j, k, l) order:
+stored once per m, shared by all categories and all tables, as a
+``(6, m**3)`` coefficient matrix ``coef`` over the cells in (j, k, l)
+order:
 
-* rows 0-3: the center's four cell probabilities (:func:`model.cell_probs`);
-* row 4: ``(pi - P(e=1))**2``, the cell's exposure-variance contribution;
-* row 5: ``(r - P(d=1))**2`` with ``r = (1-pi) r0 + pi r1``, its
-  outcome-variance contribution;
+* rows 0-3: the center's four cell probabilities q (:func:`model.cell_probs`);
+* row 4: ``pi**2``;
+* row 5: ``r**2`` with ``r = q0 + q1 = (1-pi) r0 + pi r1``;
 
-plus the vector ``entropy`` of the centers' entropies.  Column
-``(c, cell)`` is ``coef[:, cell]`` spread onto LP rows
-``row_index[c]``: category c's four frequency rows, then the two
-variance rows.  An absent variance row points at index ``n_rows``, a
-padding slot that is never part of the LP, so pricing one category's
-span is ``entropy[a:b] - y_c @ coef[:, a:b]`` with ``y_c`` the duals at
-``row_index[c]`` (zero at the padding).  Memory is about
-``7 * 8 * m**3`` bytes regardless of how many categories there are.
+plus the vector ``entropy`` of the centers' entropies.  The table enters
+only through ``fold``, a 6 x 6 matrix that is the identity on rows 0-3.
+Since ``pi = q1 + q3``, ``r = q0 + q1`` and ``sum(q) = 1``, the variance
+contributions are ``(pi - P(e=1))**2 = pi**2 - 2 P(e=1) (q1 + q3) +
+P(e=1)**2 sum(q)`` and likewise for ``r`` with ``P(d=1)``, so ``fold @
+coef[:, cell]`` holds the cell's exposure- and outcome-variance
+contributions in rows 4-5.  Column ``(c, cell)`` is that folded column
+spread onto LP rows ``row_index[c]``: category c's four frequency rows,
+then the two variance rows.  An absent variance row points at index
+``n_rows``, a padding slot that is never part of the LP, so pricing one
+category's span is ``entropy[a:b] - (y_c @ fold) @ coef[:, a:b]`` with
+``y_c`` the duals at ``row_index[c]`` (zero at the padding).  Memory is
+about ``7 * 8 * m**3`` bytes regardless of how many categories or
+problems there are.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +124,22 @@ class Atom:
         return PropensityPrognosisTriple(self.pi, self.r0, self.r1)
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(coef, entropy)`` of the m-grid (see the module
+    docstring); only the last m asked for stays cached."""
+    ctr = CubeGrid(m).centers
+    coef = np.empty((6, m, m, m))
+    pi = ctr[:, None, None]
+    cell_probs(pi, ctr[None, :, None], ctr[None, None, :], out=coef[:4])
+    coef[4] = pi**2
+    np.square(np.add(coef[0], coef[1], out=coef[5]), out=coef[5])
+    coef = coef.reshape(6, m**3)
+    entropy = cell_entropy(coef[:4])
+    coef.flags.writeable = entropy.flags.writeable = False
+    return coef, entropy
+
+
 class DiscretizedProblem:
     """The grid LP for one stratified table.
 
@@ -126,11 +149,10 @@ class DiscretizedProblem:
     cluster centroids move off the grid.  ``rows`` holds the row objects
     and ``lower``/``upper`` their bounds (:func:`lp_solver.row_bounds`).
 
-    Coefficient rows 0-3 and ``entropy`` depend only on the grid.  Given
-    ``cells_from``, a problem on the same grid (say, the original table
-    of a bootstrap), the new problem copies its rows 0-3 and shares its
-    ``entropy`` instead of recomputing them; only the variance rows and
-    the row bounds come from ``table``.
+    ``coef`` and ``entropy`` depend on m alone: every problem on one m
+    shares the same read-only arrays, and the last-built grid stays
+    cached, so building a problem on a known m costs O(rows).  The
+    table's marginals enter through ``fold``.
     """
 
     def __init__(
@@ -140,14 +162,9 @@ class DiscretizedProblem:
         r2_propensity: float | None = None,
         r2_prognosis: float | None = None,
         epsilon: float = 1e-3,
-        cells_from: DiscretizedProblem | None = None,
     ):
         if not 0.0 <= epsilon < np.inf:
             raise ParameterError(f"epsilon must be finite and nonnegative, got {epsilon}")
-        if cells_from is not None and cells_from.grid != grid:
-            raise ParameterError(
-                f"cannot reuse cells of an m={cells_from.grid.m} grid on m={grid.m}"
-            )
         self.table = table
         self.grid = grid
         self.epsilon = float(epsilon)
@@ -190,34 +207,20 @@ class DiscretizedProblem:
         if self.variance_row_outcome is not None:
             self.row_index[:, 5] = self.variance_row_outcome
 
-        ctr = grid.centers
-        m = grid.m
-        coef = np.empty((6, m, m, m))
-        pi = ctr[:, None, None]
-        if cells_from is None:
-            cell_probs(pi, ctr[None, :, None], ctr[None, None, :], out=coef[:4])
-        else:
-            coef[:4] = cells_from.coef[:4].reshape(4, m, m, m)
-        self._variance_rows(pi, out=coef)
-        self.coef = coef.reshape(6, grid.n_cells)
-        self.entropy = (
-            cell_entropy(self.coef[:4]) if cells_from is None else cells_from.entropy
-        )
+        self.coef, self.entropy = _grid_rows(grid.m)
+        pe, pd = self.marginal_exposure, self.marginal_outcome
+        self.fold = np.eye(6)
+        self.fold[4, :4] = pe * pe - 2 * pe * np.array([0, 1, 0, 1])
+        self.fold[5, :4] = pd * pd - 2 * pd * np.array([1, 1, 0, 0])
 
     def _coefficients(self, pi, r0, r1) -> np.ndarray:
-        """The six coefficient rows of triples (pi, r0, r1), broadcast."""
+        """The six coefficient rows of triples (pi, r0, r1), broadcast,
+        with the variance rows evaluated directly rather than folded."""
         pi, r0, r1 = (np.asarray(x, dtype=float) for x in (pi, r0, r1))
         out = np.empty((6, *np.broadcast_shapes(pi.shape, r0.shape, r1.shape)))
         cell_probs(pi, r0, r1, out=out[:4])
-        return self._variance_rows(pi, out)
-
-    def _variance_rows(self, pi, out: np.ndarray) -> np.ndarray:
-        """Fill rows 4-5 of ``out`` from the propensities ``pi`` and the
-        cell probabilities already in rows 0-3."""
         out[4] = (pi - self.marginal_exposure) ** 2
-        risk = np.add(out[0], out[1], out=out[5])
-        risk -= self.marginal_outcome
-        np.square(risk, out=risk)
+        out[5] = (out[0] + out[1] - self.marginal_outcome) ** 2
         return out
 
     # -- LP plumbing --------------------------------------------------
@@ -237,7 +240,7 @@ class DiscretizedProblem:
     def _columns(self, idx: np.ndarray) -> np.ndarray:
         cats, cells = np.divmod(idx, self.grid.n_cells)
         out = np.zeros((self.n_rows + 1, idx.size))
-        out[self.row_index[cats].T, np.arange(idx.size)] = self.coef[:, cells]
+        out[self.row_index[cats].T, np.arange(idx.size)] = self.fold @ self.coef[:, cells]
         return out[:-1]
 
     def _objective(self, idx: np.ndarray) -> np.ndarray:
@@ -246,7 +249,8 @@ class DiscretizedProblem:
     def _reduced_costs(
         self, duals: np.ndarray, start: int, stop: int, include_objective: bool = True
     ) -> np.ndarray:
-        """Fast pricing over [start, stop): ``entropy - y_c @ coef`` per category."""
+        """Fast pricing over [start, stop): ``entropy - (y_c @ fold) @ coef``
+        per category."""
         n_cells = self.grid.n_cells
         padded = np.append(duals, 0.0)
         rc = np.empty(stop - start)
@@ -255,7 +259,7 @@ class DiscretizedProblem:
             hi = min(stop, (c + 1) * n_cells)
             a, b = lo - c * n_cells, hi - c * n_cells
             seg = rc[lo - start : hi - start]
-            np.matmul(padded[self.row_index[c]], self.coef[:, a:b], out=seg)
+            np.matmul(padded[self.row_index[c]] @ self.fold, self.coef[:, a:b], out=seg)
             if include_objective:
                 np.subtract(self.entropy[a:b], seg, out=seg)
             else:
@@ -316,17 +320,14 @@ def build_problem(
     r2_propensity: float | None = None,
     r2_prognosis: float | None = None,
     epsilon: float = 1e-3,
-    cells_from: DiscretizedProblem | None = None,
 ) -> DiscretizedProblem:
-    """Discretize a stratified table onto an m-resolution cube grid,
-    reusing the grid-only arrays of ``cells_from`` when given."""
+    """Discretize a stratified table onto an m-resolution cube grid."""
     return DiscretizedProblem(
         table,
         CubeGrid(m),
         r2_propensity=r2_propensity,
         r2_prognosis=r2_prognosis,
         epsilon=epsilon,
-        cells_from=cells_from,
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import maxent_effects
-from maxent_effects import cli, lp_solver
+from maxent_effects import cli, grid_lp, lp_solver
 from maxent_effects.cli import (
     RunConfig,
     emit_plot,
@@ -286,16 +286,20 @@ class TestBootstrapReport:
         second = json.dumps(run_bootstrap(config), sort_keys=True)
         assert first == second
 
-    def test_replicates_reusing_baseline_cells_give_identical_report(self, monkeypatch):
+    def test_cached_grid_gives_the_report_of_fresh_builds(self, monkeypatch):
         config = small_lp_config(replicates=3, seed=29, r2_prognosis=0.05)
-        reused = json.dumps(run_bootstrap(config), sort_keys=True)
+        cached = json.dumps(run_bootstrap(config), sort_keys=True)
         real = cli.build_problem
+        builds = []
 
-        def fresh(*args, cells_from=None, **kwargs):
+        def fresh(*args, **kwargs):
+            grid_lp._grid_rows.cache_clear()
+            builds.append(args)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "build_problem", fresh)
-        assert json.dumps(run_bootstrap(config), sort_keys=True) == reused
+        assert json.dumps(run_bootstrap(config), sort_keys=True) == cached
+        assert len(builds) == 4
 
     def test_replicates_seeded_from_the_baseline_pool(self, monkeypatch):
         # both variance rows, as in the benchmark's bootstrap workload
@@ -540,6 +544,21 @@ class TestMainEntry:
         code = main(["estimate", "--input", str(table), "--mode", "closed-form"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_r2_target_without_exposed_individuals_exit_code(self, tmp_path, capsys):
+        table = tmp_path / "unexposed.csv"
+        table.write_text(
+            "category,exposure,outcome,count\na,0,0,5\na,0,1,3\n", encoding="utf-8"
+        )
+        code = main(
+            ["estimate", "--input", str(table), "--m", "5", "--r2-propensity", "0.1"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "error: marginal must lie strictly inside (0, 1), got 0.0"
+        )
+        assert captured.out == ""
 
     def test_closed_form_with_r2_target_exit_code(self, capsys):
         code = main(

@@ -14,6 +14,7 @@ from maxent_effects.grid_lp import (
     Atom,
     CubeGrid,
     DiscretizedProblem,
+    _grid_rows,
     atoms_from_solution,
     build_problem,
     nearest_columns,
@@ -138,10 +139,12 @@ class TestProblemAssembly:
 
     def test_column_coefficients_match_center_formulas(self):
         p = build_problem(TABLE_B, 5)
-        lp = p.as_lp()
+        pv = build_problem(TABLE_B, 5, r2_propensity=0.05, r2_prognosis=0.02)
         rng = np.random.default_rng(RNG_SEED + 2)
         cols = rng.integers(0, p.n_columns, size=20)
-        block = lp.columns(cols)
+        block = p.as_lp().columns(cols)
+        variance_block = pv.as_lp().columns(cols)
+        pe, pd = pv.marginal_exposure, pv.marginal_outcome
         for pos, col in enumerate(cols):
             c, j, k, l = p.split_column(int(col))
             pi, r0, r1 = (x / 5 + 0.1 for x in (j, k, l))
@@ -151,6 +154,11 @@ class TestProblemAssembly:
             expected[4 * c + 2] = (1 - pi) * (1 - r0)
             expected[4 * c + 3] = pi * (1 - r1)
             assert block[:, pos] == pytest.approx(expected, abs=1e-12)
+            # the folded variance rows against the direct formulas
+            assert variance_block[:8, pos] == pytest.approx(expected, abs=1e-12)
+            assert abs(variance_block[8, pos] - (pi - pe) ** 2) <= 1e-15
+            risk = (1 - pi) * r0 + pi * r1
+            assert abs(variance_block[9, pos] - (risk - pd) ** 2) <= 1e-15
 
     def test_objective_is_cell_entropy(self):
         p = build_problem(TABLE_A, 6)
@@ -184,19 +192,18 @@ class TestProblemAssembly:
                         generic = generic + p._objective(idx)
                     assert fast == pytest.approx(generic, abs=1e-12)
 
-    def test_reused_cells_equal_a_fresh_build(self):
+    def test_problems_on_one_m_share_the_cached_grid(self):
         base = build_problem(TABLE_A, 7)
-        r2 = {"r2_propensity": 0.05, "r2_prognosis": 0.02}
-        fresh = build_problem(TABLE_A, 7, epsilon=0.01, **r2)
-        reused = build_problem(TABLE_A, 7, epsilon=0.01, cells_from=base, **r2)
-        assert np.array_equal(reused.coef, fresh.coef)
-        assert np.array_equal(reused.entropy, fresh.entropy)
-        assert reused.entropy is base.entropy
-        assert not np.shares_memory(reused.coef, base.coef)
-        assert np.array_equal(reused.lower, fresh.lower)
-        assert np.array_equal(reused.upper, fresh.upper)
-        with pytest.raises(ParameterError, match="m=7"):
-            build_problem(TABLE_A, 8, cells_from=base)
+        other = build_problem(
+            TABLE_B, 7, r2_propensity=0.05, r2_prognosis=0.02, epsilon=0.01
+        )
+        assert other.coef is base.coef
+        assert other.entropy is base.entropy
+        for array in (base.coef, base.entropy):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        build_problem(TABLE_A, 8)
+        assert _grid_rows.cache_info().currsize == 1
 
     def test_validation(self):
         with pytest.raises(ParameterError):
