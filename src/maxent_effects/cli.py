@@ -255,9 +255,10 @@ def _atom_dict(atom) -> dict:
     }
 
 
-def _solve_lp(config: RunConfig, table: StratifiedTable, pool=()):
+def _solve_lp(config: RunConfig, table: StratifiedTable, pool=(), start=None):
     """Shared LP pipeline: build the grid problem and solve it, seeding
-    the solver's pricing pool with the column ids ``pool``."""
+    the solver's pricing pool with the column ids ``pool`` and starting
+    from the basis of the solution ``start`` when given."""
     problem = build_problem(
         table,
         config.m,
@@ -265,7 +266,7 @@ def _solve_lp(config: RunConfig, table: StratifiedTable, pool=()):
         r2_prognosis=config.r2_prognosis,
         epsilon=config.epsilon,
     )
-    solution = relax_and_retry(problem.as_lp(), (1e-9,), pool=pool)  # one stage
+    solution = relax_and_retry(problem.as_lp(), (1e-9,), pool=pool, start=start)  # one stage
     return problem, solution
 
 
@@ -397,7 +398,11 @@ def run_bootstrap(config: RunConfig) -> dict:
     individuals) is listed as ``degenerate`` and dropped; the draws of
     the others do not change.  Every replicate's problem shares the
     baseline's cached grid arrays (see :class:`DiscretizedProblem`), and
-    its solve is seeded with the baseline solve's pool.
+    its solve is seeded with the baseline solve's pool and, when the
+    baseline is optimal, warm-started from the baseline's optimal basis:
+    a replicate changes only the right-hand side and the table's fold of
+    the variance rows, so that basis stays dual feasible and a few dual
+    simplex pivots restore primal feasibility.
     """
     if config.replicates < 1:
         raise ParameterError("bootstrap needs replicates >= 1")
@@ -406,8 +411,9 @@ def run_bootstrap(config: RunConfig) -> dict:
     table = _load_input(config)
     rng = np.random.default_rng(config.seed)
     base_problem, base_solution = _solve_lp(config, table)
-    baseline = None
+    baseline = start = None
     if base_solution.status == "optimal":
+        start = base_solution
         base_atoms = atoms_from_solution(base_problem, base_solution)
         baseline = _mixture_dict(
             cluster_atoms(base_problem, base_atoms, adjacency=config.adjacency)
@@ -419,9 +425,11 @@ def run_bootstrap(config: RunConfig) -> dict:
     for index in range(config.replicates):
         try:
             rep_table = resample_table(table, rng)
-            # seed each solve with the baseline's pool only, so a replicate
-            # depends on nothing but the baseline and its own table
-            rep_problem, rep_solution = _solve_lp(config, rep_table, pool=base_solution.pool)
+            # seed and start each solve from the baseline only, so a
+            # replicate depends on nothing but the baseline and its own table
+            rep_problem, rep_solution = _solve_lp(
+                config, rep_table, pool=base_solution.pool, start=start
+            )
         except DegenerateTableError:
             per_replicate.append({"replicate": index, "status": "degenerate", "iterations": 0})
             continue

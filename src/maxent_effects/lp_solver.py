@@ -53,6 +53,20 @@ Implementation notes
   without rediscovering it through full scans.  :attr:`LpSolution.pool`
   holds the final phase's pool plus the returned columns, ready to seed
   the next solve.  Seeding changes the path, never the certificate.
+* A solve can warm-start from a related solution's final basis
+  (``solve(..., start=solution)``), typically the same grid with another
+  right-hand side, whose optimal basis stays dual feasible.  A dual
+  simplex phase with phase-two costs and the artificials fixed at 0
+  pivots from that basis until it is primal feasible: the most
+  primal-infeasible basic variable leaves; its row of the basis inverse,
+  ``e_r B^-1`` (one transposed solve), times the pool's cached blocks and
+  the slacks gives the pivot row; and a bounded ratio test (smallest
+  ``|d_j / alpha_j|`` over the eligible nonbasics, ties by lowest id)
+  picks the entering column.  Phase two then runs as after phase one, so
+  its full scan still certifies the optimum over every column.  A start
+  that holds a basic artificial or is not dual feasible over the pool and
+  the slacks, a pivot row with no eligible entering column, or the
+  iteration limit sends the solve back to the cold two-phase start.
 * Pivot selection is largest reduced cost above ``OPTIMALITY_TOL`` with
   lowest-index tie-breaking; after a stall of ``10 * n_rows`` consecutive
   degenerate steps the solver switches to Bland's rule, which skips the
@@ -65,7 +79,7 @@ Implementation notes
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -241,7 +255,9 @@ class LpSolution:
     the final vertex, sorted by column index; at optimality their count
     never exceeds the row count.  ``pool`` holds the sorted ids of the
     final phase's candidate pool and the returned columns, the seed for
-    a related solve.
+    a related solve.  ``basis`` (the R basic working ids) and
+    ``at_upper`` (the 2R logicals' bound flags) hold the final basis
+    state, the start of a warm-started related solve.
     """
 
     status: str  # optimal | infeasible | iteration_limit | unbounded
@@ -253,6 +269,8 @@ class LpSolution:
     iterations: int
     pool: np.ndarray
     infeasible_rows: tuple[int, ...] = ()
+    basis: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    at_upper: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
 
 
 def price_columns(
@@ -352,14 +370,30 @@ class _Pool:
             self._order = np.argsort(self.ids, kind="stable")
             self._sorted = self.ids[self._order]
 
+    def positions(self, columns: np.ndarray) -> np.ndarray:
+        """Positions in ``ids`` of the members among ``columns``."""
+        if not self.ids.size:
+            return self.ids
+        pos = np.minimum(np.searchsorted(self._sorted, columns), self.ids.size - 1)
+        return self._order[pos[self._sorted[pos] == columns]]
+
+    def reduced_costs(self, y: np.ndarray) -> np.ndarray:
+        """``cost - y @ column`` of every member, in ``ids`` order."""
+        parts = [cost - y @ cols for cols, cost in self._blocks]
+        return np.concatenate(parts) if parts else np.empty(0)
+
+    def row(self, rho: np.ndarray) -> np.ndarray:
+        """``rho @ column`` of every member, in ``ids`` order."""
+        parts = [rho @ cols for cols, _ in self._blocks]
+        return np.concatenate(parts) if parts else np.empty(0)
+
     def price(self, y: np.ndarray, basic: np.ndarray):
         """Best member above ``OPTIMALITY_TOL`` that is not in ``basic``, as
         ``(column_index, reduced_cost)`` (ties by lowest index), or None."""
         if not self.ids.size:
             return None
-        rc = np.concatenate([cost - y @ cols for cols, cost in self._blocks])
-        pos = np.minimum(np.searchsorted(self._sorted, basic), self.ids.size - 1)
-        rc[self._order[pos[self._sorted[pos] == basic]]] = -np.inf
+        rc = self.reduced_costs(y)
+        rc[self.positions(basic)] = -np.inf
         best = rc.max()
         if best > OPTIMALITY_TOL:
             return int(self.ids[rc == best].min()), float(best)
@@ -595,6 +629,83 @@ class _Simplex:
                     bland = True
             last_objective = max(last_objective, objective)
 
+    def _run_dual(self, pool: _Pool, start: LpSolution) -> bool:
+        """Dual simplex from ``start``'s basis, with phase-two costs and
+        the artificials fixed at 0, until the basis is primal feasible
+        (True).  False asks for a cold start: the start holds a basic
+        artificial or is not dual feasible over the pool and the slacks,
+        a pivot row has no eligible entering column, or the iteration
+        limit is hit."""
+        R, n = self.R, self.n
+        at_upper = start.at_upper.copy()
+        at_upper[R:] = False
+        if np.any(start.basis >= self.art0) or np.any(at_upper & np.isinf(self.upper)):
+            return False
+        self.basis = start.basis.copy()
+        self.at_upper = at_upper
+        self._freeze_artificials()  # no artificial is basic: all fixed at 0
+        self.bmat = self._work_columns(self.basis)
+        self.c_basis = self._work_cost(self.basis)
+        self.ub_basis = self._work_ub(self.basis)
+        slack_ids = np.arange(n, n + R)
+        while True:
+            x = self._solve(self._effective_rhs())
+            if not np.all(np.isfinite(x)):
+                raise EstimationError("numerical breakdown: non-finite basic solution")
+            y = self._solve(self.c_basis, transpose=True)
+
+            # nonbasic candidates: the pool's members, then the slacks that
+            # can move; flip is -1 for a slack at its upper bound, so
+            # flip * d <= 0 is dual feasibility for each of them
+            free = np.ones(pool.ids.size, dtype=bool)
+            free[pool.positions(self.basis[self.basis < n])] = False
+            free_slack = self.upper[:R] > 0.0
+            free_slack[self.basis[self.basis >= n] - n] = False
+            ids = np.concatenate([pool.ids[free], slack_ids[free_slack]])
+            flip = np.concatenate(
+                [np.ones(free.sum()), np.where(self.at_upper[:R][free_slack], -1.0, 1.0)]
+            )
+            d = np.concatenate(
+                [pool.reduced_costs(y)[free], -self.sign[:R][free_slack] * y[free_slack]]
+            )
+            if self.iterations == 0 and np.any(flip * d > OPTIMALITY_TOL):
+                return False  # checked once, at the start's basis
+
+            infeasibility = np.maximum(-x, x - self.ub_basis)
+            r = int(np.argmax(infeasibility))
+            if infeasibility[r] <= self.feas_tol:
+                return True
+            if self.iterations >= MAX_ITERATIONS:
+                return False
+
+            # -- pivot row alpha = e_r B^-1 a over the candidates
+            unit = np.zeros(R)
+            unit[r] = 1.0
+            rho = self._solve(unit, transpose=True)
+            alpha = np.concatenate(
+                [pool.row(rho)[free], self.sign[:R][free_slack] * rho[free_slack]]
+            )
+            # a candidate may enter only if moving it off its own bound pushes
+            # x_r back towards the bound it violates (0 from below, or its upper)
+            below = x[r] < 0.0
+            eligible = (alpha if below else -alpha) * flip < -_PIVOT_TOL
+            if not eligible.any():
+                return False
+            ratio = np.maximum(-flip[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
+            enter = int(ids[eligible][ratio == ratio.min()].min())
+
+            leaving = int(self.basis[r])
+            if leaving >= n:
+                self.at_upper[leaving - n] = not below
+            a_enter, c_enter = self._entering(enter, pool)
+            if enter >= n:
+                self.at_upper[enter - n] = False
+            self.basis[r] = enter
+            self.bmat[:, r] = a_enter
+            self.c_basis[r] = c_enter
+            self.ub_basis[r] = self.upper[enter - n] if enter >= n else np.inf
+            self.iterations += 1
+
     # -- phase transitions and extraction ----------------------------
 
     def _freeze_artificials(self):
@@ -631,10 +742,12 @@ class _Simplex:
             iterations=self.iterations,
             pool=np.union1d(pool_ids, ids),
             infeasible_rows=tuple(infeasible_rows),
+            basis=self.basis.copy(),
+            at_upper=self.at_upper.copy(),
         )
 
 
-def solve(problem: LpProblem, feasibility_tol: float = 1e-9, pool=()) -> LpSolution:
+def solve(problem: LpProblem, feasibility_tol: float = 1e-9, pool=(), start=None) -> LpSolution:
     """Maximize the problem's objective over its rows and w >= 0.
 
     Returns an :class:`LpSolution` whose status is ``optimal`` when no
@@ -642,10 +755,21 @@ def solve(problem: LpProblem, feasibility_tol: float = 1e-9, pool=()) -> LpSolut
     within ``feasibility_tol``; ``infeasible`` and ``iteration_limit``
     carry the rows phase one left violated.  ``pool`` (structural column
     ids, duplicates allowed) seeds each phase's pricing pool, typically
-    with the ``pool`` of a related solution.  Identical inputs produce
-    bit-identical solutions.
+    with the ``pool`` of a related solution.  ``start``, a solution of a
+    problem with the same rows and columns, warm-starts the solve from
+    its final basis with dual simplex pivots over the seeded pool; when
+    that start cannot be used (see the module notes) the solve starts
+    cold.  Identical inputs produce bit-identical solutions.
     """
     seed = _seed_ids(pool, problem.n_columns)
+    if start is not None:
+        _check_start(start, problem)
+        s = _Simplex(problem, feasibility_tol)
+        s.phase = 2
+        phase_pool = _Pool(problem, s._work_cost)  # phase-2 costs
+        phase_pool.add(seed)
+        if s._run_dual(phase_pool, start):
+            return s.extract(s._run_phase(phase_pool), phase_pool.ids)
     s = _Simplex(problem, feasibility_tol)
     phase_pool = _Pool(problem, s._work_cost)
     phase_pool.add(seed)
@@ -659,10 +783,16 @@ def solve(problem: LpProblem, feasibility_tol: float = 1e-9, pool=()) -> LpSolut
     s.phase = 2
     phase_pool = _Pool(problem, s._work_cost)  # phase-2 costs
     phase_pool.add(seed)
-    outcome = s._run_phase(phase_pool)
-    if outcome == "feasible":  # cannot happen in phase 2; defensive
-        outcome = "optimal"
-    return s.extract(outcome, phase_pool.ids)
+    return s.extract(s._run_phase(phase_pool), phase_pool.ids)
+
+
+def _check_start(start: LpSolution, problem: LpProblem) -> None:
+    """Reject a start whose basis state cannot belong to ``problem``."""
+    rows, n_work = problem.n_rows, problem.n_columns + 2 * problem.n_rows
+    if start.basis.shape != (rows,) or start.at_upper.shape != (2 * rows,):
+        raise ParameterError(f"start needs a basis of {rows} ids and {2 * rows} bound flags")
+    if start.basis.min() < 0 or start.basis.max() >= n_work:
+        raise ParameterError(f"start basis ids must lie in [0, {n_work})")
 
 
 def _seed_ids(pool, n_columns: int) -> np.ndarray:
@@ -678,13 +808,13 @@ def _seed_ids(pool, n_columns: int) -> np.ndarray:
     return np.unique(ids.astype(np.int64))
 
 
-def relax_and_retry(problem: LpProblem, schedule, pool=()) -> LpSolution:
+def relax_and_retry(problem: LpProblem, schedule, pool=(), start=None) -> LpSolution:
     """Solve through a decreasing feasibility-tolerance schedule.
 
-    Each tolerance is solved from scratch, loosest first, every solve
-    seeded with ``pool``.  Returns the solution of the tightest tolerance
-    that solved to optimality or, if none did, the last solution
-    computed.  Infeasibility is final: no tighter tolerance is tried.
+    Each tolerance is solved from ``start`` when given, else cold,
+    loosest first, every solve seeded with ``pool``.  Returns
+    the solution of the tightest tolerance that solved to optimality or,
+    if none did, the last solution computed.  Infeasibility is final: no tighter tolerance is tried.
     """
     schedule = [float(t) for t in schedule]
     if not schedule:
@@ -694,7 +824,7 @@ def relax_and_retry(problem: LpProblem, schedule, pool=()) -> LpSolution:
 
     best = None
     for tol in schedule:
-        sol = solve(problem, feasibility_tol=tol, pool=pool)
+        sol = solve(problem, feasibility_tol=tol, pool=pool, start=start)
         if sol.status == "optimal":
             best = sol
         elif sol.status == "infeasible":

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -208,9 +209,11 @@ class TestConvergenceReport:
         m_values = (10, 16, 8)
         calls = record_pools(monkeypatch)
         seeded = run_convergence(config, m_values=m_values)
-        assert len(calls[0][0]) == 0
-        for (_, prev), (pool, _), m_prev, m in zip(calls, calls[1:], m_values, m_values[1:]):
-            assert np.array_equal(pool, nearest_columns(prev.pool, m_prev, m))
+        assert len(calls[0].pool) == 0
+        for prev, call, m_prev, m in zip(calls, calls[1:], m_values, m_values[1:]):
+            assert np.array_equal(call.pool, nearest_columns(prev.solution.pool, m_prev, m))
+        # a basis does not carry over to another grid
+        assert all(call.start is None for call in calls)
         monkeypatch.undo()
         record_pools(monkeypatch, seeded=False)
         unseeded = run_convergence(config, m_values=m_values)
@@ -251,19 +254,44 @@ def without_iterations(report):
     return report
 
 
+class Call(NamedTuple):
+    problem: lp_solver.LpProblem
+    pool: object
+    start: object
+    solution: lp_solver.LpSolution
+
+
 def record_pools(monkeypatch, seeded=True):
-    """Spy on the CLI's solves: record (seed pool, solution) of each, and
-    drop the seed when ``seeded`` is false."""
+    """Spy on the CLI's solves: record a :class:`Call` (problem, seed pool,
+    start, solution) of each, and drop the seed pool and the start when
+    ``seeded`` is false, so the solve is a true cold one."""
     calls = []
     real = cli.relax_and_retry
 
-    def spy(problem, schedule, pool=()):
-        sol = real(problem, schedule, pool=pool if seeded else ())
-        calls.append((pool, sol))
+    def spy(problem, schedule, pool=(), start=None):
+        if seeded:
+            sol = real(problem, schedule, pool=pool, start=start)
+        else:
+            sol = real(problem, schedule)
+        calls.append(Call(problem, pool, start, sol))
         return sol
 
     monkeypatch.setattr(cli, "relax_and_retry", spy)
     return calls
+
+
+def assert_certified(problem, solution):
+    """Check an optimal solve's certificate from its duals y: no column
+    prices above ``OPTIMALITY_TOL``, y <= 0 on every inequality row, and
+    the dual bound (y * upper where y > 0, else y * lower) is at most
+    1e-9 above the objective."""
+    y = solution.duals
+    inequality = np.isinf(problem.upper)
+    assert np.all(y[inequality] <= 1e-12)
+    upper = np.where(inequality, 0.0, problem.upper)
+    bound = np.maximum(y, 0.0) @ upper + np.minimum(y, 0.0) @ problem.lower
+    assert bound - solution.objective <= 1e-9
+    assert lp_solver.price_columns(problem, y, tol=lp_solver.OPTIMALITY_TOL) is None
 
 
 class TestBootstrapReport:
@@ -306,13 +334,28 @@ class TestBootstrapReport:
         config = small_lp_config(replicates=4, seed=31, r2_propensity=0.1, r2_prognosis=0.05)
         calls = record_pools(monkeypatch)
         seeded = run_bootstrap(config)
-        (base_pool, base), *replicates = calls
-        assert len(base_pool) == 0 and len(replicates) == 4
-        assert all(pool is base.pool for pool, _ in replicates)
+        base, *replicates = calls
+        assert len(base.pool) == 0 and base.start is None and len(replicates) == 4
+        assert base.solution.status == "optimal"
+        for call in replicates:
+            assert call.pool is base.solution.pool
+            assert call.start is base.solution
         monkeypatch.undo()
         record_pools(monkeypatch, seeded=False)
         unseeded = run_bootstrap(config)
         assert without_iterations(seeded) == without_iterations(unseeded)
+
+    @pytest.mark.parametrize("input_path", (MARGINAL, STRATIFIED), ids=("table2", "table1"))
+    def test_every_optimal_solve_is_certified(self, monkeypatch, input_path):
+        config = small_lp_config(
+            input_path=input_path, replicates=4, seed=31, r2_propensity=0.1, r2_prognosis=0.05
+        )
+        calls = record_pools(monkeypatch)
+        run_bootstrap(config)
+        optimal = [call for call in calls if call.solution.status == "optimal"]
+        assert len(optimal) >= 4 and optimal[0] is calls[0]
+        for call in optimal:
+            assert_certified(call.problem, call.solution)
 
     def test_seeding_keeps_each_replicate_optimum(self, monkeypatch):
         # unconstrained, one category: the grid LP has alternative optimal
@@ -323,10 +366,10 @@ class TestBootstrapReport:
         monkeypatch.undo()
         unseeded = record_pools(monkeypatch, seeded=False)
         run_bootstrap(config)
-        assert [s.status for _, s in seeded] == [s.status for _, s in unseeded]
-        for (_, a), (_, b) in zip(seeded, unseeded):
-            if a.status == "optimal":
-                assert a.objective == pytest.approx(b.objective, abs=1e-9)
+        assert [c.solution.status for c in seeded] == [c.solution.status for c in unseeded]
+        for a, b in zip(seeded, unseeded):
+            if a.solution.status == "optimal":
+                assert a.solution.objective == pytest.approx(b.solution.objective, abs=1e-9)
 
     @pytest.mark.parametrize(
         "cells, options, degenerate_draw",

@@ -1,5 +1,6 @@
 """Revised-simplex solver: exact optima, randomized cross-checks, staging."""
 
+import dataclasses
 import gc
 import warnings
 import weakref
@@ -21,12 +22,23 @@ from maxent_effects.lp_solver import (
     solve,
 )
 from maxent_effects.model import StratifiedTable
+from maxent_effects.tables import resample_table
 
 RNG_SEED = 90210
 
 
 def dense(objective, matrix, rows):
     return LpProblem.from_dense(objective, matrix, rows)
+
+
+def assert_identical(a, b):
+    """Every field of two solutions is bit-identical."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
 
 
 def reference_solve(objective, matrix, rows):
@@ -287,14 +299,7 @@ class TestDeterminism:
         for _ in range(10):
             objective, matrix, rows = feasible_instance(rng)
             problem = dense(objective, matrix, rows)
-            a = solve(problem)
-            b = solve(problem)
-            assert a.status == b.status
-            assert np.array_equal(a.columns, b.columns)
-            assert np.array_equal(a.masses, b.masses)
-            assert a.objective == b.objective
-            assert a.iterations == b.iterations
-            assert np.array_equal(a.duals, b.duals)
+            assert_identical(solve(problem), solve(problem))
 
     def test_column_permutation_preserves_objective(self):
         rng = np.random.default_rng(RNG_SEED + 4)
@@ -675,6 +680,149 @@ class TestKeptBasisState:
                 s._run_phase(lp_solver._Pool(p, s._work_cost))
 
 
+class TestWarmStart:
+    """``solve(..., start=solution)``: dual simplex pivots from a related
+    solution's basis, then phase two; a start that cannot be used gives
+    the cold two-phase solve."""
+
+    @staticmethod
+    def shifted(rng, rows, scale=0.2):
+        """The rows with every range row's bounds moved by one random step."""
+        steps = rng.uniform(-scale, scale, size=len(rows))
+        return [
+            RangeRow(r.lower + step, r.upper + step) if isinstance(r, RangeRow) else r
+            for r, step in zip(rows, steps)
+        ]
+
+    @staticmethod
+    def watch_phases(monkeypatch):
+        """Record ``(phase, iterations before, iterations after)`` of every
+        primal phase and ``("dual", accepted)`` of every dual phase."""
+        records = []
+        real_phase, real_dual = lp_solver._Simplex._run_phase, lp_solver._Simplex._run_dual
+
+        def run_phase(self, pool):
+            before = self.iterations
+            outcome = real_phase(self, pool)
+            records.append((self.phase, before, self.iterations))
+            return outcome
+
+        def run_dual(self, pool, start):
+            accepted = real_dual(self, pool, start)
+            records.append(("dual", accepted))
+            return accepted
+
+        monkeypatch.setattr(lp_solver._Simplex, "_run_phase", run_phase)
+        monkeypatch.setattr(lp_solver._Simplex, "_run_dual", run_dual)
+        return records
+
+    def test_shifted_rows_reach_the_cold_optimum(self, monkeypatch):
+        records = self.watch_phases(monkeypatch)
+        rng = np.random.default_rng(RNG_SEED + 14)
+        outcomes = []
+        for _ in range(30):
+            objective, matrix, rows = feasible_instance(rng)
+            first = solve(dense(objective, matrix, rows))
+            assert first.status == "optimal"
+            problem = dense(objective, matrix, self.shifted(rng, rows))
+            every_column = np.arange(len(objective))
+            for pool in (first.pool, every_column):
+                cold = solve(problem, pool=pool)
+                records.clear()
+                warm = solve(problem, pool=pool, start=first)
+                outcomes.append(cold.status)
+                if cold.status == "infeasible":
+                    assert_identical(warm, cold)
+                    continue
+                assert warm.status == cold.status == "optimal"
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert price_columns(problem, warm.duals, tol=1e-7) is None
+                if pool is every_column:
+                    # no cold start, and the dual phase ends at the optimum
+                    dual, (phase, before, after) = records
+                    assert dual == ("dual", True) and phase == 2 and before == after
+        assert outcomes.count("optimal") >= 40 and "infeasible" in outcomes
+
+    def test_dual_pivots_keep_the_basis_state(self, monkeypatch):
+        TestKeptBasisState.watch(monkeypatch)
+        rng = np.random.default_rng(RNG_SEED + 15)
+        iterations = 0
+        for _ in range(30):
+            objective, matrix, rows = feasible_instance(rng)
+            first = solve(dense(objective, matrix, rows))
+            warm = solve(dense(objective, matrix, self.shifted(rng, rows)), start=first)
+            iterations += warm.iterations
+        assert iterations > 0
+
+    def test_infeasible_shift_ends_as_cold(self):
+        rng = np.random.default_rng(RNG_SEED + 16)
+        for _ in range(15):
+            objective, matrix, rows = feasible_instance(rng)
+            first = solve(dense(objective, matrix, rows))
+            # row 0 has positive coefficients: no w >= 0 reaches a negative band
+            problem = dense(objective, matrix, [RangeRow(-2.0, -1.0), *rows[1:]])
+            cold = solve(problem, pool=first.pool)
+            warm = solve(problem, pool=first.pool, start=first)
+            assert cold.status == "infeasible" and cold.infeasible_rows
+            assert_identical(warm, cold)
+
+    def test_start_that_is_not_dual_feasible_gives_the_cold_solve(self, monkeypatch):
+        records = self.watch_phases(monkeypatch)
+        rng = np.random.default_rng(RNG_SEED + 17)
+        for _ in range(15):
+            objective, matrix, rows = feasible_instance(rng)
+            first = solve(dense(objective, matrix, rows))
+            problem = dense(-np.asarray(objective), matrix, rows)
+            pool = np.arange(len(objective))
+            cold = solve(problem, pool=pool)
+            records.clear()
+            warm = solve(problem, pool=pool, start=first)
+            assert records[0] == ("dual", False)
+            assert_identical(warm, cold)
+
+    def test_bad_start_rejected(self):
+        two = dense([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [RangeRow(1.0, 1.0), RangeRow(0.0, 1.0)])
+        three = dense([1.0, 2.0], np.ones((3, 2)), [RangeRow(1.0, 1.0)] * 3)
+        start = solve(two)
+        with pytest.raises(ParameterError, match="basis of 3 ids"):
+            solve(three, start=start)
+        with pytest.raises(ParameterError, match="basis of 3 ids"):
+            relax_and_retry(three, [1e-9], start=start)
+        outside = dataclasses.replace(start, basis=start.basis + 6)
+        with pytest.raises(ParameterError, match="lie in"):
+            solve(two, start=outside)
+
+    def test_warm_solves_are_bit_identical(self):
+        rng = np.random.default_rng(RNG_SEED + 18)
+        for _ in range(10):
+            objective, matrix, rows = feasible_instance(rng)
+            first = solve(dense(objective, matrix, rows))
+            problem = dense(objective, matrix, self.shifted(rng, rows))
+            assert_identical(solve(problem, start=first), solve(problem, start=first))
+
+    def test_grid_lp_replicates(self, monkeypatch):
+        # resampled tables: another right-hand side and fold, the same grid
+        table = TestPoolPricing.TABLE
+        options = dict(r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
+        base = solve(build_problem(table, 8, **options).as_lp())
+        assert base.status == "optimal"
+        records = self.watch_phases(monkeypatch)
+        rng = np.random.default_rng(RNG_SEED + 19)
+        warm_pivots = cold_pivots = 0
+        for _ in range(4):
+            problem = build_problem(resample_table(table, rng), 8, **options).as_lp()
+            cold = solve(problem, pool=base.pool)
+            records.clear()
+            warm = solve(problem, pool=base.pool, start=base)
+            assert records[0] == ("dual", True)
+            assert cold.status == warm.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert price_columns(problem, warm.duals, tol=1e-7) is None
+            warm_pivots += warm.iterations
+            cold_pivots += cold.iterations
+        assert warm_pivots < cold_pivots
+
+
 class TestRelaxAndRetry:
     def test_schedule_validation(self):
         p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
@@ -691,8 +839,8 @@ class TestRelaxAndRetry:
         calls = []
         real = lp_solver.solve
 
-        def spy(problem, feasibility_tol, pool):
-            sol = real(problem, feasibility_tol, pool)
+        def spy(problem, feasibility_tol, pool, start):
+            sol = real(problem, feasibility_tol, pool, start)
             calls.append((feasibility_tol, sol))
             return sol
 
