@@ -396,13 +396,12 @@ def run_bootstrap(config: RunConfig) -> dict:
     measure drift from the observed table, not from any replicate).  A
     replicate whose table cannot be posed (a category or margin drew no
     individuals) is listed as ``degenerate`` and dropped; the draws of
-    the others do not change.  Every replicate's problem shares the
-    baseline's cached grid arrays (see :class:`DiscretizedProblem`), and
-    its solve is seeded with the baseline solve's pool and, when the
-    baseline is optimal, warm-started from the baseline's optimal basis:
-    a replicate changes only the right-hand side and the table's fold of
-    the variance rows, so that basis stays dual feasible and a few dual
-    simplex pivots restore primal feasibility.
+    the others do not change.  Every replicate's solve is seeded with the
+    baseline solve's pool and, when the baseline is optimal,
+    warm-started from the baseline's optimal basis: a replicate changes
+    only the right-hand side and the marginals in the variance rows, so
+    that basis stays dual feasible and a few dual simplex pivots restore
+    primal feasibility.
     """
     if config.replicates < 1:
         raise ParameterError("bootstrap needs replicates >= 1")

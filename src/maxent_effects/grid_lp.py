@@ -20,34 +20,41 @@ Rows, in fixed order:
   a target discrimination R-squared.
 
 Columns are indexed ``((category * m + j) * m + k) * m + l`` where j, k, l
-index the propensity, baseline-risk, and exposed-risk bins.  The grid is
-stored once per m, shared by all categories and all tables, as a
-``(6, m**3)`` coefficient matrix ``coef`` over the cells in (j, k, l)
-order:
+index the propensity, baseline-risk, and exposed-risk bins.  A column is
+one triple ``(pi, r0, r1)`` of bin centers; its cells are ``a = (1-pi)
+r0``, ``b = pi r1``, ``(1-pi) - a`` and ``pi - b``, its expected risk is
+``r = a + b``, and by the chain rule of entropy (Cover & Thomas,
+*Elements of Information Theory*, 2nd ed., 2.5) its objective is
 
-* rows 0-3: the center's four cell probabilities q (:func:`model.cell_probs`);
-* row 4: ``pi**2``;
-* row 5: ``r**2`` with ``r = q0 + q1 = (1-pi) r0 + pi r1``;
+    H = h(pi) + (1-pi) h(r0) + pi h(r1),
 
-plus the vector ``entropy`` of the centers' entropies.  The table enters
-only through ``fold``, a 6 x 6 matrix that is the identity on rows 0-3.
-Since ``pi = q1 + q3``, ``r = q0 + q1`` and ``sum(q) = 1``, the variance
-contributions are ``(pi - P(e=1))**2 = pi**2 - 2 P(e=1) (q1 + q3) +
-P(e=1)**2 sum(q)`` and likewise for ``r`` with ``P(d=1)``, so ``fold @
-coef[:, cell]`` holds the cell's exposure- and outcome-variance
-contributions in rows 4-5.  Column ``(c, cell)`` is that folded column
-spread onto LP rows ``row_index[c]``: category c's four frequency rows,
-then the two variance rows.  An absent variance row points at index
-``n_rows``, a padding slot that is never part of the LP, so pricing one
-category's span is ``entropy[a:b] - (y_c @ fold) @ coef[:, a:b]`` with
-``y_c`` the duals at ``row_index[c]`` (zero at the padding).  Memory is
-about ``7 * 8 * m**3`` bytes regardless of how many categories or
-problems there are.
+with ``h`` the binary entropy.  Pricing a column of category c against
+duals ``y`` at ``row_index[c]`` (category c's four frequency rows, then
+the two variance rows; an absent variance row points at index
+``n_rows``, a padding slot whose dual is 0) therefore separates along the
+grid axes, because ``(r - P(d=1))**2 = (a - P(d=1))**2 + 2 (a - P(d=1)) b
++ b**2``:
+
+    P[j, k] = h(pi) + (1-pi) h(r0)
+              - [(y0 - y2) a + y2 (1-pi) + y4 (pi - P(e=1))**2 + y5 (a - P(d=1))**2]
+    Q[j, l] = pi h(r1) - [(y1 - y3) b + y3 pi + y5 b**2]
+    rc[j, k, l] = P[j, k] + Q[j, l] - 2 y5 (a[j, k] - P(d=1)) b[j, l]
+
+(without the entropy terms in phase one).  P, Q and the cross factor are
+weighted sums of ten m x m tables of the grid, which are all a problem
+keeps: nothing it holds has m**3 entries.  Each j-slice of m x m reduced
+costs is the rank-3 product ``[P, 1, -2 y5 (a - P(d=1))] @ [1; Q; b]``,
+rank 2 when ``y5 = 0``.  Pricing a span of columns weights the tables of
+the j-slices it touches only, fills the slices it covers whole with one
+batched product written straight into the output, and computes the rows
+it needs of the at most two slices it cuts.  The objective of a column
+comes from the same tables; its LP coefficients, like
+:meth:`DiscretizedProblem.activities`, from the direct formula
+(:meth:`DiscretizedProblem._coefficients`).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +75,9 @@ __all__ = [
     "MASS_FLOOR",
 ]
 
-#: Largest grid resolution; the 6 coefficient rows and the entropy vector
-#: at m=256 are ~940 MB.
+#: Largest grid resolution.  A problem holds only m x m tables (5 MB at
+#: m=256), but its LP has m**3 columns per category (16.8 million at 256),
+#: which every full pricing scan visits.
 MAX_RESOLUTION = 256
 
 #: Solution masses below this are numerical noise, not atoms.
@@ -124,22 +132,6 @@ class Atom:
         return PropensityPrognosisTriple(self.pi, self.r0, self.r1)
 
 
-@functools.lru_cache(maxsize=1)
-def _grid_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(coef, entropy)`` of the m-grid (see the module
-    docstring); only the last m asked for stays cached."""
-    ctr = CubeGrid(m).centers
-    coef = np.empty((6, m, m, m))
-    pi = ctr[:, None, None]
-    cell_probs(pi, ctr[None, :, None], ctr[None, None, :], out=coef[:4])
-    coef[4] = pi**2
-    np.square(np.add(coef[0], coef[1], out=coef[5]), out=coef[5])
-    coef = coef.reshape(6, m**3)
-    entropy = cell_entropy(coef[:4])
-    coef.flags.writeable = entropy.flags.writeable = False
-    return coef, entropy
-
-
 class DiscretizedProblem:
     """The grid LP for one stratified table.
 
@@ -148,11 +140,8 @@ class DiscretizedProblem:
     :meth:`activities`, which is what residual reporting uses after
     cluster centroids move off the grid.  ``rows`` holds the row objects
     and ``lower``/``upper`` their bounds (:func:`lp_solver.row_bounds`).
-
-    ``coef`` and ``entropy`` depend on m alone: every problem on one m
-    shares the same read-only arrays, and the last-built grid stays
-    cached, so building a problem on a known m costs O(rows).  The
-    table's marginals enter through ``fold``.
+    Pricing and the objective come from ten m x m tables of the grid (see
+    the module docstring), so building a problem costs O(m**2).
     """
 
     def __init__(
@@ -207,15 +196,26 @@ class DiscretizedProblem:
         if self.variance_row_outcome is not None:
             self.row_index[:, 5] = self.variance_row_outcome
 
-        self.coef, self.entropy = _grid_rows(grid.m)
-        pe, pd = self.marginal_exposure, self.marginal_outcome
-        self.fold = np.eye(6)
-        self.fold[4, :4] = pe * pe - 2 * pe * np.array([0, 1, 0, 1])
-        self.fold[5, :4] = pd * pd - 2 * pd * np.array([1, 1, 0, 0])
+        # the ten m x m tables of the separable reduced cost, indexed [j, k]
+        # or [j, l]: P's five, Q's four and the cross factor, in the order
+        # of the weights in _price_span
+        ctr = grid.centers
+        pi, rest = ctr[:, None], 1.0 - ctr[:, None]
+        h = cell_entropy(np.stack([ctr, 1.0 - ctr]))  # binary entropy
+        a = rest * ctr  # (1-pi) r0, as cell_probs has it
+        b = pi * ctr  # pi r1
+        a_dev = a - self.marginal_outcome
+        ones = np.ones(grid.m)
+        self._tables = np.stack([
+            h[:, None] + rest * h, a, rest * ones,
+            (pi - self.marginal_exposure) ** 2 * ones, a_dev * a_dev,
+            pi * h, b, pi * ones, b * b,
+            -2.0 * a_dev,
+        ])
 
     def _coefficients(self, pi, r0, r1) -> np.ndarray:
-        """The six coefficient rows of triples (pi, r0, r1), broadcast,
-        with the variance rows evaluated directly rather than folded."""
+        """The six coefficient rows of triples (pi, r0, r1), broadcast: the
+        four cells, then the exposure- and outcome-variance contributions."""
         pi, r0, r1 = (np.asarray(x, dtype=float) for x in (pi, r0, r1))
         out = np.empty((6, *np.broadcast_shapes(pi.shape, r0.shape, r1.shape)))
         cell_probs(pi, r0, r1, out=out[:4])
@@ -239,32 +239,83 @@ class DiscretizedProblem:
 
     def _columns(self, idx: np.ndarray) -> np.ndarray:
         cats, cells = np.divmod(idx, self.grid.n_cells)
+        ctr = self.grid.centers
+        j, k, l = self.grid.unravel(cells)
         out = np.zeros((self.n_rows + 1, idx.size))
-        out[self.row_index[cats].T, np.arange(idx.size)] = self.fold @ self.coef[:, cells]
+        out[self.row_index[cats].T, np.arange(idx.size)] = self._coefficients(
+            ctr[j], ctr[k], ctr[l]
+        )
         return out[:-1]
 
     def _objective(self, idx: np.ndarray) -> np.ndarray:
-        return self.entropy[idx % self.grid.n_cells]
+        j, k, l = self.grid.unravel(idx % self.grid.n_cells)
+        # h(pi) + (1-pi) h(r0), then pi h(r1)
+        return self._tables[0, j, k] + self._tables[5, j, l]
 
     def _reduced_costs(
-        self, duals: np.ndarray, start: int, stop: int, include_objective: bool = True
+        self,
+        duals: np.ndarray,
+        start: int,
+        stop: int,
+        include_objective: bool = True,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Fast pricing over [start, stop): ``entropy - (y_c @ fold) @ coef``
-        per category."""
+        """Reduced costs of columns [start, stop), written into ``out`` (a
+        new array when None), one category's span at a time."""
+        out = np.empty(stop - start) if out is None else out
         n_cells = self.grid.n_cells
         padded = np.append(duals, 0.0)
-        rc = np.empty(stop - start)
         for c in range(start // n_cells, (stop - 1) // n_cells + 1):
-            lo = max(start, c * n_cells)
-            hi = min(stop, (c + 1) * n_cells)
-            a, b = lo - c * n_cells, hi - c * n_cells
-            seg = rc[lo - start : hi - start]
-            np.matmul(padded[self.row_index[c]] @ self.fold, self.coef[:, a:b], out=seg)
-            if include_objective:
-                np.subtract(self.entropy[a:b], seg, out=seg)
-            else:
-                np.negative(seg, out=seg)
-        return rc
+            lo, hi = max(start, c * n_cells), min(stop, (c + 1) * n_cells)
+            self._price_span(
+                padded[self.row_index[c]],
+                include_objective,
+                lo - c * n_cells,
+                hi - c * n_cells,
+                out[lo - start : hi - start],
+            )
+        return out
+
+    def _price_span(self, y, include_objective, lo, hi, out) -> None:
+        """Reduced costs of one category's cells [lo, hi) into ``out``, from
+        its six duals ``y`` by the separable form of the module docstring."""
+        m = self.grid.m
+        size = m * m
+        first, last = lo // size, (hi - 1) // size  # j-slices touched
+        y0, y1, y2, y3, y4, y5 = y
+        h = float(include_objective)
+        weights = np.array([
+            [h, y2 - y0, -y2, -y4, -y5, 0.0, 0.0, 0.0, 0.0, 0.0],  # P
+            [0.0, 0.0, 0.0, 0.0, 0.0, h, y3 - y1, -y3, -y5, 0.0],  # Q
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, y5],  # -2 y5 (a - P(d=1))
+        ])
+        rank = 3 if y5 else 2
+        tables = self._tables[:, first : last + 1].reshape(10, -1)
+        u = (weights[:rank] @ tables).reshape(rank, -1, m)  # P, Q, cross per slice
+        v = np.empty_like(u)
+        v[0] = 1.0
+        v[1] = u[1]
+        u[1] = 1.0
+        if rank == 3:
+            v[2] = self._tables[6, first : last + 1]  # b
+        # slice s of the span is u[s] @ v[s]: [P, 1, cross] @ [1; Q; b]
+        u, v = u.transpose(1, 2, 0), v.transpose(1, 0, 2)
+        whole_lo, whole_hi = -(-lo // size), hi // size  # slices covered whole
+        if whole_lo < whole_hi:
+            np.matmul(
+                u[whole_lo - first : whole_hi - first],
+                v[whole_lo - first : whole_hi - first],
+                out=out[whole_lo * size - lo : whole_hi * size - lo].reshape(-1, m, m),
+            )
+        for s in sorted({first, last}):
+            if whole_lo <= s < whole_hi:
+                continue
+            # a cut slice: the rows holding its cells [a, b)
+            a, b = max(lo - s * size, 0), min(hi - s * size, size)
+            k0, k1 = a // m, -(-b // m)
+            rows = u[s - first, k0:k1] @ v[s - first]
+            at = s * size + a - lo
+            out[at : at + b - a] = rows.ravel()[a - k0 * m : b - k0 * m]
 
     def as_lp(self) -> LpProblem:
         return LpProblem(

@@ -41,9 +41,10 @@ Implementation notes
   their ids, dense columns and phase costs, one block per refill.  A
   pivot prices only the pool, ``cost - y @ columns``, while some nonbasic
   member improves (ties by lowest id).  When none does, a full scan of all columns
-  (:func:`price_columns`, ``PRICE_CHUNK`` columns at a time) supplies the
-  entering column and adds the ``POOL_PER_CHUNK`` best improving columns
-  of every chunk to the pool.  ``optimal`` is declared only when a full
+  (:func:`price_columns`, ``PRICE_CHUNK`` columns at a time, priced into
+  one buffer that every chunk reuses) supplies the entering column and
+  adds the ``POOL_PER_CHUNK`` best improving columns of every chunk to
+  the pool.  ``optimal`` is declared only when a full
   scan and the slacks find nothing, so the certificate covers every
   column.
 * A solve can start from a seeded pool (``solve(..., pool=ids)``): the
@@ -61,7 +62,8 @@ Implementation notes
   primal-infeasible basic variable leaves; its row of the basis inverse,
   ``e_r B^-1`` (one transposed solve), times the pool's cached blocks and
   the slacks gives the pivot row; and a bounded ratio test (smallest
-  ``|d_j / alpha_j|`` over the eligible nonbasics, ties by lowest id)
+  ``|d_j / alpha_j|`` over the eligible nonbasics, ties within a relative
+  1e-9 by lowest id)
   picks the entering column.  Phase two then runs as after phase one, so
   its full scan still certifies the optimum over every column.  A start
   that holds a basic artificial or is not dual feasible over the pool and
@@ -158,10 +160,12 @@ class LpProblem:
         Dense coefficients of the requested columns.
     objective_fn : callable(indices) -> ndarray (len(indices),)
         Objective coefficients of the requested columns.
-    reduced_cost_fn : callable(duals, start, stop, include_objective), optional
+    reduced_cost_fn : callable(duals, start, stop, include_objective, out), optional
         Fast path computing ``objective - duals @ columns`` for a
-        contiguous index span without building the dense block.  The
-        default derives it from ``columns_fn``.
+        contiguous index span without building the dense block.  ``out``
+        is None or a buffer of ``stop - start`` floats it may write the
+        result into; it returns the result.  The default derives it from
+        ``columns_fn``.
     """
 
     def __init__(self, rows, n_columns: int, columns_fn, objective_fn, reduced_cost_fn=None):
@@ -192,11 +196,18 @@ class LpProblem:
         return np.asarray(self._objective_fn(idx), dtype=float)
 
     def reduced_costs(
-        self, duals: np.ndarray, start: int, stop: int, include_objective: bool = True
+        self,
+        duals: np.ndarray,
+        start: int,
+        stop: int,
+        include_objective: bool = True,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``objective - duals @ columns`` for columns [start, stop)."""
+        """``objective - duals @ columns`` for columns [start, stop); ``out``
+        (``stop - start`` floats), when given, may receive the result in
+        place of a new array."""
         if self._reduced_cost_fn is not None:
-            return self._reduced_cost_fn(duals, start, stop, include_objective)
+            return self._reduced_cost_fn(duals, start, stop, include_objective, out)
         idx = np.arange(start, stop, dtype=np.int64)
         rc = -(duals @ self.columns(idx))
         if include_objective:
@@ -305,9 +316,14 @@ def price_columns(
     best_idx = -1
     best_rc = tol
     found_ids, found_rcs = [], []
+    # one buffer for every chunk: fresh chunk-sized temporaries make the
+    # allocator return and re-fault their pages chunk after chunk
+    buffer = np.empty(min(PRICE_CHUNK, problem.n_columns))
     for start in range(0, problem.n_columns, PRICE_CHUNK):
         stop = min(start + PRICE_CHUNK, problem.n_columns)
-        rc = problem.reduced_costs(duals, start, stop, include_objective)
+        rc = problem.reduced_costs(
+            duals, start, stop, include_objective, out=buffer[: stop - start]
+        )
         rc[excluded[(excluded >= start) & (excluded < stop)] - start] = -np.inf
         if rule == "bland":
             hits = np.flatnonzero(rc > tol)
@@ -334,8 +350,13 @@ def price_columns(
 
 def _best_improving(rc: np.ndarray, tol: float) -> np.ndarray:
     """Positions of the ``POOL_PER_CHUNK`` largest entries above ``tol``,
-    best first, ties by lowest position."""
-    hits = np.flatnonzero(rc > tol)
+    best first, ties by lowest position.  ``rc`` holds no NaN."""
+    # every 64th entry is a subset of rc, so its POOL_PER_CHUNK-th largest
+    # is at most rc's own: only entries at or above it can be selected
+    sample = rc[::64]
+    at = sample.size - POOL_PER_CHUNK
+    floor = np.partition(sample, at)[at] if at >= 0 else -np.inf
+    hits = np.flatnonzero(rc >= floor) if floor > tol else np.flatnonzero(rc > tol)
     if hits.size > POOL_PER_CHUNK:
         improving = rc[hits]
         kth = hits.size - POOL_PER_CHUNK
@@ -692,7 +713,10 @@ class _Simplex:
             if not eligible.any():
                 return False
             ratio = np.maximum(-flip[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
-            enter = int(ids[eligible][ratio == ratio.min()].min())
+            # ties as in the primal ratio test, so last-bit noise in d or
+            # alpha cannot pick the entering column
+            tie = ratio <= ratio.min() * (1.0 + 1e-9) + 1e-15
+            enter = int(ids[eligible][tie].min())
 
             leaving = int(self.basis[r])
             if leaving >= n:

@@ -17,7 +17,6 @@ parsing geometry.  Output depends only on the arguments, byte for byte.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 __all__ = ["mixture_svg", "convergence_svg"]
 
@@ -36,6 +35,13 @@ _STYLE = """\
   .entropy-dot { fill: #3b6ea5; stroke: #1d3d5c; }
   .reference-line { stroke: #b03a2e; stroke-width: 1.5; stroke-dasharray: 6 4; }
 """
+
+
+def _escape(text: str) -> str:
+    """``&``, ``>`` and ``<`` as XML entities, in ``xml.sax.saxutils.escape``'s
+    order; that module would import ``urllib.request`` and through it
+    ``http.client``, ``email`` and ``ssl``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -74,9 +80,9 @@ class _Frame:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
             f"<style>\n{_STYLE}</style>",
-            f'<title>{escape(title)}</title>',
+            f'<title>{_escape(title)}</title>',
             f'<text class="title" x="{_WIDTH / 2:.0f}" y="24" '
-            f'text-anchor="middle">{escape(title)}</text>',
+            f'text-anchor="middle">{_escape(title)}</text>',
             f'<rect class="frame" x="{self.left}" y="{self.top}" '
             f'width="{self.right - self.left}" height="{self.bottom - self.top}"/>',
         ]
@@ -109,7 +115,7 @@ class _Frame:
             )
             parts.append(
                 f'<text class="tick-label" x="{px:.1f}" '
-                f'y="{self.bottom + 17}" text-anchor="middle">{escape(lbl)}</text>'
+                f'y="{self.bottom + 17}" text-anchor="middle">{_escape(lbl)}</text>'
             )
         return parts
 
@@ -118,15 +124,15 @@ class _Frame:
         cy = (self.top + self.bottom) / 2
         parts = [
             f'<text class="axis-label" x="{cx:.0f}" y="{_HEIGHT - 10}" '
-            f'text-anchor="middle">{escape(x_label)}</text>',
+            f'text-anchor="middle">{_escape(x_label)}</text>',
             f'<text class="axis-label" transform="rotate(-90 16 {cy:.0f})" '
-            f'x="16" y="{cy:.0f}" text-anchor="middle">{escape(left_label)}</text>',
+            f'x="16" y="{cy:.0f}" text-anchor="middle">{_escape(left_label)}</text>',
         ]
         if right_label:
             parts.append(
                 f'<text class="axis-label" transform="rotate(90 {_WIDTH - 14} '
                 f'{cy:.0f})" x="{_WIDTH - 14}" y="{cy:.0f}" '
-                f'text-anchor="middle">{escape(right_label)}</text>'
+                f'text-anchor="middle">{_escape(right_label)}</text>'
             )
         return parts
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import maxent_effects
-from maxent_effects import cli, grid_lp, lp_solver
+from maxent_effects import cli, lp_solver, svgplot
 from maxent_effects.cli import (
     RunConfig,
     emit_plot,
@@ -314,21 +314,6 @@ class TestBootstrapReport:
         second = json.dumps(run_bootstrap(config), sort_keys=True)
         assert first == second
 
-    def test_cached_grid_gives_the_report_of_fresh_builds(self, monkeypatch):
-        config = small_lp_config(replicates=3, seed=29, r2_prognosis=0.05)
-        cached = json.dumps(run_bootstrap(config), sort_keys=True)
-        real = cli.build_problem
-        builds = []
-
-        def fresh(*args, **kwargs):
-            grid_lp._grid_rows.cache_clear()
-            builds.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "build_problem", fresh)
-        assert json.dumps(run_bootstrap(config), sort_keys=True) == cached
-        assert len(builds) == 4
-
     def test_replicates_seeded_from_the_baseline_pool(self, monkeypatch):
         # both variance rows, as in the benchmark's bootstrap workload
         config = small_lp_config(replicates=4, seed=31, r2_propensity=0.1, r2_prognosis=0.05)
@@ -460,6 +445,12 @@ class TestSvg:
     def test_title_is_escaped(self):
         svg = mixture_svg([], title="a < b & c")
         assert "a &lt; b &amp; c" in svg
+
+    def test_escape_matches_saxutils(self):
+        from xml.sax.saxutils import escape
+
+        for label in ("a < b & c", "&lt;", "<&>", "x >= 1 && y <= 2", "&amp;>", "plain", ""):
+            assert svgplot._escape(label) == escape(label)
 
 
 class TestEmitPlot:
@@ -771,6 +762,15 @@ class TestRuntimeWithoutScipy:
             "import json, sys\n"
             "import maxent_effects.cli\n"
             "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))\n"
+        )
+        assert loaded == []
+
+    def test_importing_the_cli_loads_no_network_modules(self):
+        loaded = self.run_python(
+            "import json, sys\n"
+            "import maxent_effects.cli\n"
+            "heavy = ('urllib.request', 'http.client', 'email', 'ssl')\n"
+            "print(json.dumps([m for m in heavy if m in sys.modules]))\n"
         )
         assert loaded == []
 

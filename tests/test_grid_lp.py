@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from maxent_effects import lp_solver
 from maxent_effects.closed_form import r2_to_variance_bound, solve_homogeneous
 from maxent_effects.datasets import marginal_table
 from maxent_effects.errors import ParameterError
@@ -14,13 +15,18 @@ from maxent_effects.grid_lp import (
     Atom,
     CubeGrid,
     DiscretizedProblem,
-    _grid_rows,
     atoms_from_solution,
     build_problem,
     nearest_columns,
 )
-from maxent_effects.lp_solver import InequalityRow, LpSolution, RangeRow, solve
-from maxent_effects.model import StratifiedTable, entropy, joint_probs
+from maxent_effects.lp_solver import InequalityRow, LpProblem, LpSolution, RangeRow, solve
+from maxent_effects.model import (
+    StratifiedTable,
+    cell_entropy,
+    cell_probs,
+    entropy,
+    joint_probs,
+)
 
 RNG_SEED = 7261
 
@@ -154,7 +160,7 @@ class TestProblemAssembly:
             expected[4 * c + 2] = (1 - pi) * (1 - r0)
             expected[4 * c + 3] = pi * (1 - r1)
             assert block[:, pos] == pytest.approx(expected, abs=1e-12)
-            # the folded variance rows against the direct formulas
+            # the variance rows against the formulas of their definition
             assert variance_block[:8, pos] == pytest.approx(expected, abs=1e-12)
             assert abs(variance_block[8, pos] - (pi - pe) ** 2) <= 1e-15
             risk = (1 - pi) * r0 + pi * r1
@@ -192,18 +198,45 @@ class TestProblemAssembly:
                         generic = generic + p._objective(idx)
                     assert fast == pytest.approx(generic, abs=1e-12)
 
-    def test_problems_on_one_m_share_the_cached_grid(self):
-        base = build_problem(TABLE_A, 7)
-        other = build_problem(
-            TABLE_B, 7, r2_propensity=0.05, r2_prognosis=0.02, epsilon=0.01
-        )
-        assert other.coef is base.coef
-        assert other.entropy is base.entropy
-        for array in (base.coef, base.entropy):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
-        build_problem(TABLE_A, 8)
-        assert _grid_rows.cache_info().currsize == 1
+    def test_scan_prices_every_column_by_the_direct_formula(self, monkeypatch):
+        # chunks of 100 columns cut the 49-column j-slices and the
+        # 343-column categories at shifting offsets
+        monkeypatch.setattr(lp_solver, "PRICE_CHUNK", 100)
+        chunks = []
+        real = LpProblem.reduced_costs
+
+        def record(self, duals, start, stop, include_objective=True, out=None):
+            out.fill(np.nan)  # an entry the kernel leaves unwritten shows as NaN
+            rc = real(self, duals, start, stop, include_objective, out=out)
+            assert rc is out
+            chunks.append(rc.copy())
+            return rc
+
+        monkeypatch.setattr(LpProblem, "reduced_costs", record)
+        rng = np.random.default_rng(RNG_SEED + 5)
+        for r2 in ({}, {"r2_prognosis": 0.02}, {"r2_propensity": 0.05},
+                   {"r2_propensity": 0.05, "r2_prognosis": 0.02}):
+            p = build_problem(TABLE_B, 7, epsilon=0.01, **r2)
+            # O(m**2) state: at most the ten m x m pricing tables per array
+            for value in vars(p).values():
+                assert not (isinstance(value, np.ndarray) and value.size > 10 * 7**2)
+            idx = np.arange(p.n_columns)
+            cats, cells = np.divmod(idx, p.grid.n_cells)
+            pi, r0, r1 = (p.grid.centers[axis] for axis in p.grid.unravel(cells))
+            coefficients = p._coefficients(pi, r0, r1)
+            entropies = cell_entropy(cell_probs(pi, r0, r1))
+            for duals in (rng.normal(size=p.n_rows), np.zeros(p.n_rows)):
+                y = np.append(duals, 0.0)[p.row_index[cats]].T
+                for include in (True, False):
+                    chunks.clear()
+                    lp_solver.price_columns(p.as_lp(), duals, include_objective=include)
+                    priced = np.concatenate(chunks)
+                    expected = (entropies if include else 0.0) - (y * coefficients).sum(axis=0)
+                    assert priced.shape == expected.shape
+                    assert np.abs(priced - expected).max() <= 1e-13
+        large = build_problem(TABLE_B, 25, r2_propensity=0.05, r2_prognosis=0.02)
+        for value in vars(large).values():
+            assert not (isinstance(value, np.ndarray) and value.size >= 25**3)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -317,7 +317,7 @@ class TestDeterminism:
         matrix = np.asarray(matrix)
         objective = np.asarray(objective)
 
-        def fast_rc(duals, start, stop, include_objective):
+        def fast_rc(duals, start, stop, include_objective, out):
             rc = -(duals @ matrix[:, start:stop])
             if include_objective:
                 rc = rc + objective[start:stop]
@@ -387,6 +387,31 @@ class TestPricing:
         with_obj = price_columns(p, duals)
         assert with_obj == (0, 3.0)
         assert price_columns(p, duals, include_objective=False) is None
+
+
+class TestBestImproving:
+    """``_best_improving`` against a full sort of the improving entries."""
+
+    @pytest.mark.parametrize("keep", (32, 3))
+    def test_matches_a_full_sort(self, monkeypatch, keep):
+        monkeypatch.setattr(lp_solver, "POOL_PER_CHUNK", keep)
+        rng = np.random.default_rng(RNG_SEED + 20)
+        for trial in range(1500):
+            n = int(rng.integers(1, 4000))
+            tol = (0.0, 1e-9)[trial % 2]
+            # entries at or below tol, a fifth of them excluded (-inf) ...
+            rc = np.where(rng.random(n) < 0.2, -np.inf, rng.integers(-3, 1, size=n) * 0.5)
+            rc[rc == 0.0] = tol
+            # ... and any number of improving ones, with ties or without
+            hits = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            if trial % 3:
+                rc[hits] = tol + rng.integers(1, 6, size=hits.size) * 0.25
+            else:
+                rc[hits] = tol + rng.random(hits.size) + 1e-12
+            improving = np.flatnonzero(rc > tol)
+            order = np.lexsort((improving, -rc[improving]))  # best first, ties low
+            expected = improving[order][:keep]
+            assert np.array_equal(lp_solver._best_improving(rc, tol), expected)
 
 
 def scan_candidates(objective, exclude, keep, chunk, tol=0.0):
@@ -716,6 +741,28 @@ class TestWarmStart:
         monkeypatch.setattr(lp_solver._Simplex, "_run_dual", run_dual)
         return records
 
+    def test_dual_ratio_ties_within_noise_enter_the_lowest_id(self, monkeypatch):
+        records = self.watch_phases(monkeypatch)
+        # from the basis {w0}, w0 = -1 violates w0 >= 0; w1 and w2 can
+        # enter with ratios 1e-17 (d = -1e-17) and exactly 0 (d = 0)
+        problem = dense([0.0, -1e-17, 0.0], [[1.0, -1.0, -1.0]], [RangeRow(-2.0, -1.0)])
+        start = lp_solver.LpSolution(
+            status="optimal",
+            columns=np.array([0]),
+            masses=np.array([1.0]),
+            objective=0.0,
+            row_activity=np.array([1.0]),
+            duals=np.zeros(1),
+            iterations=0,
+            pool=np.arange(3),
+            basis=np.array([0]),
+            at_upper=np.zeros(2, dtype=bool),
+        )
+        sol = solve(problem, pool=np.arange(3), start=start)
+        assert records == [("dual", True), (2, 1, 1)]
+        assert sol.status == "optimal"
+        assert sol.columns.tolist() == [1] and sol.masses.tolist() == [1.0]
+
     def test_shifted_rows_reach_the_cold_optimum(self, monkeypatch):
         records = self.watch_phases(monkeypatch)
         rng = np.random.default_rng(RNG_SEED + 14)
@@ -801,7 +848,7 @@ class TestWarmStart:
             assert_identical(solve(problem, start=first), solve(problem, start=first))
 
     def test_grid_lp_replicates(self, monkeypatch):
-        # resampled tables: another right-hand side and fold, the same grid
+        # resampled tables: another right-hand side and variance marginals, the same grid
         table = TestPoolPricing.TABLE
         options = dict(r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
         base = solve(build_problem(table, 8, **options).as_lp())

@@ -151,6 +151,16 @@ class TestCellEntropy:
         assert np.all(h[np.all(q != 1e-300, axis=0)] == 0.0)
         assert cell_entropy(np.zeros((4, 3))).tolist() == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("m", (2, 25, 75))
+    def test_chain_rule_on_every_grid_cell(self, m):
+        # H(e, d) = H(e) + H(d | e): the form grid pricing is built on
+        c = (np.arange(m) + 0.5) / m
+        h = -xlogy(c, c) - xlogy(1.0 - c, 1.0 - c)
+        pi, r0, r1 = c[:, None, None], c[None, :, None], c[None, None, :]
+        chain = (h[:, None, None] + (1.0 - pi) * h[None, :, None]) + pi * h[None, None, :]
+        q = cell_probs(pi, r0, r1)
+        np.testing.assert_allclose(chain, cell_entropy(q), rtol=0, atol=8 * np.finfo(float).eps)
+
     def test_scalar_input_returns_float(self):
         h = cell_entropy([0.25, 0.25, 0.5, 0.0])
         assert type(h) is float
