@@ -202,8 +202,7 @@ class DiscretizedProblem:
         ctr = grid.centers
         pi, rest = ctr[:, None], 1.0 - ctr[:, None]
         h = cell_entropy(np.stack([ctr, 1.0 - ctr]))  # binary entropy
-        a = rest * ctr  # (1-pi) r0, as cell_probs has it
-        b = pi * ctr  # pi r1
+        a, b = cell_probs(pi, ctr, ctr)[:2]  # (1-pi) r0 and pi r1
         a_dev = a - self.marginal_outcome
         ones = np.ones(grid.m)
         self._tables = np.stack([

@@ -63,14 +63,19 @@ Implementation notes
   ``e_r B^-1`` (one transposed solve), times the pool's cached blocks and
   the slacks gives the pivot row; and a bounded ratio test (smallest
   ``|d_j / alpha_j|`` over the eligible nonbasics, ties within a relative
-  1e-9 by lowest id)
-  picks the entering column.  Phase two then runs as after phase one, so
-  its full scan still certifies the optimum over every column.  A start
-  that holds a basic artificial or is not dual feasible over the pool and
-  the slacks, a pivot row with no eligible entering column, or the
-  iteration limit sends the solve back to the cold two-phase start.
+  1e-9 by lowest id) picks the entering column.  Phase two then runs as
+  after phase one, so its full scan still certifies the optimum over
+  every column.  A start that holds a basic artificial or is not dual
+  feasible over the pool and the slacks, a pivot row with no eligible
+  entering column, or the iteration limit sends the solve back to the
+  cold two-phase start.
+* The primal and the dual loop share their steps, one method each:
+  building the kept basis state, the basic solution with its non-finite
+  check, the pivot-in update, the slacks' free/flip rule and the
+  ratio-test tie rule (within a relative 1e-9 of the minimum).
 * Pivot selection is largest reduced cost above ``OPTIMALITY_TOL`` with
-  lowest-index tie-breaking; after a stall of ``10 * n_rows`` consecutive
+  lowest-index tie-breaking, a structural column before a slack of equal
+  ``|reduced cost|``; after a stall of ``10 * n_rows`` consecutive
   degenerate steps the solver switches to Bland's rule, which skips the
   pool and takes the first improving column of a full scan, until the
   objective moves again.  A solve stops with ``iteration_limit`` after
@@ -492,7 +497,7 @@ class _Simplex:
         shift = np.where(self.at_upper, self.sign * self.upper, 0.0)
         return self.b - shift[: self.R] - shift[self.R :]
 
-    # -- one phase of pivoting ---------------------------------------
+    # -- steps shared by the primal and the dual loop ---------------
 
     def _solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Solve with the kept basis matrix (or its transpose), afresh."""
@@ -500,6 +505,23 @@ class _Simplex:
             return np.linalg.solve(self.bmat.T if transpose else self.bmat, rhs)
         except np.linalg.LinAlgError as exc:  # exactly singular basis
             raise EstimationError(f"basis factorization failed: {exc}") from exc
+
+    def _load_basis(self) -> None:
+        """Build the kept basis state of ``basis``: a pivot then overwrites
+        one column of the matrix and one entry of the costs and bounds."""
+        self.bmat = self._work_columns(self.basis)
+        self.c_basis = self._work_cost(self.basis)
+        self.ub_basis = self._work_ub(self.basis)
+
+    def _basic_solution(self) -> tuple[np.ndarray, np.ndarray]:
+        """Basic values ``x`` and duals ``y`` of the kept basis, also kept
+        as ``x_basis`` and ``duals``."""
+        x = self._solve(self._effective_rhs())
+        if not np.all(np.isfinite(x)):
+            raise EstimationError("numerical breakdown: non-finite basic solution")
+        self.x_basis = x
+        self.duals = self._solve(self.c_basis, transpose=True)
+        return x, self.duals
 
     def _entering(self, enter: int, pool: _Pool):
         """Working column and phase cost of the entering variable: the
@@ -510,6 +532,38 @@ class _Simplex:
         ids = np.array([enter], dtype=np.int64)
         return self._work_columns(ids)[:, 0], self._work_cost(ids)[0]
 
+    def _replace(self, pos: int, enter: int, entering, to_upper: bool) -> None:
+        """Pivot ``enter``, with its ``(column, cost)``, into basis position
+        ``pos``; the leaving variable goes to its upper bound if
+        ``to_upper``, else to 0."""
+        leaving = int(self.basis[pos])
+        if leaving >= self.n:
+            self.at_upper[leaving - self.n] = to_upper
+        elif to_upper:
+            raise EstimationError("structural variable cannot leave at +inf")
+        if enter >= self.n:
+            self.at_upper[enter - self.n] = False
+        self.basis[pos] = enter
+        self.bmat[:, pos], self.c_basis[pos] = entering
+        self.ub_basis[pos] = self.upper[enter - self.n] if enter >= self.n else np.inf
+
+    def _slacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which slacks can move (nonbasic, with room between their
+        bounds), and each slack's flip: -1 at its upper bound, else 1, so
+        ``flip * rc > 0`` means moving it off its bound improves."""
+        free = self.upper[: self.R] > 0.0
+        logical = self.basis[self.basis >= self.n] - self.n
+        free[logical[logical < self.R]] = False
+        return free, np.where(self.at_upper[: self.R], -1.0, 1.0)
+
+    @staticmethod
+    def _near_min(v: np.ndarray) -> np.ndarray:
+        """Entries within a relative 1e-9 of the minimum: ratio-test ties,
+        so that last-bit noise cannot pick the pivot."""
+        return v <= v.min() * (1.0 + 1e-9) + 1e-15
+
+    # -- the primal loop ---------------------------------------------
+
     def _price_slacks(self, y: np.ndarray, rule: str):
         """Best nonbasic slack candidate as (work_id, reduced_cost) or None.
 
@@ -517,10 +571,8 @@ class _Simplex:
         improves by rising from its lower bound or falling from its upper.
         """
         rc = -self.sign[: self.R] * y
-        basic = np.zeros(2 * self.R, dtype=bool)
-        basic[self.basis[self.basis >= self.n] - self.n] = True
-        improving = np.where(self.at_upper[: self.R], rc < -OPTIMALITY_TOL, rc > OPTIMALITY_TOL)
-        cands = np.flatnonzero(improving & ~basic[: self.R] & (self.upper[: self.R] > 0.0))
+        free, flip = self._slacks()
+        cands = np.flatnonzero(free & (flip * rc > OPTIMALITY_TOL))
         if not cands.size:
             return None
         i = cands[0] if rule == "bland" else cands[np.argmax(np.abs(rc[cands]))]
@@ -534,20 +586,10 @@ class _Simplex:
         stall = 0
         bland = False
         last_objective = -np.inf
-        # the phase's basis state, kept in place: a pivot overwrites one
-        # column of the matrix and one entry of the costs and bounds
-        self.bmat = self._work_columns(self.basis)
-        self.c_basis = self._work_cost(self.basis)
-        self.ub_basis = self._work_ub(self.basis)
+        self._load_basis()
 
         while True:
-            b_eff = self._effective_rhs()
-            x = self._solve(b_eff)
-            if not np.all(np.isfinite(x)):
-                raise EstimationError("numerical breakdown: non-finite basic solution")
-            self.x_basis = x
-            y = self._solve(self.c_basis, transpose=True)
-            self.duals = y
+            x, y = self._basic_solution()
             objective = float(self.c_basis @ x)
 
             if self.phase == 1 and self._infeasibility() <= self.feas_tol:
@@ -573,23 +615,15 @@ class _Simplex:
                 )
                 if found:
                     pool.add(found)
-            cand_slack = self._price_slacks(y, rule)
-            if cand_struct is None and cand_slack is None:
+            cands = [c for c in (cand_struct, self._price_slacks(y, rule)) if c is not None]
+            if not cands:
                 return "optimal"
-            if cand_struct is None:
-                enter, _ = cand_slack
-            elif cand_slack is None:
-                enter, _ = cand_struct
-            elif bland:
-                enter = min(cand_struct[0], cand_slack[0])
-            elif abs(cand_slack[1]) > abs(cand_struct[1]):
-                enter = cand_slack[0]
-            else:
-                enter = cand_struct[0]
+            # Bland: the lowest id; else the largest |rc|, the structural on a tie
+            enter = min(cands)[0] if bland else max(cands, key=lambda c: abs(c[1]))[0]
 
             enter_at_upper = enter >= self.n and self.at_upper[enter - self.n]
-            a_enter, c_enter = self._entering(enter, pool)
-            d = self._solve(a_enter)
+            entering = self._entering(enter, pool)
+            d = self._solve(entering[0])
             if not np.all(np.isfinite(d)):
                 raise EstimationError("numerical breakdown: non-finite direction")
             step = -d if enter_at_upper else d
@@ -606,8 +640,7 @@ class _Simplex:
                     np.inf,
                 )
             t_leave = np.minimum(t_low, t_upp)
-            pos_min = int(np.argmin(t_leave))
-            t_basic = float(t_leave[pos_min])
+            t_basic = float(t_leave.min())
             ub_enter = float(self.upper[enter - self.n]) if enter >= self.n else np.inf
 
             if ub_enter <= t_basic:
@@ -620,24 +653,12 @@ class _Simplex:
             else:
                 if not np.isfinite(t_basic):
                     return "unbounded"
-                tie = t_leave <= t_basic * (1.0 + 1e-9) + 1e-15
-                tie_pos = np.flatnonzero(tie)
+                tie_pos = np.flatnonzero(self._near_min(t_leave))
                 if bland:
                     pos = int(tie_pos[np.argmin(self.basis[tie_pos])])
                 else:
                     pos = int(tie_pos[np.argmax(np.abs(step[tie_pos]))])
-                leaving = int(self.basis[pos])
-                to_upper = t_upp[pos] < t_low[pos]
-                if leaving >= self.n:
-                    self.at_upper[leaving - self.n] = to_upper
-                elif to_upper:
-                    raise EstimationError("structural variable cannot leave at +inf")
-                if enter >= self.n:
-                    self.at_upper[enter - self.n] = False
-                self.basis[pos] = enter
-                self.bmat[:, pos] = a_enter
-                self.c_basis[pos] = c_enter
-                self.ub_basis[pos] = ub_enter
+                self._replace(pos, enter, entering, t_upp[pos] < t_low[pos])
                 t = t_basic
 
             self.iterations += 1
@@ -649,6 +670,8 @@ class _Simplex:
                 if stall > _STALL_PER_ROW * self.R:
                     bland = True
             last_objective = max(last_objective, objective)
+
+    # -- the dual loop -----------------------------------------------
 
     def _run_dual(self, pool: _Pool, start: LpSolution) -> bool:
         """Dual simplex from ``start``'s basis, with phase-two costs and
@@ -665,31 +688,22 @@ class _Simplex:
         self.basis = start.basis.copy()
         self.at_upper = at_upper
         self._freeze_artificials()  # no artificial is basic: all fixed at 0
-        self.bmat = self._work_columns(self.basis)
-        self.c_basis = self._work_cost(self.basis)
-        self.ub_basis = self._work_ub(self.basis)
-        slack_ids = np.arange(n, n + R)
+        self._load_basis()
+        # candidates: the pool's members, then the slacks; flip is -1 for a
+        # slack at its upper bound, so flip * d <= 0 is dual feasibility
+        # for each nonbasic one
+        members = pool.ids.size
+        ids = np.concatenate([pool.ids, np.arange(n, n + R)])
+        free, flip = np.ones(ids.size, dtype=bool), np.ones(ids.size)
+        d, alpha = np.empty(ids.size), np.empty(ids.size)
         while True:
-            x = self._solve(self._effective_rhs())
-            if not np.all(np.isfinite(x)):
-                raise EstimationError("numerical breakdown: non-finite basic solution")
-            y = self._solve(self.c_basis, transpose=True)
-
-            # nonbasic candidates: the pool's members, then the slacks that
-            # can move; flip is -1 for a slack at its upper bound, so
-            # flip * d <= 0 is dual feasibility for each of them
-            free = np.ones(pool.ids.size, dtype=bool)
+            x, y = self._basic_solution()
+            free[:members] = True
             free[pool.positions(self.basis[self.basis < n])] = False
-            free_slack = self.upper[:R] > 0.0
-            free_slack[self.basis[self.basis >= n] - n] = False
-            ids = np.concatenate([pool.ids[free], slack_ids[free_slack]])
-            flip = np.concatenate(
-                [np.ones(free.sum()), np.where(self.at_upper[:R][free_slack], -1.0, 1.0)]
-            )
-            d = np.concatenate(
-                [pool.reduced_costs(y)[free], -self.sign[:R][free_slack] * y[free_slack]]
-            )
-            if self.iterations == 0 and np.any(flip * d > OPTIMALITY_TOL):
+            free[members:], flip[members:] = self._slacks()
+            d[:members] = pool.reduced_costs(y)
+            d[members:] = -self.sign[:R] * y
+            if self.iterations == 0 and np.any(flip[free] * d[free] > OPTIMALITY_TOL):
                 return False  # checked once, at the start's basis
 
             infeasibility = np.maximum(-x, x - self.ub_basis)
@@ -703,31 +717,17 @@ class _Simplex:
             unit = np.zeros(R)
             unit[r] = 1.0
             rho = self._solve(unit, transpose=True)
-            alpha = np.concatenate(
-                [pool.row(rho)[free], self.sign[:R][free_slack] * rho[free_slack]]
-            )
+            alpha[:members] = pool.row(rho)
+            alpha[members:] = self.sign[:R] * rho
             # a candidate may enter only if moving it off its own bound pushes
             # x_r back towards the bound it violates (0 from below, or its upper)
             below = x[r] < 0.0
-            eligible = (alpha if below else -alpha) * flip < -_PIVOT_TOL
+            eligible = free & ((alpha if below else -alpha) * flip < -_PIVOT_TOL)
             if not eligible.any():
                 return False
             ratio = np.maximum(-flip[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
-            # ties as in the primal ratio test, so last-bit noise in d or
-            # alpha cannot pick the entering column
-            tie = ratio <= ratio.min() * (1.0 + 1e-9) + 1e-15
-            enter = int(ids[eligible][tie].min())
-
-            leaving = int(self.basis[r])
-            if leaving >= n:
-                self.at_upper[leaving - n] = not below
-            a_enter, c_enter = self._entering(enter, pool)
-            if enter >= n:
-                self.at_upper[enter - n] = False
-            self.basis[r] = enter
-            self.bmat[:, r] = a_enter
-            self.c_basis[r] = c_enter
-            self.ub_basis[r] = self.upper[enter - n] if enter >= n else np.inf
+            enter = int(ids[eligible][self._near_min(ratio)].min())
+            self._replace(r, enter, self._entering(enter, pool), not below)
             self.iterations += 1
 
     # -- phase transitions and extraction ----------------------------

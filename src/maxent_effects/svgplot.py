@@ -7,7 +7,8 @@ external resources, scripts, or fonts beyond generic families:
   the left axis to its exposed risk on the right axis, with a dot at the
   cluster's propensity whose area is proportional to its mass;
 * a convergence plot: achieved entropy per grid resolution as dots, with
-  the closed-form maximum as a horizontal reference line.
+  the closed-form maximum of the unrelaxed problem as a horizontal
+  reference line (an epsilon-relaxed LP can rise above it).
 
 Elements carry stable class names (``effect-line``, ``cluster-dot``,
 ``entropy-dot``, ``reference-line``) so output can be asserted on without

@@ -107,13 +107,18 @@ def resample_table(
     from the empirical distribution over (category, exposure, outcome)
     cells, pooled across categories, and reassembles a table with the same
     labels in the same order.  Advances ``rng`` exactly one multinomial
-    draw, so replicate sequences are reproducible.
+    draw, so replicate sequences are reproducible.  Raises
+    ParameterError when N exceeds the 64-bit integer range of the draw.
     """
     counts = table.counts_matrix().ravel()
     total = counts.sum()
     if total <= 0:
         raise DegenerateTableError("cannot resample an empty table")
-    n = int(round(total))
+    n, limit = int(round(total)), np.iinfo(np.int64).max
+    if n > limit:
+        raise ParameterError(
+            f"cannot resample a table of {total:g} individuals: the total exceeds {limit}"
+        )
     drawn = rng.multinomial(n, counts / total).reshape(-1, 4).astype(float)
     categories = tuple(
         CategoryCounts(c.label, *row)

@@ -662,6 +662,23 @@ class TestMainEntry:
         assert "error: seed must be nonnegative" in captured.err
         assert captured.out == ""
 
+    def test_bootstrap_of_a_table_too_large_to_resample(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "category,exposure,outcome,count\na,0,1,1e19\na,1,1,3e18\na,0,0,2e18\na,1,0,4e18\n",
+            encoding="utf-8",
+        )
+        argv = ["bootstrap", "--input", str(path), "--m", "8", "--epsilon", "0.01",
+                "--replicates", "2", "--seed", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == [
+            "error: cannot resample a table of 1.9e+19 individuals: "
+            "the total exceeds 9223372036854775807"
+        ]
+        assert "Traceback" not in captured.err and not captured.out
+
     def test_bootstrap_subcommand_runs(self, tmp_path):
         out = tmp_path / "boot.json"
         code = main(

@@ -362,6 +362,57 @@ class TestBlandMode:
             assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
 
 
+class TestEnteringRule:
+    """The choice between the best structural column and the best slack:
+    the largest |reduced cost|, the structural on a tie; under Bland's
+    rule the lower working id, which is always the structural."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Record every entering working id and the rule of every full scan."""
+        entered, rules = [], []
+        real_entering, real_scan = lp_solver._Simplex._entering, lp_solver.price_columns
+
+        def entering(self, enter, pool):
+            entered.append(enter)
+            return real_entering(self, enter, pool)
+
+        def scan(*args, **kwargs):
+            rules.append(kwargs["rule"])
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(lp_solver._Simplex, "_entering", entering)
+        monkeypatch.setattr(lp_solver, "price_columns", scan)
+        return entered, rules
+
+    def test_pool_member_and_slack_tied_the_structural_enters(self, monkeypatch):
+        entered, rules = self.watch(monkeypatch)
+        # phase one starts with y = -1: the pool member w0 and the row's
+        # slack (working id 1) both price at exactly 1
+        problem = dense([1.0], [[1.0]], [RangeRow(0.5, 1.0)])
+        sol = solve(problem, pool=[0])
+        assert entered[0] == 0 and rules == ["dantzig"]  # one scan, in phase two
+        assert sol.status == "optimal" and sol.iterations == 1
+        assert sol.columns.tolist() == [0] and sol.masses.tolist() == [1.0]
+
+    @pytest.mark.parametrize("w2", [1.0, 0.5])
+    def test_bland_takes_the_lower_working_id(self, monkeypatch, w2):
+        monkeypatch.setattr(lp_solver, "_STALL_PER_ROW", 0)  # Bland after one stall
+        entered, rules = self.watch(monkeypatch)
+        # phase one: w0 enters at row 1's zero artificial, then w1 replaces
+        # it, again without a step, so Bland's rule takes over at y = (-1, 6).
+        # There w2 prices at w2 and row 0's slack (working id 3) at 1.
+        problem = dense(
+            [0.0, 0.0, 0.0],
+            [[1.0, 1.5, w2], [1.0, 0.25, 0.0]],
+            [RangeRow(0.5, 1.0), RangeRow(-1.0, 0.0)],
+        )
+        sol = solve(problem)
+        assert entered[:3] == [0, 1, 2]
+        assert rules[:2] == ["dantzig", "bland"]
+        assert sol.status == "optimal"
+
+
 class TestPricing:
     def test_dantzig_picks_largest_with_lowest_index_ties(self):
         p = dense([1.0, 3.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])

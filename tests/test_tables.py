@@ -184,6 +184,13 @@ class TestResample:
         drawn = replicate.counts_matrix().ravel() / table.total
         assert np.max(np.abs(drawn - target)) < 0.02
 
+    def test_total_beyond_the_int64_range_is_a_parameter_error(self):
+        table = loads_table(
+            "category,exposure,outcome,count\na,0,1,1e19\na,1,1,3\na,0,0,2\na,1,0,4\n"
+        )
+        with pytest.raises(ParameterError, match=r"table of 1e\+19 individuals"):
+            resample_table(table, np.random.default_rng(RNG_SEED))
+
 
 class TestSmooth:
     def test_adds_half_to_every_cell_by_default(self):
