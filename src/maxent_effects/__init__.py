@@ -22,7 +22,6 @@ from .lp_solver import (
     LpProblem,
     LpSolution,
     RangeRow,
-    price_columns,
     relax_and_retry,
     solve,
 )

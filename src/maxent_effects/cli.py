@@ -354,7 +354,9 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
             "remove the R2 targets"
         )
     m_values = [int(m) for m in m_values]
-    if not m_values or any(m < 2 for m in m_values):
+    if not m_values:
+        raise ParameterError("at least one m value is needed")
+    if any(m < 2 for m in m_values):
         raise ParameterError("m values must all be >= 2")
     table = _load_input(config)
     reference = solve_conditional_homogeneous(table).entropy_per_individual

@@ -37,19 +37,21 @@ Implementation notes
   product-form or eta updates.  An exactly singular basis raises
   :class:`EstimationError`.
 * Pricing is pool first (partial pricing, column generation inside the
-  one running simplex).  Each phase keeps a pool of structural columns:
+  one running simplex).  Each phase owns a pool of structural columns:
   their ids, dense columns and phase costs, one block per refill.  A
-  pivot prices only the pool, ``cost - y @ columns``, while some nonbasic
-  member improves (ties by lowest id).  When none does, a full scan of all columns
-  (:func:`price_columns`, ``PRICE_CHUNK`` columns at a time, priced into
-  one buffer that every chunk reuses) supplies the entering column and
-  adds the ``POOL_PER_CHUNK`` best improving columns of every chunk to
-  the pool.  ``optimal`` is declared only when a full
-  scan and the slacks find nothing, so the certificate covers every
-  column.
+  pivot prices only the pool, ``cost - y @ columns``, while some member
+  improves (ties by lowest id).  When none does, a full scan of all
+  columns (:func:`price_columns`, ``PRICE_CHUNK`` columns at a time,
+  priced into one buffer that every chunk reuses) returns the entering
+  column and the ``POOL_PER_CHUNK`` best improving columns of every
+  chunk, which join the pool.  Neither skips the basic columns: they
+  price to 0 within rounding (B^T y = c_B), far below
+  ``OPTIMALITY_TOL``, so they never enter.  ``optimal`` is declared only
+  when a full scan and the slacks find nothing, so the certificate
+  covers every column.
 * A solve can start from a seeded pool (``solve(..., pool=ids)``): the
   given structural ids join each phase's pool, with that phase's costs,
-  before its first pivot, so a related LP (the same grid with another
+  when the phase starts, so a related LP (the same grid with another
   right-hand side, or a neighbouring resolution) finds its support
   without rediscovering it through full scans.  :attr:`LpSolution.pool`
   holds the final phase's pool plus the returned columns, ready to seed
@@ -239,7 +241,8 @@ def row_bounds(rows) -> tuple[np.ndarray, np.ndarray]:
 
     An inequality row has ``upper = +inf``.  Every row needs a finite
     right-hand side: ``upper`` where it is finite, else ``lower`` (NaN
-    counts as infinite).
+    counts as infinite).  A row with two finite bounds also needs a
+    finite width ``upper - lower``, its slack's upper bound.
     """
     rows = tuple(rows)
     if not rows:
@@ -255,6 +258,10 @@ def row_bounds(rows) -> tuple[np.ndarray, np.ndarray]:
     bad = np.flatnonzero(~np.isfinite(_rhs(lower, upper)))
     if bad.size:
         raise ParameterError(f"row {bad[0]} needs a finite right-hand side, got {rows[bad[0]]}")
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(np.isfinite(lower) & np.isfinite(upper) & np.isinf(upper - lower))
+    if wide.size:
+        raise ParameterError(f"row {wide[0]} needs a finite width, got {rows[wide[0]]}")
     return lower, upper
 
 
@@ -293,34 +300,27 @@ def price_columns(
     problem: LpProblem,
     dual_values: np.ndarray,
     *,
-    tol: float = 0.0,
-    exclude=(),
     rule: str = "dantzig",
     include_objective: bool = True,
-    candidates: list | None = None,
 ):
-    """Scan all structural columns for the best entering candidate.
+    """Scan all structural columns for entering candidates.
 
-    Returns ``(column_index, reduced_cost)`` for the candidate with the
-    largest reduced cost above ``tol`` (ties broken by lowest index), or
-    ``None`` when no column improves, which certifies dual feasibility of
-    ``dual_values`` over the whole column set.  Under ``rule="bland"`` the
-    first improving index is returned instead.  Columns in ``exclude``
-    (any iterable of indices) are skipped.  The scan visits fixed-size
-    chunks in index order and never materializes the full matrix.
-
-    A ``candidates`` list receives the ids of the ``POOL_PER_CHUNK`` best
-    improving columns of every chunk, best first over the whole scan
-    (ties by lowest index), so its first entry is the returned column.
-    Under ``rule="bland"`` it receives nothing.
+    Returns ``None`` when no column's reduced cost exceeds
+    ``OPTIMALITY_TOL``, which certifies dual feasibility of
+    ``dual_values`` over the whole column set.  Else it returns
+    ``((column_index, reduced_cost), candidates)``: ``candidates`` holds
+    the ids of the ``POOL_PER_CHUNK`` best improving columns of every
+    chunk, best first over the whole scan (ties by lowest index), and the
+    returned column is its first entry.  Under ``rule="bland"`` the first
+    improving index is returned instead, with no candidates.  The scan
+    visits fixed-size chunks in index order and never materializes the
+    full matrix.
     """
     duals = np.asarray(dual_values, dtype=float)
     if duals.shape != (problem.n_rows,):
         raise ParameterError("dual vector length must equal the row count")
-    excluded = np.fromiter(exclude, dtype=np.int64)
-    best_idx = -1
-    best_rc = tol
-    found_ids, found_rcs = [], []
+    # Bland's rule gathers nothing: the empty blocks make its result None
+    found_ids, found_rcs = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     # one buffer for every chunk: fresh chunk-sized temporaries make the
     # allocator return and re-fault their pages chunk after chunk
     buffer = np.empty(min(PRICE_CHUNK, problem.n_columns))
@@ -329,28 +329,21 @@ def price_columns(
         rc = problem.reduced_costs(
             duals, start, stop, include_objective, out=buffer[: stop - start]
         )
-        rc[excluded[(excluded >= start) & (excluded < stop)] - start] = -np.inf
         if rule == "bland":
-            hits = np.flatnonzero(rc > tol)
+            hits = np.flatnonzero(rc > OPTIMALITY_TOL)
             if hits.size:
                 j = int(hits[0])
-                return start + j, float(rc[j])
+                return (start + j, float(rc[j])), np.empty(0, dtype=np.int64)
             continue
-        j = int(np.argmax(rc))
-        if rc[j] > best_rc:
-            best_rc = float(rc[j])
-            best_idx = start + j
-        if candidates is not None:
-            top = _best_improving(rc, tol)
-            found_ids.append(start + top)
-            found_rcs.append(rc[top])
-    if found_ids:
-        ids, rcs = np.concatenate(found_ids), np.concatenate(found_rcs)
-        # stable: equal costs keep their ascending-id order
-        candidates.extend(ids[np.argsort(-rcs, kind="stable")].tolist())
-    if best_idx < 0:
+        top = _best_improving(rc, OPTIMALITY_TOL)
+        found_ids.append(start + top)
+        found_rcs.append(rc[top])
+    ids, rcs = np.concatenate(found_ids), np.concatenate(found_rcs)
+    if not ids.size:
         return None
-    return best_idx, best_rc
+    # stable: equal costs keep their ascending-id order
+    order = np.argsort(-rcs, kind="stable")
+    return (int(ids[order[0]]), float(rcs[order[0]])), ids[order]
 
 
 def _best_improving(rc: np.ndarray, tol: float) -> np.ndarray:
@@ -374,15 +367,15 @@ class _Pool:
 
     ``ids`` holds the members in the order they joined; ``_sorted`` is
     ``ids[_order]``, ascending.  Each refill's dense columns and phase
-    costs stay one block, starting at position ``_starts[b]`` of ``ids``,
-    so a refill never copies the pool.  ``cost_fn`` is bound to the
-    solve, so a pool must not be stored on it: that cycle would keep the
-    problem alive until the cyclic collector runs.
+    costs (the objective in phase two, 0 in phase one) stay one block,
+    starting at position ``_starts[b]`` of ``ids``, so a refill never
+    copies the pool.  Basic members are priced like the rest: their
+    reduced costs are 0 within rounding.
     """
 
-    def __init__(self, problem: LpProblem, cost_fn):
+    def __init__(self, problem: LpProblem, phase: int):
         self._problem = problem
-        self._cost_fn = cost_fn
+        self._phase = phase
         self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
         self._starts: list[int] = []
         self.ids = self._sorted = self._order = np.empty(0, dtype=np.int64)
@@ -390,7 +383,8 @@ class _Pool:
     def add(self, ids) -> None:
         new = np.setdiff1d(ids, self._sorted, assume_unique=True)
         if new.size:
-            self._blocks.append((self._problem.columns(new), self._cost_fn(new)))
+            cost = self._problem.objective(new) if self._phase == 2 else np.zeros(new.size)
+            self._blocks.append((self._problem.columns(new), cost))
             self._starts.append(self.ids.size)
             self.ids = np.concatenate([self.ids, new])
             self._order = np.argsort(self.ids, kind="stable")
@@ -413,13 +407,12 @@ class _Pool:
         parts = [rho @ cols for cols, _ in self._blocks]
         return np.concatenate(parts) if parts else np.empty(0)
 
-    def price(self, y: np.ndarray, basic: np.ndarray):
-        """Best member above ``OPTIMALITY_TOL`` that is not in ``basic``, as
-        ``(column_index, reduced_cost)`` (ties by lowest index), or None."""
+    def price(self, y: np.ndarray):
+        """Best member above ``OPTIMALITY_TOL`` as ``(column_index,
+        reduced_cost)`` (ties by lowest index), or None."""
         if not self.ids.size:
             return None
         rc = self.reduced_costs(y)
-        rc[self.positions(basic)] = -np.inf
         best = rc.max()
         if best > OPTIMALITY_TOL:
             return int(self.ids[rc == best].min()), float(best)
@@ -438,9 +431,10 @@ class _Pool:
 
 
 class _Simplex:
-    """One solve: working problem, state, and the pivot loop."""
+    """One solve: working problem, state, the current phase's pool, and
+    the pivot loop."""
 
-    def __init__(self, problem, feasibility_tol):
+    def __init__(self, problem, feasibility_tol, seed=()):
         if not feasibility_tol > 0:
             raise ParameterError("feasibility_tol must be positive")
         self.p = problem
@@ -461,9 +455,15 @@ class _Simplex:
 
         self.basis = np.arange(self.art0, self.art0 + self.R, dtype=np.int64)
         self.iterations = 0
-        self.phase = 1
+        self.seed = seed
         self.x_basis = np.zeros(self.R)
         self.duals = np.zeros(self.R)
+
+    def _enter_phase(self, phase: int) -> None:
+        """Start ``phase`` (1 or 2) with a pool of the seed ids at its costs."""
+        self.phase = phase
+        self.pool = _Pool(self.p, phase)
+        self.pool.add(self.seed)
 
     # -- working-variable helpers ------------------------------------
 
@@ -523,10 +523,10 @@ class _Simplex:
         self.duals = self._solve(self.c_basis, transpose=True)
         return x, self.duals
 
-    def _entering(self, enter: int, pool: _Pool):
+    def _entering(self, enter: int):
         """Working column and phase cost of the entering variable: the
         pool's cached copy when it holds one, else built for it alone."""
-        cached = pool.member(enter) if enter < self.n else None
+        cached = self.pool.member(enter) if enter < self.n else None
         if cached is not None:
             return cached
         ids = np.array([enter], dtype=np.int64)
@@ -582,7 +582,7 @@ class _Simplex:
         art = self.basis >= self.art0
         return float(np.sum(np.maximum(self.x_basis[art], 0.0)))
 
-    def _run_phase(self, pool: _Pool) -> str:
+    def _run_phase(self) -> str:
         stall = 0
         bland = False
         last_objective = -np.inf
@@ -600,21 +600,12 @@ class _Simplex:
 
             # -- entering variable: the pool first, all columns if it prices out
             rule = "bland" if bland else "dantzig"
-            basic = self.basis[self.basis < self.n]
-            cand_struct = None if bland else pool.price(y, basic)
+            cand_struct = None if bland else self.pool.price(y)
             if cand_struct is None:
-                found = None if bland else []
-                cand_struct = price_columns(
-                    self.p,
-                    y,
-                    tol=OPTIMALITY_TOL,
-                    exclude=basic,
-                    rule=rule,
-                    include_objective=(self.phase == 2),
-                    candidates=found,
-                )
-                if found:
-                    pool.add(found)
+                scan = price_columns(self.p, y, rule=rule, include_objective=(self.phase == 2))
+                if scan is not None:
+                    cand_struct, found = scan
+                    self.pool.add(found)
             cands = [c for c in (cand_struct, self._price_slacks(y, rule)) if c is not None]
             if not cands:
                 return "optimal"
@@ -622,7 +613,7 @@ class _Simplex:
             enter = min(cands)[0] if bland else max(cands, key=lambda c: abs(c[1]))[0]
 
             enter_at_upper = enter >= self.n and self.at_upper[enter - self.n]
-            entering = self._entering(enter, pool)
+            entering = self._entering(enter)
             d = self._solve(entering[0])
             if not np.all(np.isfinite(d)):
                 raise EstimationError("numerical breakdown: non-finite direction")
@@ -673,7 +664,7 @@ class _Simplex:
 
     # -- the dual loop -----------------------------------------------
 
-    def _run_dual(self, pool: _Pool, start: LpSolution) -> bool:
+    def _run_dual(self, start: LpSolution) -> bool:
         """Dual simplex from ``start``'s basis, with phase-two costs and
         the artificials fixed at 0, until the basis is primal feasible
         (True).  False asks for a cold start: the start holds a basic
@@ -692,16 +683,16 @@ class _Simplex:
         # candidates: the pool's members, then the slacks; flip is -1 for a
         # slack at its upper bound, so flip * d <= 0 is dual feasibility
         # for each nonbasic one
-        members = pool.ids.size
-        ids = np.concatenate([pool.ids, np.arange(n, n + R)])
+        members = self.pool.ids.size
+        ids = np.concatenate([self.pool.ids, np.arange(n, n + R)])
         free, flip = np.ones(ids.size, dtype=bool), np.ones(ids.size)
         d, alpha = np.empty(ids.size), np.empty(ids.size)
         while True:
             x, y = self._basic_solution()
             free[:members] = True
-            free[pool.positions(self.basis[self.basis < n])] = False
+            free[self.pool.positions(self.basis[self.basis < n])] = False
             free[members:], flip[members:] = self._slacks()
-            d[:members] = pool.reduced_costs(y)
+            d[:members] = self.pool.reduced_costs(y)
             d[members:] = -self.sign[:R] * y
             if self.iterations == 0 and np.any(flip[free] * d[free] > OPTIMALITY_TOL):
                 return False  # checked once, at the start's basis
@@ -717,7 +708,7 @@ class _Simplex:
             unit = np.zeros(R)
             unit[r] = 1.0
             rho = self._solve(unit, transpose=True)
-            alpha[:members] = pool.row(rho)
+            alpha[:members] = self.pool.row(rho)
             alpha[members:] = self.sign[:R] * rho
             # a candidate may enter only if moving it off its own bound pushes
             # x_r back towards the bound it violates (0 from below, or its upper)
@@ -727,7 +718,7 @@ class _Simplex:
                 return False
             ratio = np.maximum(-flip[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
             enter = int(ids[eligible][self._near_min(ratio)].min())
-            self._replace(r, enter, self._entering(enter, pool), not below)
+            self._replace(r, enter, self._entering(enter), not below)
             self.iterations += 1
 
     # -- phase transitions and extraction ----------------------------
@@ -742,7 +733,7 @@ class _Simplex:
         violated = (self.basis >= self.art0) & (self.x_basis > self.feas_tol)
         return tuple(int(i) for i in np.sort(self.basis[violated] - self.art0))
 
-    def extract(self, status: str, pool_ids: np.ndarray, infeasible_rows=()) -> LpSolution:
+    def extract(self, status: str, infeasible_rows=()) -> LpSolution:
         struct = self.basis < self.n
         ids = self.basis[struct]
         vals = np.maximum(self.x_basis[struct], 0.0)
@@ -764,7 +755,7 @@ class _Simplex:
             row_activity=activity,
             duals=self.duals.copy(),
             iterations=self.iterations,
-            pool=np.union1d(pool_ids, ids),
+            pool=np.union1d(self.pool.ids, ids),
             infeasible_rows=tuple(infeasible_rows),
             basis=self.basis.copy(),
             at_upper=self.at_upper.copy(),
@@ -788,26 +779,20 @@ def solve(problem: LpProblem, feasibility_tol: float = 1e-9, pool=(), start=None
     seed = _seed_ids(pool, problem.n_columns)
     if start is not None:
         _check_start(start, problem)
-        s = _Simplex(problem, feasibility_tol)
-        s.phase = 2
-        phase_pool = _Pool(problem, s._work_cost)  # phase-2 costs
-        phase_pool.add(seed)
-        if s._run_dual(phase_pool, start):
-            return s.extract(s._run_phase(phase_pool), phase_pool.ids)
-    s = _Simplex(problem, feasibility_tol)
-    phase_pool = _Pool(problem, s._work_cost)
-    phase_pool.add(seed)
-    outcome = s._run_phase(phase_pool)
+        s = _Simplex(problem, feasibility_tol, seed)
+        s._enter_phase(2)
+        if s._run_dual(start):
+            return s.extract(s._run_phase())
+    s = _Simplex(problem, feasibility_tol, seed)
+    s._enter_phase(1)
+    outcome = s._run_phase()
     if outcome == "iteration_limit":
-        return s.extract("iteration_limit", phase_pool.ids, s._violation_rows())
+        return s.extract("iteration_limit", s._violation_rows())
     if outcome != "feasible" and s._infeasibility() > s.feas_tol:
-        return s.extract("infeasible", phase_pool.ids, s._violation_rows())
+        return s.extract("infeasible", s._violation_rows())
     s._freeze_artificials()
-
-    s.phase = 2
-    phase_pool = _Pool(problem, s._work_cost)  # phase-2 costs
-    phase_pool.add(seed)
-    return s.extract(s._run_phase(phase_pool), phase_pool.ids)
+    s._enter_phase(2)
+    return s.extract(s._run_phase())
 
 
 def _check_start(start: LpSolution, problem: LpProblem) -> None:

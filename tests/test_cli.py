@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -291,7 +292,7 @@ def assert_certified(problem, solution):
     upper = np.where(inequality, 0.0, problem.upper)
     bound = np.maximum(y, 0.0) @ upper + np.minimum(y, 0.0) @ problem.lower
     assert bound - solution.objective <= 1e-9
-    assert lp_solver.price_columns(problem, y, tol=lp_solver.OPTIMALITY_TOL) is None
+    assert lp_solver.price_columns(problem, y) is None
 
 
 class TestBootstrapReport:
@@ -613,6 +614,25 @@ class TestMainEntry:
         assert code == 1
         captured = capsys.readouterr()
         assert "error: epsilon must be finite and nonnegative" in captured.err
+        assert captured.out == ""
+
+    def test_overflowing_epsilon_exit_code(self, capsys):
+        # finite frequency bands whose width overflows to inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["estimate", "--input", MARGINAL, "--m", "5", "--epsilon", "1e308"])
+        assert code == 1
+        assert not caught
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "needs a finite width" in errors[0]
+        assert captured.out == ""
+
+    def test_converge_needs_an_m_value(self, capsys):
+        code = main(["converge", "--input", MARGINAL, "--m-values", ","])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: at least one m value is needed" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("module", ["maxent_effects", "maxent_effects.cli"])

@@ -248,6 +248,16 @@ class TestValidation:
             with pytest.raises(ParameterError, match="right-hand side"):
                 dense([1.0], [[1.0]], [row])
 
+    def test_rows_need_finite_width(self):
+        rows = [RangeRow(0.0, 1.0), RangeRow(-1e308, 1e308)]  # the width overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="row 1 needs a finite width"):
+                dense([1.0], [[1.0], [1.0]], rows)
+        # a <= row: one infinite bound, so its slack has no upper bound
+        sol = solve(dense([1.0], [[1.0]], [RangeRow(-np.inf, 1.0)]))
+        assert sol.status == "optimal" and sol.objective == 1.0
+
     def test_positive_tolerances_required(self):
         p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
         with pytest.raises(ParameterError):
@@ -290,7 +300,7 @@ class TestRandomizedCrossCheck:
             problem = dense(objective, matrix, rows)
             sol = solve(problem)
             assert sol.status == "optimal"
-            assert price_columns(problem, sol.duals, tol=1e-7) is None
+            assert price_columns(problem, sol.duals) is None
 
 
 class TestDeterminism:
@@ -373,9 +383,9 @@ class TestEnteringRule:
         entered, rules = [], []
         real_entering, real_scan = lp_solver._Simplex._entering, lp_solver.price_columns
 
-        def entering(self, enter, pool):
+        def entering(self, enter):
             entered.append(enter)
-            return real_entering(self, enter, pool)
+            return real_entering(self, enter)
 
         def scan(*args, **kwargs):
             rules.append(kwargs["rule"])
@@ -416,16 +426,17 @@ class TestEnteringRule:
 class TestPricing:
     def test_dantzig_picks_largest_with_lowest_index_ties(self):
         p = dense([1.0, 3.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
-        assert price_columns(p, np.zeros(1)) == (1, 3.0)
+        assert price_columns(p, np.zeros(1))[0] == (1, 3.0)
 
-    def test_exclusions_and_tolerance(self):
-        p = dense([1.0, 3.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
-        assert price_columns(p, np.zeros(1), exclude={1}) == (2, 3.0)
-        assert price_columns(p, np.zeros(1), tol=5.0) is None
+    def test_tolerance_is_optimality_tol(self):
+        tol = lp_solver.OPTIMALITY_TOL
+        p = dense([tol, 2.0 * tol, tol], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
+        assert price_columns(p, np.zeros(1))[0] == (1, 2.0 * tol)
+        assert price_columns(p, np.array([tol])) is None
 
     def test_bland_returns_first_improving(self):
         p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
-        assert price_columns(p, np.zeros(1), rule="bland") == (1, 2.0)
+        assert price_columns(p, np.zeros(1), rule="bland")[0] == (1, 2.0)
 
     def test_duals_shape_validated(self):
         p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
@@ -436,7 +447,7 @@ class TestPricing:
         p = dense([5.0], [[2.0]], [RangeRow(0.0, 1.0)])
         duals = np.array([1.0])
         with_obj = price_columns(p, duals)
-        assert with_obj == (0, 3.0)
+        assert with_obj[0] == (0, 3.0)
         assert price_columns(p, duals, include_objective=False) is None
 
 
@@ -465,15 +476,11 @@ class TestBestImproving:
             assert np.array_equal(lp_solver._best_improving(rc, tol), expected)
 
 
-def scan_candidates(objective, exclude, keep, chunk, tol=0.0):
+def scan_candidates(objective, keep, chunk, tol=lp_solver.OPTIMALITY_TOL):
     """Expected candidate ids of a zero-dual scan, computed one column at a time."""
     picked = []
     for start in range(0, len(objective), chunk):
-        ids = [
-            i
-            for i in range(start, min(start + chunk, len(objective)))
-            if i not in exclude and objective[i] > tol
-        ]
+        ids = [i for i in range(start, min(start + chunk, len(objective))) if objective[i] > tol]
         picked += sorted(ids, key=lambda i: (-objective[i], i))[:keep]
     return sorted(picked, key=lambda i: (-objective[i], i))
 
@@ -493,37 +500,36 @@ class TestPoolPricing:
             n = int(rng.integers(1, 40))
             # few distinct values: ties within and across chunks
             objective = rng.integers(-2, 4, size=n).astype(float)
-            n_excluded = int(rng.integers(0, n + 1))
-            exclude = set(rng.choice(n, size=n_excluded, replace=False).tolist())
             p = dense(objective, np.ones((1, n)), [RangeRow(0.0, 1.0)])
-            found = []
-            best = price_columns(p, np.zeros(1), exclude=exclude, candidates=found)
-            assert best == price_columns(p, np.zeros(1), exclude=exclude)
-            assert found == scan_candidates(objective, exclude, keep, 7)
-            assert not exclude & set(found)
-            if best is None:
-                assert found == []
+            expected = scan_candidates(objective, keep, 7)
+            scan = price_columns(p, np.zeros(1))
+            if scan is None:
+                assert expected == []
             else:
-                assert found[0] == best[0]
+                best, found = scan
+                assert found.tolist() == expected
+                assert best == (found[0], objective[found[0]])
 
     def test_bland_scan_gathers_no_candidates(self):
         p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
-        found = []
-        assert price_columns(p, np.zeros(1), rule="bland", candidates=found) == (1, 2.0)
-        assert found == []
+        best, found = price_columns(p, np.zeros(1), rule="bland")
+        assert best == (1, 2.0)
+        assert found.size == 0
 
-    def test_pool_masks_basic_members_and_breaks_ties_low(self):
+    def test_pool_prices_members_at_phase_costs_ties_low(self):
         objective = np.array([1.0, 5.0, 2.0, 5.0, 5.0, 0.5])
         p = dense(objective, np.ones((1, 6)), [RangeRow(0.0, 1.0)])
-        pool = lp_solver._Pool(p, p.objective)
+        pool = lp_solver._Pool(p, 2)
         pool.add([4, 1, 5])
         pool.add([3, 1, 0])  # 1 is already a member
         assert sorted(pool.ids.tolist()) == [0, 1, 3, 4, 5]
-        y = np.zeros(1)
-        assert pool.price(y, np.array([], dtype=np.int64)) == (1, 5.0)
-        assert pool.price(y, np.array([1])) == (3, 5.0)
-        assert pool.price(y, np.array([1, 3, 4])) == (0, 1.0)
-        assert pool.price(np.array([5.0]), np.array([], dtype=np.int64)) is None
+        assert pool.price(np.zeros(1)) == (1, 5.0)
+        assert pool.price(np.array([4.5])) == (1, 0.5)
+        assert pool.price(np.array([5.0])) is None
+        phase_one = lp_solver._Pool(p, 1)  # structural columns cost 0
+        phase_one.add([4, 1])
+        assert phase_one.price(np.array([-2.0])) == (1, 2.0)
+        assert phase_one.price(np.zeros(1)) is None
 
     def test_grid_lp_matches_reference_with_fewer_scans(self, monkeypatch):
         grid = build_problem(
@@ -549,7 +555,84 @@ class TestPoolPricing:
         assert False in scans and True in scans  # both phases scanned
         assert len(scans) < sol.iterations
         # the certificate: at the returned duals no column prices out
-        assert price_columns(problem, sol.duals, tol=1e-7) is None
+        assert price_columns(problem, sol.duals) is None
+
+
+class TestBasicColumnsPriceToZero:
+    """Pricing skips no column, so every basic structural column must price
+    to 0 within rounding, far below ``OPTIMALITY_TOL``: in full scans and
+    in pool pricing, in both primal phases and in the dual loop."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Record, per (pricing, loop), the largest |reduced cost| of a
+        basic structural column and how many such prices were seen."""
+        state = {"scanning": False, "dual": False}
+        seen = {}
+        real_solution, real_dual = lp_solver._Simplex._basic_solution, lp_solver._Simplex._run_dual
+        real_scan, real_chunk = lp_solver.price_columns, LpProblem.reduced_costs
+        real_pool = lp_solver._Pool.reduced_costs
+
+        def record(where, rc):
+            key = (where, "dual" if state["dual"] else state["phase"])
+            worst, count = seen.get(key, (0.0, 0))
+            seen[key] = (max(worst, float(np.abs(rc).max(initial=0.0))), count + rc.size)
+
+        def basic_solution(self):
+            x, y = real_solution(self)
+            state.update(basic=self.basis[self.basis < self.n], phase=self.phase)
+            return x, y
+
+        def run_dual(self, start):
+            state["dual"] = True
+            try:
+                return real_dual(self, start)
+            finally:
+                state["dual"] = False
+
+        def scan(*args, **kwargs):
+            state["scanning"] = True
+            try:
+                return real_scan(*args, **kwargs)
+            finally:
+                state["scanning"] = False
+
+        def chunk(self, duals, start, stop, include_objective=True, out=None):
+            rc = real_chunk(self, duals, start, stop, include_objective, out)
+            if state["scanning"]:
+                basic = state["basic"]
+                record("scan", rc[basic[(basic >= start) & (basic < stop)] - start])
+            return rc
+
+        def pool_costs(self, y):
+            rc = real_pool(self, y)
+            record("pool", rc[self.positions(state["basic"])])
+            return rc
+
+        monkeypatch.setattr(lp_solver._Simplex, "_basic_solution", basic_solution)
+        monkeypatch.setattr(lp_solver._Simplex, "_run_dual", run_dual)
+        monkeypatch.setattr(lp_solver, "price_columns", scan)
+        monkeypatch.setattr(LpProblem, "reduced_costs", chunk)
+        monkeypatch.setattr(lp_solver._Pool, "reduced_costs", pool_costs)
+        return seen
+
+    def test_grid_lps(self, monkeypatch):
+        table = TestPoolPricing.TABLE
+        constrained = dict(r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
+        base = solve(build_problem(table, 8, **constrained).as_lp())
+        assert base.status == "optimal"
+        seen = self.watch(monkeypatch)
+        for options in (constrained, dict(epsilon=1e-2)):
+            assert solve(build_problem(table, 8, **options).as_lp()).status == "optimal"
+        replicate = resample_table(table, np.random.default_rng(RNG_SEED + 21))
+        warm = solve(
+            build_problem(replicate, 8, **constrained).as_lp(), pool=base.pool, start=base
+        )
+        assert warm.status == "optimal"
+        for key in (("scan", 1), ("scan", 2), ("pool", 1), ("pool", 2), ("pool", "dual")):
+            worst, count = seen[key]
+            assert count > 0, key
+            assert worst <= 1e-12, key
 
 
 class TestSeededPool:
@@ -577,7 +660,7 @@ class TestSeededPool:
         assert seeded.status == unseeded.status == "optimal"
         assert seeded.objective == pytest.approx(unseeded.objective, abs=1e-9)
         # the certificate still covers every column
-        assert price_columns(problem, seeded.duals, tol=1e-7) is None
+        assert price_columns(problem, seeded.duals) is None
         assert set(seeded.columns.tolist()) <= set(seeded.pool.tolist())
         assert np.array_equal(seeded.pool, np.unique(seeded.pool))
 
@@ -640,8 +723,8 @@ class TestSeededPool:
         self.assert_same_optimum(problem, solve(problem, pool=unrelated), base)
 
     def test_pool_frees_the_problem_without_the_cyclic_collector(self):
-        # a pool stored on the solve would form a cycle through its bound
-        # cost function and keep each problem's grid alive until gc runs
+        # no reference cycle may keep a solved problem's grid alive
+        # until the cyclic collector runs
         gc.collect()
         gc.disable()
         try:
@@ -736,7 +819,7 @@ class TestKeptBasisState:
     def test_pool_member_is_the_cached_column(self):
         matrix = np.arange(12.0).reshape(2, 6)
         p = dense(np.arange(6.0), matrix, [RangeRow(0.0, 1.0)] * 2)
-        pool = lp_solver._Pool(p, p.objective)
+        pool = lp_solver._Pool(p, 2)
         pool.add([4, 1])
         pool.add([5, 0, 1])
         for column in (0, 1, 4, 5):
@@ -753,7 +836,8 @@ class TestKeptBasisState:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EstimationError, match="basis factorization failed"):
-                s._run_phase(lp_solver._Pool(p, s._work_cost))
+                s._enter_phase(1)
+                s._run_phase()
 
 
 class TestWarmStart:
@@ -777,14 +861,14 @@ class TestWarmStart:
         records = []
         real_phase, real_dual = lp_solver._Simplex._run_phase, lp_solver._Simplex._run_dual
 
-        def run_phase(self, pool):
+        def run_phase(self):
             before = self.iterations
-            outcome = real_phase(self, pool)
+            outcome = real_phase(self)
             records.append((self.phase, before, self.iterations))
             return outcome
 
-        def run_dual(self, pool, start):
-            accepted = real_dual(self, pool, start)
+        def run_dual(self, start):
+            accepted = real_dual(self, start)
             records.append(("dual", accepted))
             return accepted
 
@@ -834,7 +918,7 @@ class TestWarmStart:
                     continue
                 assert warm.status == cold.status == "optimal"
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-                assert price_columns(problem, warm.duals, tol=1e-7) is None
+                assert price_columns(problem, warm.duals) is None
                 if pool is every_column:
                     # no cold start, and the dual phase ends at the optimum
                     dual, (phase, before, after) = records
@@ -915,7 +999,7 @@ class TestWarmStart:
             assert records[0] == ("dual", True)
             assert cold.status == warm.status == "optimal"
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-            assert price_columns(problem, warm.duals, tol=1e-7) is None
+            assert price_columns(problem, warm.duals) is None
             warm_pivots += warm.iterations
             cold_pivots += cold.iterations
         assert warm_pivots < cold_pivots
