@@ -54,7 +54,7 @@ import numpy as np
 
 from .closed_form import HomogeneousSolution, solve_conditional_homogeneous
 from .errors import DegenerateTableError, EstimationError, ParameterError, UndefinedStatisticError
-from .grid_lp import atoms_from_solution, build_problem, nearest_columns
+from .grid_lp import atoms_from_solution, build_problem
 from .lp_solver import relax_and_retry
 from .model import StratifiedTable, odds_ratio
 from .postprocess import ADJACENCIES, MixtureSolution, cluster_atoms
@@ -256,10 +256,9 @@ def _atom_dict(atom) -> dict:
     }
 
 
-def _solve_lp(config: RunConfig, table: StratifiedTable, pool=(), start=None):
-    """Shared LP pipeline: build the grid problem and solve it, seeding
-    the solver's pricing pool with the column ids ``pool`` and starting
-    from the basis of the solution ``start`` when given."""
+def _solve_lp(config: RunConfig, table: StratifiedTable, start=None):
+    """Shared LP pipeline: build the grid problem and solve it, from the
+    solution ``start`` when given (see :func:`lp_solver.solve`)."""
     problem = build_problem(
         table,
         config.m,
@@ -267,7 +266,7 @@ def _solve_lp(config: RunConfig, table: StratifiedTable, pool=(), start=None):
         r2_prognosis=config.r2_prognosis,
         epsilon=config.epsilon,
     )
-    solution = relax_and_retry(problem.as_lp(), (1e-9,), pool=pool, start=start)  # one stage
+    solution = relax_and_retry(problem.as_lp(), (1e-9,), start=start)  # one stage
     return problem, solution
 
 
@@ -344,9 +343,9 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
     entropy.  It is measured against the unrelaxed closed form, so it
     goes negative when the epsilon relaxation lets the LP exceed it:
     table1 at epsilon 1.5e-3 gives -0.1195, -0.1218 and -0.1223 at
-    m = 25, 50 and 75.  Each resolution's solve is seeded with the
-    previous one's pool, moved to the nearest cells of the new grid
-    (:func:`grid_lp.nearest_columns`).
+    m = 25, 50 and 75.  Each resolution is solved on its own, its pool
+    seeded with the cell block around each category's continuum point
+    (see :meth:`grid_lp.DiscretizedProblem.as_lp`).
     """
     if config.r2_propensity is not None or config.r2_prognosis is not None:
         raise ParameterError(
@@ -363,13 +362,8 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
     series = []
     total_iterations = 0
     n_ok = 0
-    pool, pool_m = (), None
     for m in m_values:
-        if pool_m is not None:
-            # seed with the previous resolution's pool, moved to this grid
-            pool = nearest_columns(pool, pool_m, m)
-        _, solution = _solve_lp(dataclasses.replace(config, m=m), table, pool=pool)
-        pool, pool_m = solution.pool, m
+        _, solution = _solve_lp(dataclasses.replace(config, m=m), table)
         total_iterations += solution.iterations
         point = {
             "m": m,
@@ -403,12 +397,13 @@ def run_bootstrap(config: RunConfig) -> dict:
     measure drift from the observed table, not from any replicate).  A
     replicate whose table cannot be posed (a category or margin drew no
     individuals) is listed as ``degenerate`` and dropped; the draws of
-    the others do not change.  Every replicate's solve is seeded with the
-    baseline solve's pool and, when the baseline is optimal,
-    warm-started from the baseline's optimal basis: a replicate changes
-    only the right-hand side and the marginals in the variance rows, so
-    that basis stays dual feasible and a few dual simplex pivots restore
-    primal feasibility.
+    the others do not change.  Every replicate's solve starts from the
+    baseline solution: its pool joins the replicate's seed and, when the
+    baseline is optimal, its basis is the warm start.  A replicate
+    changes only the right-hand side and the marginals in the variance
+    rows, so that basis stays dual feasible and a few dual simplex pivots
+    restore primal feasibility.  An infeasible baseline holds a basic
+    artificial, which sends the replicate's solve to a cold start.
     """
     if config.replicates < 1:
         raise ParameterError("bootstrap needs replicates >= 1")
@@ -417,9 +412,8 @@ def run_bootstrap(config: RunConfig) -> dict:
     table = _load_input(config)
     rng = np.random.default_rng(config.seed)
     base_problem, base_solution = _solve_lp(config, table)
-    baseline = start = None
+    baseline = None
     if base_solution.status == "optimal":
-        start = base_solution
         base_atoms = atoms_from_solution(base_problem, base_solution)
         baseline = _mixture_dict(
             cluster_atoms(base_problem, base_atoms, adjacency=config.adjacency)
@@ -433,9 +427,7 @@ def run_bootstrap(config: RunConfig) -> dict:
             rep_table = resample_table(table, rng)
             # seed and start each solve from the baseline only, so a
             # replicate depends on nothing but the baseline and its own table
-            rep_problem, rep_solution = _solve_lp(
-                config, rep_table, pool=base_solution.pool, start=start
-            )
+            rep_problem, rep_solution = _solve_lp(config, rep_table, start=base_solution)
         except DegenerateTableError:
             per_replicate.append({"replicate": index, "status": "degenerate", "iterations": 0})
             continue

@@ -70,7 +70,6 @@ __all__ = [
     "DiscretizedProblem",
     "build_problem",
     "atoms_from_solution",
-    "nearest_columns",
     "MAX_RESOLUTION",
     "MASS_FLOOR",
 ]
@@ -317,13 +316,43 @@ class DiscretizedProblem:
             out[at : at + b - a] = rows.ravel()[a - k0 * m : b - k0 * m]
 
     def as_lp(self) -> LpProblem:
+        """The LP, its pricing pool seeded with :meth:`_block_cells` when
+        the problem has no variance row; a binding variance row spreads
+        the optimum beyond those blocks, so such a problem has no seed."""
+        unconstrained = self.variance_row_exposure is None and self.variance_row_outcome is None
         return LpProblem(
             self.rows,
             self.n_columns,
             columns_fn=self._columns,
             objective_fn=self._objective,
             reduced_cost_fn=self._reduced_costs,
+            seed=self._block_cells() if unconstrained else (),
         )
+
+    def _block_cells(self) -> np.ndarray:
+        """Column ids of each category's 2 x 2 x 2 block of cells around
+        its continuum point, 8 per category (fewer where m < 2).
+
+        A category's four upper row bounds, normalized to sum 1, are the
+        cells q of one triple (pi, r0, r1) = (q1 + q3, q0 / (1 - pi),
+        q1 / pi), a risk whose arm is empty taken as 0.5.  Without variance
+        rows the optimal activity sits at that corner, and the grid reaches
+        each coordinate x only by mixing its two nearest bin centers, so
+        the optimal support lies in the block whose lower index on each
+        axis is floor(x m - 0.5), clipped to the grid.
+        """
+        m, d = self.grid.m, self.table.n_categories
+        q = self.upper[: 4 * d].reshape(d, 4)
+        q = q / q.sum(axis=1, keepdims=True)
+        pi = q[:, 1] + q[:, 3]
+        arm = np.stack([1.0 - pi, pi])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            risk = np.where(arm > 0.0, q[:, :2].T / arm, 0.5)
+        x = np.stack([pi, *risk])  # (3, d): the continuum point per category
+        low = np.clip(np.floor(x * m - 0.5), 0, max(m - 2, 0)).astype(np.int64)
+        corner = np.minimum(low[:, :, None] + np.indices((2, 2, 2)).reshape(3, 1, 8), m - 1)
+        cells = self.grid.ravel(*corner)  # (d, 8)
+        return (np.arange(d)[:, None] * self.grid.n_cells + cells).ravel()
 
     # -- exact evaluation of arbitrary atom sets ----------------------
 
@@ -409,13 +438,3 @@ def atoms_from_solution(
         )
     return tuple(atoms)
 
-
-def nearest_columns(columns, m_from: int, m_to: int) -> np.ndarray:
-    """Columns of an m_from-grid problem moved to the nearest cells of an
-    m_to grid: each axis index j becomes ``floor((j + 0.5) * m_to / m_from)``
-    and the category is kept.  Returns sorted unique column ids, say to
-    seed the pool of a solve at the new resolution."""
-    old, new = CubeGrid(m_from), CubeGrid(m_to)
-    cats, cells = np.divmod(np.asarray(columns, dtype=np.int64), old.n_cells)
-    j, k, l = ((2 * axis + 1) * m_to // (2 * m_from) for axis in old.unravel(cells))
-    return np.unique(cats * new.n_cells + new.ravel(j, k, l))

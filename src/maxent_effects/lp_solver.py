@@ -49,13 +49,14 @@ Implementation notes
   ``OPTIMALITY_TOL``, so they never enter.  ``optimal`` is declared only
   when a full scan and the slacks find nothing, so the certificate
   covers every column.
-* A solve can start from a seeded pool (``solve(..., pool=ids)``): the
-  given structural ids join each phase's pool, with that phase's costs,
-  when the phase starts, so a related LP (the same grid with another
-  right-hand side, or a neighbouring resolution) finds its support
-  without rediscovering it through full scans.  :attr:`LpSolution.pool`
-  holds the final phase's pool plus the returned columns, ready to seed
-  the next solve.  Seeding changes the path, never the certificate.
+* A problem can carry a seed (``LpProblem(..., seed=ids)``): structural
+  ids that join each phase's pool, with that phase's costs, when the
+  phase starts, so the solve finds a support it can predict (say, the
+  grid cells around a continuum optimum) without discovering it through
+  full scans.  A warm-started solve adds its start's
+  :attr:`LpSolution.pool`, the final phase's pool plus the returned
+  columns, to the seed.  Seeding changes the path, never the
+  certificate.
 * A solve can warm-start from a related solution's final basis
   (``solve(..., start=solution)``), typically the same grid with another
   right-hand side, whose optimal basis stays dual feasible.  A dual
@@ -173,13 +174,20 @@ class LpProblem:
         is None or a buffer of ``stop - start`` floats it may write the
         result into; it returns the result.  The default derives it from
         ``columns_fn``.
+    seed : sequence of int, optional
+        Structural column ids (duplicates allowed) that every phase's
+        pricing pool starts with; kept as the sorted unique int64 array
+        ``seed``.
     """
 
-    def __init__(self, rows, n_columns: int, columns_fn, objective_fn, reduced_cost_fn=None):
+    def __init__(
+        self, rows, n_columns: int, columns_fn, objective_fn, reduced_cost_fn=None, seed=()
+    ):
         self.lower, self.upper = row_bounds(rows)
         if n_columns <= 0:
             raise ParameterError("problem needs at least one column")
         self.n_columns = int(n_columns)
+        self.seed = _seed_ids(seed, self.n_columns)
         self._columns_fn = columns_fn
         self._objective_fn = objective_fn
         self._reduced_cost_fn = reduced_cost_fn
@@ -222,7 +230,7 @@ class LpProblem:
         return rc
 
     @classmethod
-    def from_dense(cls, objective, matrix, rows) -> LpProblem:
+    def from_dense(cls, objective, matrix, rows, seed=()) -> LpProblem:
         """Convenience constructor from an explicit coefficient matrix."""
         a = np.asarray(matrix, dtype=float)
         c = np.asarray(objective, dtype=float)
@@ -233,6 +241,7 @@ class LpProblem:
             c.size,
             columns_fn=lambda idx: a[:, idx],
             objective_fn=lambda idx: c[idx],
+            seed=seed,
         )
 
 
@@ -257,11 +266,17 @@ def row_bounds(rows) -> tuple[np.ndarray, np.ndarray]:
     ).T.copy()
     bad = np.flatnonzero(~np.isfinite(_rhs(lower, upper)))
     if bad.size:
-        raise ParameterError(f"row {bad[0]} needs a finite right-hand side, got {rows[bad[0]]}")
+        i = bad[0]
+        raise ParameterError(
+            f"row {i} needs a finite right-hand side, got [{float(lower[i])}, {float(upper[i])}]"
+        )
     with np.errstate(over="ignore"):
         wide = np.flatnonzero(np.isfinite(lower) & np.isfinite(upper) & np.isinf(upper - lower))
     if wide.size:
-        raise ParameterError(f"row {wide[0]} needs a finite width, got {rows[wide[0]]}")
+        i = wide[0]
+        raise ParameterError(
+            f"row {i} needs a finite width, got [{float(lower[i])}, {float(upper[i])}]"
+        )
     return lower, upper
 
 
@@ -762,23 +777,24 @@ class _Simplex:
         )
 
 
-def solve(problem: LpProblem, feasibility_tol: float = 1e-9, pool=(), start=None) -> LpSolution:
+def solve(problem: LpProblem, feasibility_tol: float = 1e-9, start=None) -> LpSolution:
     """Maximize the problem's objective over its rows and w >= 0.
 
     Returns an :class:`LpSolution` whose status is ``optimal`` when no
     column prices above ``OPTIMALITY_TOL`` and all rows are satisfied
     within ``feasibility_tol``; ``infeasible`` and ``iteration_limit``
-    carry the rows phase one left violated.  ``pool`` (structural column
-    ids, duplicates allowed) seeds each phase's pricing pool, typically
-    with the ``pool`` of a related solution.  ``start``, a solution of a
-    problem with the same rows and columns, warm-starts the solve from
-    its final basis with dual simplex pivots over the seeded pool; when
-    that start cannot be used (see the module notes) the solve starts
-    cold.  Identical inputs produce bit-identical solutions.
+    carry the rows phase one left violated.  Each phase's pricing pool
+    starts with the problem's ``seed``.  ``start``, a solution of a
+    problem with the same rows and columns, adds its ``pool`` to that
+    seed and warm-starts the solve from its final basis with dual
+    simplex pivots over the seeded pool; when that basis cannot be used
+    (see the module notes) the solve starts cold.  Identical inputs
+    produce bit-identical solutions.
     """
-    seed = _seed_ids(pool, problem.n_columns)
+    seed = problem.seed
     if start is not None:
         _check_start(start, problem)
+        seed = np.union1d(seed, _seed_ids(start.pool, problem.n_columns))
         s = _Simplex(problem, feasibility_tol, seed)
         s._enter_phase(2)
         if s._run_dual(start):
@@ -804,26 +820,26 @@ def _check_start(start: LpSolution, problem: LpProblem) -> None:
         raise ParameterError(f"start basis ids must lie in [0, {n_work})")
 
 
-def _seed_ids(pool, n_columns: int) -> np.ndarray:
-    """Sorted unique int64 ids of a seed pool, validated against the
+def _seed_ids(ids, n_columns: int) -> np.ndarray:
+    """Sorted unique int64 ids of a pool seed, validated against the
     problem's column count."""
-    ids = np.asarray(pool)
+    ids = np.asarray(ids)
     if not ids.size:
         return np.empty(0, dtype=np.int64)
     if ids.ndim != 1 or ids.dtype.kind not in "iu":
-        raise ParameterError("pool must be a sequence of integer column ids")
+        raise ParameterError("a pool seed must be a sequence of integer column ids")
     if ids.min() < 0 or ids.max() >= n_columns:
-        raise ParameterError(f"pool ids must lie in [0, {n_columns})")
+        raise ParameterError(f"pool seed ids must lie in [0, {n_columns})")
     return np.unique(ids.astype(np.int64))
 
 
-def relax_and_retry(problem: LpProblem, schedule, pool=(), start=None) -> LpSolution:
+def relax_and_retry(problem: LpProblem, schedule, start=None) -> LpSolution:
     """Solve through a decreasing feasibility-tolerance schedule.
 
     Each tolerance is solved from ``start`` when given, else cold,
-    loosest first, every solve seeded with ``pool``.  Returns
-    the solution of the tightest tolerance that solved to optimality or,
-    if none did, the last solution computed.  Infeasibility is final: no tighter tolerance is tried.
+    loosest first.  Returns the solution of the tightest tolerance that
+    solved to optimality or, if none did, the last solution computed.
+    Infeasibility is final: no tighter tolerance is tried.
     """
     schedule = [float(t) for t in schedule]
     if not schedule:
@@ -833,7 +849,7 @@ def relax_and_retry(problem: LpProblem, schedule, pool=(), start=None) -> LpSolu
 
     best = None
     for tol in schedule:
-        sol = solve(problem, feasibility_tol=tol, pool=pool, start=start)
+        sol = solve(problem, feasibility_tol=tol, start=start)
         if sol.status == "optimal":
             best = sol
         elif sol.status == "infeasible":

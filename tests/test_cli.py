@@ -23,7 +23,7 @@ from maxent_effects.cli import (
 )
 from maxent_effects.datasets import fixture_path
 from maxent_effects.errors import ParameterError
-from maxent_effects.grid_lp import nearest_columns
+from maxent_effects.grid_lp import DiscretizedProblem
 from maxent_effects.svgplot import convergence_svg, mixture_svg
 
 MARGINAL = str(fixture_path("table2.csv"))
@@ -205,20 +205,23 @@ class TestConvergenceReport:
                 report["reference_entropy"] - point["entropy"], rel=1e-4
             )
 
-    def test_each_resolution_seeded_from_the_previous_one(self, monkeypatch):
+    def test_each_resolution_seeded_with_its_cell_block(self, monkeypatch):
         config = RunConfig(input_path=STRATIFIED, epsilon=0.01)
         m_values = (10, 16, 8)
         calls = record_pools(monkeypatch)
         seeded = run_convergence(config, m_values=m_values)
-        assert len(calls[0].pool) == 0
-        for prev, call, m_prev, m in zip(calls, calls[1:], m_values, m_values[1:]):
-            assert np.array_equal(call.pool, nearest_columns(prev.solution.pool, m_prev, m))
-        # a basis does not carry over to another grid
-        assert all(call.start is None for call in calls)
+        for call, m in zip(calls, m_values):
+            # at most 8 cells of each of the 10 categories, none carried
+            # over from another resolution, and no start
+            assert 0 < call.problem.seed.size <= 80
+            assert call.problem.n_columns == 10 * m**3
+            assert call.start is None
         monkeypatch.undo()
-        record_pools(monkeypatch, seeded=False)
+        unseeded_calls = record_pools(monkeypatch, seeded=False)
         unseeded = run_convergence(config, m_values=m_values)
+        assert all(call.problem.seed.size == 0 for call in unseeded_calls)
         assert without_iterations(seeded) == without_iterations(unseeded)
+        assert seeded["timing"]["iterations"] < unseeded["timing"]["iterations"]
 
     def test_rejects_variance_targets(self):
         config = RunConfig(input_path=MARGINAL, r2_propensity=0.3)
@@ -257,28 +260,37 @@ def without_iterations(report):
 
 class Call(NamedTuple):
     problem: lp_solver.LpProblem
-    pool: object
     start: object
     solution: lp_solver.LpSolution
 
 
 def record_pools(monkeypatch, seeded=True):
-    """Spy on the CLI's solves: record a :class:`Call` (problem, seed pool,
-    start, solution) of each, and drop the seed pool and the start when
-    ``seeded`` is false, so the solve is a true cold one."""
+    """Spy on the CLI's solves: record a :class:`Call` (problem, start,
+    solution) of each.  When ``seeded`` is false, every grid LP is built
+    without a pool seed and solved without the start, a true cold solve."""
     calls = []
     real = cli.relax_and_retry
 
-    def spy(problem, schedule, pool=(), start=None):
-        if seeded:
-            sol = real(problem, schedule, pool=pool, start=start)
-        else:
-            sol = real(problem, schedule)
-        calls.append(Call(problem, pool, start, sol))
+    def spy(problem, schedule, start=None):
+        sol = real(problem, schedule, start=start if seeded else None)
+        calls.append(Call(problem, start, sol))
         return sol
 
     monkeypatch.setattr(cli, "relax_and_retry", spy)
+    if not seeded:
+        monkeypatch.setattr(DiscretizedProblem, "as_lp", unseeded_lp)
     return calls
+
+
+def unseeded_lp(grid):
+    """The LP of ``grid``, a :class:`DiscretizedProblem`, without a seed."""
+    return lp_solver.LpProblem(
+        grid.rows,
+        grid.n_columns,
+        columns_fn=grid._columns,
+        objective_fn=grid._objective,
+        reduced_cost_fn=grid._reduced_costs,
+    )
 
 
 def assert_certified(problem, solution):
@@ -321,10 +333,12 @@ class TestBootstrapReport:
         calls = record_pools(monkeypatch)
         seeded = run_bootstrap(config)
         base, *replicates = calls
-        assert len(base.pool) == 0 and base.start is None and len(replicates) == 4
+        assert base.start is None and len(replicates) == 4
         assert base.solution.status == "optimal"
+        for call in [base, *replicates]:
+            assert call.problem.seed.size == 0  # R2 rows: no cell-block seed
         for call in replicates:
-            assert call.pool is base.solution.pool
+            # the start brings the baseline's pool
             assert call.start is base.solution
         monkeypatch.undo()
         record_pools(monkeypatch, seeded=False)
@@ -627,6 +641,13 @@ class TestMainEntry:
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "needs a finite width" in errors[0]
         assert captured.out == ""
+
+    def test_row_errors_print_plain_floats(self, capsys):
+        code = main(["estimate", "--input", MARGINAL, "--m", "5", "--epsilon", "1e308"])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: row 0 needs a finite width, got [-1e+308, 1e+308]"
+        )
 
     def test_converge_needs_an_m_value(self, capsys):
         code = main(["converge", "--input", MARGINAL, "--m-values", ","])

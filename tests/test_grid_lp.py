@@ -7,7 +7,8 @@ import pytest
 
 from maxent_effects import lp_solver
 from maxent_effects.closed_form import r2_to_variance_bound, solve_homogeneous
-from maxent_effects.datasets import marginal_table
+from maxent_effects.cli import main
+from maxent_effects.datasets import marginal_table, stratified_table
 from maxent_effects.errors import ParameterError
 from maxent_effects.grid_lp import (
     MASS_FLOOR,
@@ -17,7 +18,6 @@ from maxent_effects.grid_lp import (
     DiscretizedProblem,
     atoms_from_solution,
     build_problem,
-    nearest_columns,
 )
 from maxent_effects.lp_solver import InequalityRow, LpProblem, LpSolution, RangeRow, solve
 from maxent_effects.model import (
@@ -82,24 +82,85 @@ class TestCubeGrid:
             CubeGrid(True)
 
 
-class TestNearestColumns:
-    def test_tripling_maps_each_axis_index_to_the_middle_cell(self):
-        small, large = CubeGrid(25), CubeGrid(75)
-        columns = np.arange(2 * small.n_cells)[::-1]  # two categories, any order
-        expected = [
-            c * large.n_cells + large.ravel(3 * j + 1, 3 * k + 1, 3 * l + 1)
-            for c in range(2)
-            for j, k, l in map(small.unravel, range(small.n_cells))
-        ]
-        assert nearest_columns(columns, 25, 75).tolist() == expected
+class TestBlockSeed:
+    """An unconstrained problem seeds its LP's pool with each category's
+    2 x 2 x 2 cell block around its continuum point."""
 
-    def test_coarsening_keeps_category_and_merges_cells(self):
-        fine, coarse = CubeGrid(10), CubeGrid(3)
-        columns = [fine.ravel(0, 9, 5), fine.ravel(1, 8, 4), 2 * fine.n_cells + fine.ravel(3, 3, 6)]
-        # floor((j + 0.5) * 3 / 10): 0, 1 -> 0; 3, 4, 5, 6 -> 1; 8, 9 -> 2
-        out = nearest_columns(columns, 10, 3)
-        assert out.tolist() == [coarse.ravel(0, 2, 1), 2 * coarse.n_cells + coarse.ravel(1, 1, 1)]
-        assert nearest_columns([], 10, 3).size == 0
+    @staticmethod
+    def assert_blocks(problem):
+        """Every seed id is a column of the grid, and each category holds
+        between 1 and 8 of them."""
+        seed = problem.as_lp().seed
+        n_cells = problem.grid.n_cells
+        assert seed.dtype == np.int64 and np.array_equal(seed, np.unique(seed))
+        assert seed.min() >= 0 and seed.max() < problem.n_columns
+        per_category = np.bincount(seed // n_cells, minlength=problem.table.n_categories)
+        assert per_category.size == problem.table.n_categories
+        assert np.all((1 <= per_category) & (per_category <= 8))
+        return seed
+
+    @pytest.mark.parametrize("m", (25, 50, 75))
+    @pytest.mark.parametrize(
+        "table, epsilon",
+        [(stratified_table, 1.5e-3), (marginal_table, 1e-3)],
+        ids=["table1", "table2"],
+    )
+    def test_optimal_support_lies_in_the_seed(self, table, epsilon, m):
+        problem = build_problem(table(), m, epsilon=epsilon)
+        seed = self.assert_blocks(problem)
+        assert seed.size == 8 * problem.table.n_categories
+        sol = solve(problem.as_lp())
+        assert sol.status == "optimal"
+        assert set(sol.columns.tolist()) <= set(seed.tolist())
+
+    def test_block_surrounds_the_continuum_point(self):
+        # TABLE_B's exact triples, (0.45, 0.25, 0.65) and (0.35, 0.15, 0.55),
+        # lie on bin edges at m = 20, halfway between two centers per axis
+        problem = build_problem(TABLE_B, 20, epsilon=0.0)
+        grid = problem.grid
+        expected = [
+            c * grid.n_cells + grid.ravel(j + dj, k + dk, l + dl)
+            for c, (j, k, l) in enumerate([(8, 4, 12), (6, 2, 10)])
+            for dj in (0, 1)
+            for dk in (0, 1)
+            for dl in (0, 1)
+        ]
+        assert problem.as_lp().seed.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "options",
+        [dict(r2_propensity=0.1), dict(r2_prognosis=0.05), dict(r2_propensity=0.1, r2_prognosis=0.05)],
+        ids=["exposure", "outcome", "both"],
+    )
+    def test_r2_problem_has_no_seed(self, options):
+        assert build_problem(TABLE_B, 10, **options).as_lp().seed.size == 0
+
+    @pytest.mark.parametrize("m", (1, 2))
+    def test_tiny_grids(self, m):
+        seed = self.assert_blocks(build_problem(TABLE_B, m))
+        assert seed.size == 2 * min(m, 2) ** 3
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(30, 0, 70, 0), (0, 30, 0, 70)],
+        ids=["nobody-exposed", "everybody-exposed"],
+    )
+    def test_one_arm_empty_at_zero_epsilon(self, counts, tmp_path, capsys):
+        table = StratifiedTable.from_counts({"a": (55, 117, 165, 63), "b": counts})
+        for m in (1, 2, 10):
+            self.assert_blocks(build_problem(table, m, epsilon=0.0))
+        path = tmp_path / "table.csv"
+        rows = [
+            f"{label},{e},{d},{n}"
+            for label, cells in (("a", (55, 117, 165, 63)), ("b", counts))
+            for (e, d), n in zip(((0, 1), (1, 1), (0, 0), (1, 0)), cells)
+        ]
+        path.write_text("category,exposure,outcome,count\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        for m in ("2", "10"):
+            code = main(["estimate", "--input", str(path), "--m", m, "--epsilon", "0",
+                         "--json-out", str(tmp_path / "report.json")])
+            assert code in (0, 2), capsys.readouterr().err
 
 
 class TestProblemAssembly:

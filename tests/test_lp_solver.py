@@ -27,8 +27,21 @@ from maxent_effects.tables import resample_table
 RNG_SEED = 90210
 
 
-def dense(objective, matrix, rows):
-    return LpProblem.from_dense(objective, matrix, rows)
+def dense(objective, matrix, rows, seed=()):
+    return LpProblem.from_dense(objective, matrix, rows, seed=seed)
+
+
+def reseeded(grid, seed):
+    """The LP of ``grid``, a :class:`DiscretizedProblem`, with the pool
+    seed ``seed`` in place of its own."""
+    return LpProblem(
+        grid.rows,
+        grid.n_columns,
+        columns_fn=grid._columns,
+        objective_fn=grid._objective,
+        reduced_cost_fn=grid._reduced_costs,
+        seed=seed,
+    )
 
 
 def assert_identical(a, b):
@@ -399,8 +412,7 @@ class TestEnteringRule:
         entered, rules = self.watch(monkeypatch)
         # phase one starts with y = -1: the pool member w0 and the row's
         # slack (working id 1) both price at exactly 1
-        problem = dense([1.0], [[1.0]], [RangeRow(0.5, 1.0)])
-        sol = solve(problem, pool=[0])
+        sol = solve(dense([1.0], [[1.0]], [RangeRow(0.5, 1.0)], seed=[0]))
         assert entered[0] == 0 and rules == ["dantzig"]  # one scan, in phase two
         assert sol.status == "optimal" and sol.iterations == 1
         assert sol.columns.tolist() == [0] and sol.masses.tolist() == [1.0]
@@ -625,9 +637,7 @@ class TestBasicColumnsPriceToZero:
         for options in (constrained, dict(epsilon=1e-2)):
             assert solve(build_problem(table, 8, **options).as_lp()).status == "optimal"
         replicate = resample_table(table, np.random.default_rng(RNG_SEED + 21))
-        warm = solve(
-            build_problem(replicate, 8, **constrained).as_lp(), pool=base.pool, start=base
-        )
+        warm = solve(build_problem(replicate, 8, **constrained).as_lp(), start=base)
         assert warm.status == "optimal"
         for key in (("scan", 1), ("scan", 2), ("pool", 1), ("pool", 2), ("pool", "dual")):
             worst, count = seen[key]
@@ -638,10 +648,10 @@ class TestBasicColumnsPriceToZero:
 class TestSeededPool:
     TABLE = TestPoolPricing.TABLE
 
-    def grid_lp(self):
-        return build_problem(
-            self.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
-        ).as_lp()
+    def grid_lp(self, seed=()):
+        """The R2 grid LP, which has no seed of its own, seeded with ``seed``."""
+        grid = build_problem(self.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
+        return reseeded(grid, seed)
 
     @staticmethod
     def count_scans(monkeypatch):
@@ -676,16 +686,21 @@ class TestSeededPool:
         ids=["out-of-range", "negative", "float", "2-d", "string"],
     )
     def test_bad_ids_rejected(self, pool, message):
-        p = dense([1.0] * 40, np.ones((1, 40)), [RangeRow(1.0, 1.0)])
+        args = [1.0] * 40, np.ones((1, 40)), [RangeRow(1.0, 1.0)]
         with pytest.raises(ParameterError, match=message):
-            solve(p, pool=pool)
+            dense(*args, seed=pool)
+        # a start's pool joins the seed: it is checked alike
+        p = dense(*args)
+        start = dataclasses.replace(solve(p), pool=np.array(pool))
         with pytest.raises(ParameterError, match=message):
-            relax_and_retry(p, [1e-9], pool=pool)
+            relax_and_retry(p, [1e-9], start=start)
 
     def test_duplicates_and_dtypes_accepted(self):
-        p = dense([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(1.0, 1.0)])
         for pool in ([1, 1, 0, 1], np.array([2, 2], dtype=np.uint8), np.array([], dtype=float)):
-            sol = solve(p, pool=pool)
+            p = dense([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(1.0, 1.0)], seed=pool)
+            assert p.seed.dtype == np.int64
+            assert np.array_equal(p.seed, np.unique(np.asarray(pool, dtype=np.int64)))
+            sol = solve(p)
             assert sol.status == "optimal"
             assert sol.objective == 3.0
             assert np.array_equal(sol.columns, [2])
@@ -705,7 +720,8 @@ class TestSeededPool:
                 np.arange(n),
             )
             for seed in seeds:
-                self.assert_same_optimum(problem, solve(problem, pool=seed), base)
+                seeded = dense(objective, matrix, rows, seed=seed)
+                self.assert_same_optimum(seeded, solve(seeded), base)
 
     def test_grid_lp_reaches_unseeded_optimum_with_fewer_scans(self, monkeypatch):
         problem = self.grid_lp()
@@ -713,14 +729,14 @@ class TestSeededPool:
         base = solve(problem)
         base_scans = len(scans)
         scans.clear()
-        seeded = solve(problem, pool=base.pool)
+        seeded = solve(self.grid_lp(base.pool))
         self.assert_same_optimum(problem, seeded, base)
         assert len(scans) < base_scans
         # optimality is still declared by a full phase-2 scan
         assert scans[-1] is True
         rng = np.random.default_rng(RNG_SEED + 12)
         unrelated = rng.choice(problem.n_columns, size=200, replace=False)
-        self.assert_same_optimum(problem, solve(problem, pool=unrelated), base)
+        self.assert_same_optimum(problem, solve(self.grid_lp(unrelated)), base)
 
     def test_pool_frees_the_problem_without_the_cyclic_collector(self):
         # no reference cycle may keep a solved problem's grid alive
@@ -730,8 +746,8 @@ class TestSeededPool:
         try:
             grid = build_problem(self.TABLE, 8, r2_propensity=0.1, epsilon=1e-2)
             alive = weakref.ref(grid)
-            problem = grid.as_lp()
-            sol = solve(problem, pool=solve(problem).pool)
+            problem = reseeded(grid, solve(grid.as_lp()).pool)
+            sol = solve(problem)
             assert sol.status == "optimal"
             del grid, problem, sol
             assert alive() is None
@@ -893,7 +909,7 @@ class TestWarmStart:
             basis=np.array([0]),
             at_upper=np.zeros(2, dtype=bool),
         )
-        sol = solve(problem, pool=np.arange(3), start=start)
+        sol = solve(problem, start=start)  # the start's pool seeds all three
         assert records == [("dual", True), (2, 1, 1)]
         assert sol.status == "optimal"
         assert sol.columns.tolist() == [1] and sol.masses.tolist() == [1.0]
@@ -906,12 +922,13 @@ class TestWarmStart:
             objective, matrix, rows = feasible_instance(rng)
             first = solve(dense(objective, matrix, rows))
             assert first.status == "optimal"
-            problem = dense(objective, matrix, self.shifted(rng, rows))
+            shifted = self.shifted(rng, rows)
             every_column = np.arange(len(objective))
             for pool in (first.pool, every_column):
-                cold = solve(problem, pool=pool)
+                problem = dense(objective, matrix, shifted, seed=pool)
+                cold = solve(problem)
                 records.clear()
-                warm = solve(problem, pool=pool, start=first)
+                warm = solve(problem, start=first)
                 outcomes.append(cold.status)
                 if cold.status == "infeasible":
                     assert_identical(warm, cold)
@@ -942,9 +959,9 @@ class TestWarmStart:
             objective, matrix, rows = feasible_instance(rng)
             first = solve(dense(objective, matrix, rows))
             # row 0 has positive coefficients: no w >= 0 reaches a negative band
-            problem = dense(objective, matrix, [RangeRow(-2.0, -1.0), *rows[1:]])
-            cold = solve(problem, pool=first.pool)
-            warm = solve(problem, pool=first.pool, start=first)
+            problem = dense(objective, matrix, [RangeRow(-2.0, -1.0), *rows[1:]], seed=first.pool)
+            cold = solve(problem)
+            warm = solve(problem, start=first)
             assert cold.status == "infeasible" and cold.infeasible_rows
             assert_identical(warm, cold)
 
@@ -954,11 +971,10 @@ class TestWarmStart:
         for _ in range(15):
             objective, matrix, rows = feasible_instance(rng)
             first = solve(dense(objective, matrix, rows))
-            problem = dense(-np.asarray(objective), matrix, rows)
-            pool = np.arange(len(objective))
-            cold = solve(problem, pool=pool)
+            problem = dense(-np.asarray(objective), matrix, rows, seed=np.arange(len(objective)))
+            cold = solve(problem)
             records.clear()
-            warm = solve(problem, pool=pool, start=first)
+            warm = solve(problem, start=first)
             assert records[0] == ("dual", False)
             assert_identical(warm, cold)
 
@@ -992,10 +1008,11 @@ class TestWarmStart:
         rng = np.random.default_rng(RNG_SEED + 19)
         warm_pivots = cold_pivots = 0
         for _ in range(4):
-            problem = build_problem(resample_table(table, rng), 8, **options).as_lp()
-            cold = solve(problem, pool=base.pool)
+            grid = build_problem(resample_table(table, rng), 8, **options)
+            problem = grid.as_lp()
+            cold = solve(reseeded(grid, base.pool))
             records.clear()
-            warm = solve(problem, pool=base.pool, start=base)
+            warm = solve(problem, start=base)
             assert records[0] == ("dual", True)
             assert cold.status == warm.status == "optimal"
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
@@ -1021,8 +1038,8 @@ class TestRelaxAndRetry:
         calls = []
         real = lp_solver.solve
 
-        def spy(problem, feasibility_tol, pool, start):
-            sol = real(problem, feasibility_tol, pool, start)
+        def spy(problem, feasibility_tol, start):
+            sol = real(problem, feasibility_tol, start)
             calls.append((feasibility_tol, sol))
             return sol
 
