@@ -14,7 +14,7 @@ from maxent_effects.datasets import marginal_table
 from maxent_effects.grid_lp import build_problem
 from maxent_effects.lp_solver import relax_and_retry
 from maxent_effects.model import joint_probs
-from maxent_effects.postprocess import mixture_from_solution
+from maxent_effects.postprocess import DUST_THRESHOLD, mixture_from_solution
 from maxent_effects.svgplot import mixture_svg
 
 R2_EXPOSURE = 0.30
@@ -52,7 +52,7 @@ for i, c in enumerate(mixture.clusters):
           f"{c.relative_risk:5.2f}  {c.risk_difference:.3f}")
 if mixture.dust:
     print(f"(plus {len(mixture.dust)} dust clusters below "
-          f"{mixture.dust_threshold} mass)")
+          f"{DUST_THRESHOLD} mass)")
 
 # most individuals sit in a low-exposure cluster with a strong effect;
 # a small high-exposure group has weaker per-person effects

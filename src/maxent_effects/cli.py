@@ -32,11 +32,12 @@ from numpy's ``log``, which numpy dispatches to a kernel for the CPU it
 runs on; another CPU can round some entropies a last bit apart, with
 the same effect.
 
-Schema 2 dropped ``config.tol_schedule`` and the per-tolerance LP
-records under ``solution.lp`` with the ``--tol-schedule`` option (every
-LP is solved at feasibility tolerance 1e-9), and the ``converge``
-command no longer takes or records ``--m`` and ``--adjacency``, which it
-never used.
+Every LP is solved once, through :func:`lp_solver.relax_and_retry` with
+its only schedule ``(1e-9,)``: the solver's fixed feasibility tolerance
+``lp_solver.FEASIBILITY_TOL``.  Schema 2 dropped ``config.tol_schedule``
+and the per-tolerance LP records under ``solution.lp`` with the
+``--tol-schedule`` option, and the ``converge`` command no longer takes
+or records ``--m`` and ``--adjacency``, which it never used.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 
 from .closed_form import HomogeneousSolution, solve_conditional_homogeneous
 from .errors import DegenerateTableError, EstimationError, ParameterError, UndefinedStatisticError
-from .grid_lp import atoms_from_solution, build_problem
+from .grid_lp import CubeGrid, atoms_from_solution, build_problem
 from .lp_solver import relax_and_retry
 from .model import StratifiedTable, odds_ratio
 from .postprocess import ADJACENCIES, MixtureSolution, cluster_atoms
@@ -266,7 +267,7 @@ def _solve_lp(config: RunConfig, table: StratifiedTable, start=None):
         r2_prognosis=config.r2_prognosis,
         epsilon=config.epsilon,
     )
-    solution = relax_and_retry(problem.as_lp(), (1e-9,), start=start)  # one stage
+    solution = relax_and_retry(problem.as_lp(), (1e-9,), start=start)
     return problem, solution
 
 
@@ -357,6 +358,8 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
         raise ParameterError("at least one m value is needed")
     if any(m < 2 for m in m_values):
         raise ParameterError("m values must all be >= 2")
+    for m in m_values:
+        CubeGrid(m)  # rejects a resolution above MAX_RESOLUTION before any solve
     table = _load_input(config)
     reference = solve_conditional_homogeneous(table).entropy_per_individual
     series = []

@@ -410,17 +410,14 @@ def build_problem(
     )
 
 
-def atoms_from_solution(
-    problem: DiscretizedProblem,
-    solution: LpSolution,
-    mass_floor: float = MASS_FLOOR,
-) -> tuple[Atom, ...]:
-    """Decode LP columns into grid atoms, dropping numerical-noise masses."""
+def atoms_from_solution(problem: DiscretizedProblem, solution: LpSolution) -> tuple[Atom, ...]:
+    """Decode LP columns into grid atoms, dropping masses below
+    ``MASS_FLOOR`` as numerical noise."""
     atoms = []
     labels = problem.table.labels
     centers = problem.grid.centers
     for col, mass in zip(solution.columns, solution.masses):
-        if mass < mass_floor:
+        if mass < MASS_FLOOR:
             continue
         category, j, k, l = problem.split_column(int(col))
         atoms.append(

@@ -23,7 +23,7 @@ Implementation notes
   inequality row's slack has sign -1 and no upper bound.
 * Feasibility comes from a big-M-free two-phase start with one artificial
   variable per row.  Phase one is accepted as soon as the total artificial
-  mass drops below ``feasibility_tol``; surviving artificial values become
+  mass drops below ``FEASIBILITY_TOL``; surviving artificial values become
   the artificials' upper bounds so phase two cannot drift further from
   feasibility.  Artificials never re-enter the basis.
 * Each phase keeps its basis state in place: the rows x rows basis
@@ -106,6 +106,7 @@ __all__ = [
     "row_bounds",
     "ROW_CAP",
     "OPTIMALITY_TOL",
+    "FEASIBILITY_TOL",
     "MAX_ITERATIONS",
 ]
 
@@ -120,6 +121,9 @@ POOL_PER_CHUNK = 32
 
 #: A column enters only if its reduced cost exceeds this.
 OPTIMALITY_TOL = 1e-9
+
+#: Rows are satisfied, and phase one ends, within this.
+FEASIBILITY_TOL = 1e-9
 
 #: Pivots per solve before it stops with ``iteration_limit``.
 MAX_ITERATIONS = 50_000
@@ -168,21 +172,19 @@ class LpProblem:
         Dense coefficients of the requested columns.
     objective_fn : callable(indices) -> ndarray (len(indices),)
         Objective coefficients of the requested columns.
-    reduced_cost_fn : callable(duals, start, stop, include_objective, out), optional
-        Fast path computing ``objective - duals @ columns`` for a
-        contiguous index span without building the dense block.  ``out``
-        is None or a buffer of ``stop - start`` floats it may write the
-        result into; it returns the result.  The default derives it from
-        ``columns_fn``.
+    reduced_cost_fn : callable(duals, start, stop, include_objective, out)
+        ``objective - duals @ columns`` (without the objective when
+        ``include_objective`` is false) for the contiguous index span
+        [start, stop), the kernel of every full pricing scan.  ``out`` is
+        None or a buffer of ``stop - start`` floats it may write the
+        result into; it returns the result.
     seed : sequence of int, optional
         Structural column ids (duplicates allowed) that every phase's
         pricing pool starts with; kept as the sorted unique int64 array
         ``seed``.
     """
 
-    def __init__(
-        self, rows, n_columns: int, columns_fn, objective_fn, reduced_cost_fn=None, seed=()
-    ):
+    def __init__(self, rows, n_columns: int, columns_fn, objective_fn, reduced_cost_fn, seed=()):
         self.lower, self.upper = row_bounds(rows)
         if n_columns <= 0:
             raise ParameterError("problem needs at least one column")
@@ -221,13 +223,7 @@ class LpProblem:
         """``objective - duals @ columns`` for columns [start, stop); ``out``
         (``stop - start`` floats), when given, may receive the result in
         place of a new array."""
-        if self._reduced_cost_fn is not None:
-            return self._reduced_cost_fn(duals, start, stop, include_objective, out)
-        idx = np.arange(start, stop, dtype=np.int64)
-        rc = -(duals @ self.columns(idx))
-        if include_objective:
-            rc = rc + self.objective(idx)
-        return rc
+        return self._reduced_cost_fn(duals, start, stop, include_objective, out)
 
     @classmethod
     def from_dense(cls, objective, matrix, rows, seed=()) -> LpProblem:
@@ -236,11 +232,18 @@ class LpProblem:
         c = np.asarray(objective, dtype=float)
         if a.ndim != 2 or a.shape[0] != len(tuple(rows)) or a.shape[1] != c.size:
             raise ParameterError("matrix shape does not match rows/objective")
+
+        def reduced_costs(duals, start, stop, include_objective, out):
+            idx = np.arange(start, stop)
+            rc = -(duals @ a[:, idx])  # the dense columns, as columns() returns them
+            return rc + c[idx] if include_objective else rc
+
         return cls(
             rows,
             c.size,
             columns_fn=lambda idx: a[:, idx],
             objective_fn=lambda idx: c[idx],
+            reduced_cost_fn=reduced_costs,
             seed=seed,
         )
 
@@ -449,11 +452,8 @@ class _Simplex:
     """One solve: working problem, state, the current phase's pool, and
     the pivot loop."""
 
-    def __init__(self, problem, feasibility_tol, seed=()):
-        if not feasibility_tol > 0:
-            raise ParameterError("feasibility_tol must be positive")
+    def __init__(self, problem, seed=()):
         self.p = problem
-        self.feas_tol = float(feasibility_tol)
         self.R = problem.n_rows
         self.n = problem.n_columns
         self.art0 = self.n + self.R  # first artificial's working id
@@ -607,7 +607,7 @@ class _Simplex:
             x, y = self._basic_solution()
             objective = float(self.c_basis @ x)
 
-            if self.phase == 1 and self._infeasibility() <= self.feas_tol:
+            if self.phase == 1 and self._infeasibility() <= FEASIBILITY_TOL:
                 return "feasible"
 
             if self.iterations >= MAX_ITERATIONS:
@@ -714,7 +714,7 @@ class _Simplex:
 
             infeasibility = np.maximum(-x, x - self.ub_basis)
             r = int(np.argmax(infeasibility))
-            if infeasibility[r] <= self.feas_tol:
+            if infeasibility[r] <= FEASIBILITY_TOL:
                 return True
             if self.iterations >= MAX_ITERATIONS:
                 return False
@@ -745,7 +745,7 @@ class _Simplex:
         self.upper[self.basis[art] - self.n] = np.maximum(self.x_basis[art], 0.0)
 
     def _violation_rows(self) -> tuple[int, ...]:
-        violated = (self.basis >= self.art0) & (self.x_basis > self.feas_tol)
+        violated = (self.basis >= self.art0) & (self.x_basis > FEASIBILITY_TOL)
         return tuple(int(i) for i in np.sort(self.basis[violated] - self.art0))
 
     def extract(self, status: str, infeasible_rows=()) -> LpSolution:
@@ -777,12 +777,12 @@ class _Simplex:
         )
 
 
-def solve(problem: LpProblem, feasibility_tol: float = 1e-9, start=None) -> LpSolution:
+def solve(problem: LpProblem, start=None) -> LpSolution:
     """Maximize the problem's objective over its rows and w >= 0.
 
     Returns an :class:`LpSolution` whose status is ``optimal`` when no
     column prices above ``OPTIMALITY_TOL`` and all rows are satisfied
-    within ``feasibility_tol``; ``infeasible`` and ``iteration_limit``
+    within ``FEASIBILITY_TOL``; ``infeasible`` and ``iteration_limit``
     carry the rows phase one left violated.  Each phase's pricing pool
     starts with the problem's ``seed``.  ``start``, a solution of a
     problem with the same rows and columns, adds its ``pool`` to that
@@ -795,16 +795,16 @@ def solve(problem: LpProblem, feasibility_tol: float = 1e-9, start=None) -> LpSo
     if start is not None:
         _check_start(start, problem)
         seed = np.union1d(seed, _seed_ids(start.pool, problem.n_columns))
-        s = _Simplex(problem, feasibility_tol, seed)
+        s = _Simplex(problem, seed)
         s._enter_phase(2)
         if s._run_dual(start):
             return s.extract(s._run_phase())
-    s = _Simplex(problem, feasibility_tol, seed)
+    s = _Simplex(problem, seed)
     s._enter_phase(1)
     outcome = s._run_phase()
     if outcome == "iteration_limit":
         return s.extract("iteration_limit", s._violation_rows())
-    if outcome != "feasible" and s._infeasibility() > s.feas_tol:
+    if outcome != "feasible" and s._infeasibility() > FEASIBILITY_TOL:
         return s.extract("infeasible", s._violation_rows())
     s._freeze_artificials()
     s._enter_phase(2)
@@ -834,24 +834,15 @@ def _seed_ids(ids, n_columns: int) -> np.ndarray:
 
 
 def relax_and_retry(problem: LpProblem, schedule, start=None) -> LpSolution:
-    """Solve through a decreasing feasibility-tolerance schedule.
+    """:func:`solve` under the name and call form the pipeline uses:
+    ``relax_and_retry(problem, (1e-9,))``.
 
-    Each tolerance is solved from ``start`` when given, else cold,
-    loosest first.  Returns the solution of the tightest tolerance that
-    solved to optimality or, if none did, the last solution computed.
-    Infeasibility is final: no tighter tolerance is tried.
+    ``schedule`` is a sequence of feasibility tolerances and must hold
+    the one value ``FEASIBILITY_TOL``; any other schedule raises
+    :class:`ParameterError`.
     """
-    schedule = [float(t) for t in schedule]
-    if not schedule:
-        raise ParameterError("tolerance schedule must be nonempty")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ParameterError("tolerance schedule must be strictly decreasing")
-
-    best = None
-    for tol in schedule:
-        sol = solve(problem, feasibility_tol=tol, start=start)
-        if sol.status == "optimal":
-            best = sol
-        elif sol.status == "infeasible":
-            break
-    return best if best is not None else sol
+    if [float(t) for t in schedule] != [FEASIBILITY_TOL]:
+        raise ParameterError(
+            f"the only tolerance schedule is ({FEASIBILITY_TOL:g},), got {tuple(schedule)}"
+        )
+    return solve(problem, start=start)

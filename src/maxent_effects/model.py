@@ -35,6 +35,7 @@ __all__ = [
     "entropy",
     "tjur_r2",
     "joint_probs",
+    "odds_ratio",
 ]
 
 #: Additive tolerance used when validating that probabilities sum to one.
@@ -319,11 +320,13 @@ def odds_ratio(counts: CategoryCounts) -> float:
     """Sample odds ratio (n11 * n00) / (n01 * n10) of one 2x2 table.
 
     Raises UndefinedStatisticError when any margin cell that enters the
-    denominator is zero; apply smoothing first if that is expected.
+    denominator is zero; apply smoothing first if that is expected.  The
+    ratio is taken as ``(n11 / n01) * (n00 / n10)``, so counts near the
+    ends of the float range (1e300, 1e-300) neither overflow nor
+    underflow where the ratio itself is representable.
     """
-    denominator = counts.n01 * counts.n10
-    if denominator == 0.0:
+    if counts.n01 == 0.0 or counts.n10 == 0.0:
         raise UndefinedStatisticError(
             "odds ratio undefined: a zero off-diagonal cell"
         )
-    return (counts.n11 * counts.n00) / denominator
+    return (counts.n11 / counts.n01) * (counts.n00 / counts.n10)

@@ -97,7 +97,6 @@ class MixtureSolution:
     entropy_raw: float
     activities: np.ndarray
     residuals: np.ndarray
-    dust_threshold: float
 
     @property
     def total_mass(self) -> float:
@@ -174,22 +173,17 @@ def _condense(members: list[Atom]) -> Cluster:
 
 
 def cluster_atoms(
-    problem: DiscretizedProblem,
-    atoms,
-    dust_threshold: float = DUST_THRESHOLD,
-    adjacency: str = "vertex",
+    problem: DiscretizedProblem, atoms, adjacency: str = "vertex"
 ) -> MixtureSolution:
     """Merge adjacent atoms into clusters, category by category.
 
     Atoms must lie on cells of ``problem``'s grid (as produced by
     :func:`maxent_effects.grid_lp.atoms_from_solution`).  Components with
-    mass below ``dust_threshold`` go to the dust list.  Residuals are
+    mass below ``DUST_THRESHOLD`` go to the dust list.  Residuals are
     evaluated at the merged representation, dust included, against the
     problem's rows.  ``adjacency`` selects the neighbor rule ("vertex" or
     "face"; see module docstring).
     """
-    if dust_threshold < 0.0:
-        raise ParameterError("dust threshold must be nonnegative")
     if adjacency not in ADJACENCIES:
         raise ParameterError(
             f"adjacency must be one of {ADJACENCIES}, got {adjacency!r}"
@@ -210,7 +204,7 @@ def cluster_atoms(
             continue
         for component in _components(members, adjacency):
             cluster = _condense(component)
-            if cluster.mass < dust_threshold:
+            if cluster.mass < DUST_THRESHOLD:
                 dust.append(cluster)
             else:
                 clusters.append(cluster)
@@ -226,20 +220,11 @@ def cluster_atoms(
         entropy_raw=problem.entropy_of(atoms),
         activities=activities,
         residuals=problem.residuals(activities),
-        dust_threshold=dust_threshold,
     )
 
 
 def mixture_from_solution(
-    problem: DiscretizedProblem,
-    solution: LpSolution,
-    dust_threshold: float = DUST_THRESHOLD,
-    adjacency: str = "vertex",
+    problem: DiscretizedProblem, solution: LpSolution, adjacency: str = "vertex"
 ) -> MixtureSolution:
     """Decode an LP solution and cluster it in one step."""
-    return cluster_atoms(
-        problem,
-        atoms_from_solution(problem, solution),
-        dust_threshold,
-        adjacency,
-    )
+    return cluster_atoms(problem, atoms_from_solution(problem, solution), adjacency)

@@ -13,6 +13,8 @@ external resources, scripts, or fonts beyond generic families:
 Elements carry stable class names (``effect-line``, ``cluster-dot``,
 ``entropy-dot``, ``reference-line``) so output can be asserted on without
 parsing geometry.  Output depends only on the arguments, byte for byte.
+Every text a plot holds is the module's own (fixed titles and axis
+labels, formatted numbers), so none needs XML escaping.
 """
 
 from __future__ import annotations
@@ -36,13 +38,6 @@ _STYLE = """\
   .entropy-dot { fill: #3b6ea5; stroke: #1d3d5c; }
   .reference-line { stroke: #b03a2e; stroke-width: 1.5; stroke-dasharray: 6 4; }
 """
-
-
-def _escape(text: str) -> str:
-    """``&``, ``>`` and ``<`` as XML entities, in ``xml.sax.saxutils.escape``'s
-    order; that module would import ``urllib.request`` and through it
-    ``http.client``, ``email`` and ``ssl``."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -81,9 +76,9 @@ class _Frame:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
             f"<style>\n{_STYLE}</style>",
-            f'<title>{_escape(title)}</title>',
+            f'<title>{title}</title>',
             f'<text class="title" x="{_WIDTH / 2:.0f}" y="24" '
-            f'text-anchor="middle">{_escape(title)}</text>',
+            f'text-anchor="middle">{title}</text>',
             f'<rect class="frame" x="{self.left}" y="{self.top}" '
             f'width="{self.right - self.left}" height="{self.bottom - self.top}"/>',
         ]
@@ -116,7 +111,7 @@ class _Frame:
             )
             parts.append(
                 f'<text class="tick-label" x="{px:.1f}" '
-                f'y="{self.bottom + 17}" text-anchor="middle">{_escape(lbl)}</text>'
+                f'y="{self.bottom + 17}" text-anchor="middle">{lbl}</text>'
             )
         return parts
 
@@ -125,20 +120,20 @@ class _Frame:
         cy = (self.top + self.bottom) / 2
         parts = [
             f'<text class="axis-label" x="{cx:.0f}" y="{_HEIGHT - 10}" '
-            f'text-anchor="middle">{_escape(x_label)}</text>',
+            f'text-anchor="middle">{x_label}</text>',
             f'<text class="axis-label" transform="rotate(-90 16 {cy:.0f})" '
-            f'x="16" y="{cy:.0f}" text-anchor="middle">{_escape(left_label)}</text>',
+            f'x="16" y="{cy:.0f}" text-anchor="middle">{left_label}</text>',
         ]
         if right_label:
             parts.append(
                 f'<text class="axis-label" transform="rotate(90 {_WIDTH - 14} '
                 f'{cy:.0f})" x="{_WIDTH - 14}" y="{cy:.0f}" '
-                f'text-anchor="middle">{_escape(right_label)}</text>'
+                f'text-anchor="middle">{right_label}</text>'
             )
         return parts
 
 
-def mixture_svg(clusters, title: str = "Estimated effect mixture") -> str:
+def mixture_svg(clusters) -> str:
     """Render a point-mass mixture as lines and mass dots.
 
     ``clusters`` is an iterable of objects or mappings exposing pi, r0,
@@ -148,7 +143,7 @@ def mixture_svg(clusters, title: str = "Estimated effect mixture") -> str:
     """
     clusters = list(clusters)
     frame = _Frame((0.0, 1.0), (0.0, 1.0))
-    parts = frame.open_svg(title)
+    parts = frame.open_svg("Estimated effect mixture")
     ticks = [i / 5 for i in range(6)]
     parts += frame.y_ticks(ticks, "left")
     parts += frame.y_ticks(ticks, "right")
@@ -175,9 +170,7 @@ def mixture_svg(clusters, title: str = "Estimated effect mixture") -> str:
     return "\n".join(parts) + "\n"
 
 
-def convergence_svg(
-    points, reference: float, title: str = "Entropy vs grid resolution"
-) -> str:
+def convergence_svg(points, reference: float) -> str:
     """Render (resolution, entropy) dots against a reference maximum.
 
     ``points`` is an iterable of (m, entropy) with entropy None for runs
@@ -191,7 +184,7 @@ def convergence_svg(
     lo, hi = min(values), max(values)
     pad = (hi - lo) * 0.15 or 0.05
     frame = _Frame((min(ms) - 2, max(ms) + 2), (lo - pad, hi + pad))
-    parts = frame.open_svg(title)
+    parts = frame.open_svg("Entropy vs grid resolution")
     y_ticks = [lo - pad + i * (hi - lo + 2 * pad) / 4 for i in range(5)]
     parts += frame.y_ticks(y_ticks, "left")
     shown = ms if len(ms) <= 10 else ms[:: math.ceil(len(ms) / 10)]

@@ -127,23 +127,21 @@ def resample_table(
     return StratifiedTable(categories)
 
 
-def smooth_table(table: StratifiedTable, amount: float = 0.5) -> StratifiedTable:
-    """Additive smoothing: add ``amount`` to every cell of every category.
+def smooth_table(table: StratifiedTable) -> StratifiedTable:
+    """Additive smoothing: add one half to every cell of every category.
 
-    The default of one half is the classical continuity correction for
-    tables with empty cells; it makes all closed-form quantities (odds
-    ratio, conditional risks) finite at the cost of a small bias.
+    One half is the classical continuity correction for tables with
+    empty cells; it makes all closed-form quantities (odds ratio,
+    conditional risks) finite at the cost of a small bias.
     """
-    if amount < 0.0:
-        raise ParameterError(f"smoothing amount must be >= 0, got {amount}")
     return StratifiedTable(
         tuple(
             CategoryCounts(
                 c.label,
-                c.n01 + amount,
-                c.n11 + amount,
-                c.n00 + amount,
-                c.n10 + amount,
+                c.n01 + 0.5,
+                c.n11 + 0.5,
+                c.n00 + 0.5,
+                c.n10 + 0.5,
             )
             for c in table.categories
         )

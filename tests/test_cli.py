@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import maxent_effects
-from maxent_effects import cli, lp_solver, svgplot
+from maxent_effects import cli, lp_solver
 from maxent_effects.cli import (
     RunConfig,
     emit_plot,
@@ -457,15 +457,13 @@ class TestSvg:
         assert svg.count('class="entropy-dot"') == 2
         assert svg.count('class="reference-line"') == 1
 
-    def test_title_is_escaped(self):
-        svg = mixture_svg([], title="a < b & c")
-        assert "a &lt; b &amp; c" in svg
+    def test_svgs_are_well_formed_xml(self):
+        from xml.etree import ElementTree
 
-    def test_escape_matches_saxutils(self):
-        from xml.sax.saxutils import escape
-
-        for label in ("a < b & c", "&lt;", "<&>", "x >= 1 && y <= 2", "&amp;>", "plain", ""):
-            assert svgplot._escape(label) == escape(label)
+        clusters = [{"pi": 0.4, "r0": 0.02, "r1": 0.3, "mass": 0.8}]
+        for svg in (mixture_svg(clusters), convergence_svg([(10, None), (20, 0.5)], 0.62)):
+            root = ElementTree.fromstring(svg)
+            assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
 
 class TestEmitPlot:
@@ -655,6 +653,24 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert "error: at least one m value is needed" in captured.err
         assert captured.out == ""
+
+    def test_converge_rejects_a_too_fine_m_before_solving(self, monkeypatch, capsys):
+        calls = record_pools(monkeypatch)
+        code = main(["converge", "--input", MARGINAL, "--m-values", "25,50,75,300"])
+        assert code == 1
+        assert calls == []
+        assert "error: grid resolution must be in [1, 256], got 300" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["1e300", "1e-300"])
+    def test_extreme_counts_report_an_odds_ratio_of_one(self, tmp_path, count):
+        table = tmp_path / "table.csv"
+        rows = [f"all,{e},{d},{count}" for e, d in ((0, 1), (1, 1), (0, 0), (1, 0))]
+        table.write_text("category,exposure,outcome,count\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "report.json"
+        code = main(["estimate", "--mode", "closed-form", "--input", str(table),
+                     "--json-out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["input"]["odds_ratio"] == 1.0
 
     @pytest.mark.parametrize("module", ["maxent_effects", "maxent_effects.cli"])
     def test_package_runs_as_module(self, module):

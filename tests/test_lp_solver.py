@@ -13,6 +13,7 @@ from maxent_effects import lp_solver
 from maxent_effects.errors import EstimationError, ParameterError
 from maxent_effects.grid_lp import build_problem
 from maxent_effects.lp_solver import (
+    FEASIBILITY_TOL,
     ROW_CAP,
     InequalityRow,
     LpProblem,
@@ -224,13 +225,15 @@ class TestValidation:
     def test_row_cap(self):
         rows = [RangeRow(0.0, 1.0)] * (ROW_CAP + 1)
         with pytest.raises(ParameterError):
-            LpProblem(rows, 1, lambda i: np.ones((len(rows), i.size)), lambda i: np.zeros(i.size))
+            LpProblem(
+                rows, 1, lambda i: np.ones((len(rows), i.size)), lambda i: np.zeros(i.size), None
+            )
 
     def test_empty_rows_and_columns(self):
         with pytest.raises(ParameterError):
-            LpProblem([], 1, None, None)
+            LpProblem([], 1, None, None, None)
         with pytest.raises(ParameterError):
-            LpProblem([RangeRow(0.0, 1.0)], 0, None, None)
+            LpProblem([RangeRow(0.0, 1.0)], 0, None, None, None)
 
     def test_range_row_ordering(self):
         with pytest.raises(ParameterError):
@@ -246,6 +249,7 @@ class TestValidation:
             3,
             columns_fn=lambda idx: np.ones((2, idx.size)),
             objective_fn=lambda idx: np.zeros(idx.size),
+            reduced_cost_fn=None,
         )
         with pytest.raises(ParameterError):
             p.columns([0])
@@ -273,8 +277,9 @@ class TestValidation:
 
     def test_positive_tolerances_required(self):
         p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
-        with pytest.raises(ParameterError):
-            solve(p, feasibility_tol=0.0)
+        for schedule in ((0.0,), (-FEASIBILITY_TOL,)):
+            with pytest.raises(ParameterError):
+                relax_and_retry(p, schedule)
 
 
 class TestRandomizedCrossCheck:
@@ -359,6 +364,24 @@ class TestDeterminism:
         assert np.array_equal(a.columns, b.columns)
         assert np.array_equal(a.masses, b.masses)
         assert a.objective == b.objective
+
+    def test_from_dense_kernel_matches_dense_formula(self):
+        rng = np.random.default_rng(RNG_SEED + 6)
+        objective, matrix = rng.normal(size=50), rng.normal(size=(4, 50))
+        problem = dense(objective, matrix, [RangeRow(-1.0, 1.0)] * 4)
+        for _ in range(20):
+            duals = rng.normal(size=4)
+            start = int(rng.integers(0, 50))
+            stop = int(rng.integers(start + 1, 51))
+            idx = np.arange(start, stop)
+            columns = problem.columns(idx)
+            np.testing.assert_array_equal(
+                problem.reduced_costs(duals, start, stop), objective[idx] - duals @ columns
+            )
+            np.testing.assert_array_equal(
+                problem.reduced_costs(duals, start, stop, include_objective=False),
+                -(duals @ columns),
+            )
 
 
 class TestBlandMode:
@@ -1025,59 +1048,18 @@ class TestWarmStart:
 class TestRelaxAndRetry:
     def test_schedule_validation(self):
         p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
-        with pytest.raises(ParameterError):
-            relax_and_retry(p, [])
-        with pytest.raises(ParameterError):
-            relax_and_retry(p, [1e-6, 1e-6])
-        with pytest.raises(ParameterError):
-            relax_and_retry(p, [1e-9, 1e-6])
+        for schedule in ([], (), [1e-6, 1e-6], [1e-9, 1e-6], (1e-3, 1e-9), (1e-6,)):
+            with pytest.raises(ParameterError):
+                relax_and_retry(p, schedule)
 
-    @staticmethod
-    def spy_on_solve(monkeypatch):
-        """Record (tolerance, solution) of every solve relax_and_retry runs."""
-        calls = []
-        real = lp_solver.solve
-
-        def spy(problem, feasibility_tol, start):
-            sol = real(problem, feasibility_tol, start)
-            calls.append((feasibility_tol, sol))
-            return sol
-
-        monkeypatch.setattr(lp_solver, "solve", spy)
-        return calls
-
-    def test_every_tolerance_solved_tightest_returned(self, monkeypatch):
-        calls = self.spy_on_solve(monkeypatch)
-        p = dense([1.0, 2.0], [[1.0, 1.0]], [RangeRow(1.0, 1.0)])
-        sol = relax_and_retry(p, [1e-3, 1e-9])
-        assert sol.status == "optimal"
-        assert [tol for tol, _ in calls] == [1e-3, 1e-9]
-        assert all(s.status == "optimal" for _, s in calls)
-        assert sol is calls[-1][1]
-
-    def test_returns_tightest_feasible_stage(self, monkeypatch):
-        calls = self.spy_on_solve(monkeypatch)
-        # two rows pin the same activity 5e-4 apart: satisfiable at 1e-3
-        # slack but not at 1e-6
-        p = dense(
-            [1.0],
-            [[1.0], [1.0]],
-            [RangeRow(1.0, 1.0), RangeRow(1.0005, 1.0005)],
-        )
-        sol = relax_and_retry(p, [1e-3, 1e-6])
-        assert sol.status == "optimal"
-        assert [s.status for _, s in calls] == ["optimal", "infeasible"]
-        assert sol is calls[0][1]
-        assert sol.objective == pytest.approx(1.0, abs=2e-3)
-
-    def test_loosest_stage_infeasibility_is_final(self, monkeypatch):
-        calls = self.spy_on_solve(monkeypatch)
-        p = dense(
-            [1.0],
-            [[1.0], [1.0]],
-            [RangeRow(1.0, 1.0), RangeRow(3.0, 3.0)],
-        )
-        sol = relax_and_retry(p, [1e-2, 1e-6])
-        assert sol.status == "infeasible"
-        assert [tol for tol, _ in calls] == [1e-2]
-        assert sol.infeasible_rows
+    def test_one_stage_schedule_is_solve(self):
+        rng = np.random.default_rng(RNG_SEED + 23)
+        for _ in range(5):
+            problem = dense(*feasible_instance(rng))
+            cold = solve(problem)
+            assert cold.status == "optimal"
+            assert_identical(relax_and_retry(problem, (1e-9,)), cold)
+            assert_identical(
+                relax_and_retry(problem, [FEASIBILITY_TOL], start=cold),
+                solve(problem, start=cold),
+            )

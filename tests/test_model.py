@@ -281,6 +281,13 @@ class TestTables:
         with pytest.raises(UndefinedStatisticError):
             odds_ratio(CategoryCounts("z", 0, 1, 1, 1))
 
+    def test_odds_ratio_at_extreme_counts(self):
+        # products of the counts would overflow (1e300) or underflow (1e-300)
+        for count in (1e300, 1e-300):
+            assert odds_ratio(CategoryCounts("all", count, count, count, count)) == 1.0
+        with pytest.raises(UndefinedStatisticError):
+            odds_ratio(CategoryCounts("z", 1, 1, 1, 0))
+
 
 class TestJointOutcomeProbs:
     def test_sum_validation(self):

@@ -143,7 +143,7 @@ class TestCondensation:
             for cell, mass in zip(cells, masses):
                 j, k, l = np.unravel_index(cell, (20, 20, 20))
                 atoms.append(make_atom(problem, 0, int(j), int(k), int(l), mass))
-            mix = cluster_atoms(problem, atoms, dust_threshold=0.0)
+            mix = cluster_atoms(problem, atoms)
             assert mix.total_mass == pytest.approx(math.fsum(masses), abs=1e-12)
 
     def test_member_atoms_partition_the_input(self):
@@ -154,8 +154,8 @@ class TestCondensation:
         for cell in cells:
             j, k, l = np.unravel_index(cell, (10, 10, 10))
             atoms.append(make_atom(problem, 0, int(j), int(k), int(l), 0.02))
-        mix = cluster_atoms(problem, atoms, dust_threshold=0.0)
-        seen = [a for c in mix.clusters for a in c.atoms]
+        mix = cluster_atoms(problem, atoms)
+        seen = [a for c in mix.clusters + mix.dust for a in c.atoms]
         assert len(seen) == len(atoms)
         assert {(a.j, a.k, a.l) for a in seen} == {(a.j, a.k, a.l) for a in atoms}
 
@@ -172,25 +172,9 @@ class TestDustAndOrdering:
         assert len(mix.dust) == 1
         assert mix.dust[0].mass == pytest.approx(5e-5, abs=1e-18)
         assert mix.total_mass == pytest.approx(1.0, abs=1e-15)
-
-    def test_dust_threshold_is_configurable(self):
-        problem = make_problem()
-        atoms = [
-            make_atom(problem, 0, 2, 2, 2, 0.6),
-            make_atom(problem, 0, 8, 8, 8, 0.4),
-        ]
-        mix = cluster_atoms(problem, atoms, dust_threshold=0.5)
-        assert len(mix.clusters) == 1
-        assert len(mix.dust) == 1
-        assert mix.dust_threshold == 0.5
-        none_dust = cluster_atoms(problem, atoms, dust_threshold=0.0)
-        assert none_dust.dust == ()
-
-    def test_negative_dust_threshold_rejected(self):
-        problem = make_problem()
-        atoms = [make_atom(problem, 0, 2, 2, 2, 1.0)]
-        with pytest.raises(ParameterError):
-            cluster_atoms(problem, atoms, dust_threshold=-1e-6)
+        # a component of exactly DUST_THRESHOLD is a cluster
+        atoms[1] = make_atom(problem, 0, 8, 8, 8, DUST_THRESHOLD)
+        assert len(cluster_atoms(problem, atoms).clusters) == 2
 
     def test_default_threshold_value(self):
         assert DUST_THRESHOLD == 1e-4
@@ -204,7 +188,7 @@ class TestDustAndOrdering:
             make_atom(problem, 0, 4, 7, 7, 0.6),
             make_atom(problem, 1, 6, 6, 6, 0.4),
         ]
-        mix = cluster_atoms(problem, atoms, dust_threshold=0.0)
+        mix = cluster_atoms(problem, atoms)
         keys = [(c.category, -c.mass, c.pi) for c in mix.clusters]
         assert keys == sorted(keys)
         # the two equal-mass clusters in category 0 tie-break on pi
@@ -284,7 +268,7 @@ class TestEffectSummaries:
             make_atom(problem, 0, 2, 1, 7, 0.7),
             make_atom(problem, 1, 6, 2, 4, 0.3),
         ]
-        mix = cluster_atoms(problem, atoms, dust_threshold=0.0)
+        mix = cluster_atoms(problem, atoms)
         assert len(mix.clusters) == 2
         for cluster in mix.clusters:
             assert cluster.relative_risk == pytest.approx(

@@ -200,14 +200,6 @@ class TestSmooth:
         assert (cat.n01, cat.n11, cat.n00, cat.n10) == (8.5, 26.5, 613.5, 193.5)
         assert smoothed.total == table.total + 2.0
 
-    def test_amount_zero_is_identity(self):
-        table = loads_table(BASIC)
-        assert smooth_table(table, 0.0).categories == table.categories
-
-    def test_negative_amount_rejected(self):
-        with pytest.raises(ParameterError):
-            smooth_table(loads_table(BASIC), -0.1)
-
     def test_makes_degenerate_odds_ratio_finite(self):
         table = StratifiedTable(
             (CategoryCounts("a", 0.0, 12.0, 30.0, 18.0),)
