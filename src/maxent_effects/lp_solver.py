@@ -27,28 +27,37 @@ Implementation notes
   the artificials' upper bounds so phase two cannot drift further from
   feasibility.  Artificials never re-enter the basis.
 * Each phase keeps its basis state in place: the rows x rows basis
-  matrix, the basic costs and the basic upper bounds are built once when
-  the phase starts, and a pivot overwrites one column or entry of each.
-  The entering column comes from the pool's cached block when the pool
-  holds it, else from one ``columns_fn`` call for that column.  Every
-  pivot still solves afresh from the kept matrix (``numpy.linalg.solve``,
-  LU with partial pivoting, three solves per pivot): the basis is tiny,
-  so that is cheaper than bookkeeping and numerically safer than
-  product-form or eta updates.  An exactly singular basis raises
-  :class:`EstimationError`.
+  matrix, the basic costs, the basic upper bounds and the basis inverse
+  are built once when the phase starts (``numpy.linalg.inv``; an exactly
+  singular basis raises :class:`EstimationError`), and a pivot
+  overwrites one column or entry of the first three.  The entering
+  column comes from the pool's cached copy when the pool holds it, else
+  from one ``columns_fn`` call for that column.  A pivot's solves are
+  products with the inverse (``B^-1 b`` for x, ``B^-1 a`` for the
+  direction, ``c_B B^-1`` for y), and the pivot updates the inverse in
+  the product form of Dantzig and Orchard-Hays (1954): with ``d = B^-1 a``
+  entering at position p, ``B^-1 -= outer(d - e_p, B^-1[p] / d[p])``,
+  O(R^2) per pivot.  The inverse is refactorized afresh after
+  ``_REFACTOR_EVERY`` such updates and in place of an update whose
+  pivot element ``|d[p]|`` is below ``_TINY_PIVOT``.  The reported
+  masses come from one fresh LU solve of the kept matrix.
 * Pricing is pool first (partial pricing, column generation inside the
   one running simplex).  Each phase owns a pool of structural columns:
-  their ids, dense columns and phase costs, one block per refill.  A
-  pivot prices only the pool, ``cost - y @ columns``, while some member
-  improves (ties by lowest id).  When none does, a full scan of all
-  columns (:func:`price_columns`, ``PRICE_CHUNK`` columns at a time,
-  priced into one buffer that every chunk reuses) returns the entering
-  column and the ``POOL_PER_CHUNK`` best improving columns of every
-  chunk, which join the pool.  Neither skips the basic columns: they
-  price to 0 within rounding (B^T y = c_B), far below
-  ``OPTIMALITY_TOL``, so they never enter.  ``optimal`` is declared only
-  when a full scan and the slacks find nothing, so the certificate
-  covers every column.
+  their ids, dense columns and phase costs, in one contiguous array each
+  whose capacity doubles when a refill does not fit.  A pivot prices
+  only the pool, one ``cost - y @ columns``, while some member improves
+  (ties by lowest id).  When none does, a full scan of all columns
+  (:func:`price_columns`, ``PRICE_CHUNK`` columns at a time, priced into
+  one buffer that every chunk reuses) returns the entering column and
+  the ``POOL_PER_CHUNK`` best improving columns of every chunk.  Before
+  they join the pool, the members pricing below ``-SHED_TOL`` at the
+  current duals leave it, so the pool tracks the columns near the
+  optimal face instead of every column a scan ever found.  Neither the
+  pool nor the scan skips the basic columns: they price to 0 within
+  rounding (B^T y = c_B), far below ``OPTIMALITY_TOL``, so they never
+  enter and are never shed.  ``optimal`` is declared only when a full
+  scan and the slacks find nothing, so the certificate covers every
+  column.
 * A problem can carry a seed (``LpProblem(..., seed=ids)``): structural
   ids that join each phase's pool, with that phase's costs, when the
   phase starts, so the solve finds a support it can predict (say, the
@@ -62,9 +71,9 @@ Implementation notes
   right-hand side, whose optimal basis stays dual feasible.  A dual
   simplex phase with phase-two costs and the artificials fixed at 0
   pivots from that basis until it is primal feasible: the most
-  primal-infeasible basic variable leaves; its row of the basis inverse,
-  ``e_r B^-1`` (one transposed solve), times the pool's cached blocks and
-  the slacks gives the pivot row; and a bounded ratio test (smallest
+  primal-infeasible basic variable leaves; its row of the kept basis
+  inverse, ``e_r B^-1``, times the pool's cached columns and the slacks
+  gives the pivot row; and a bounded ratio test (smallest
   ``|d_j / alpha_j|`` over the eligible nonbasics, ties within a relative
   1e-9 by lowest id) picks the entering column.  Phase two then runs as
   after phase one, so its full scan still certifies the optimum over
@@ -88,7 +97,6 @@ Implementation notes
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +136,14 @@ FEASIBILITY_TOL = 1e-9
 #: Pivots per solve before it stops with ``iteration_limit``.
 MAX_ITERATIONS = 50_000
 
+#: A pool refill first drops the members pricing below ``-SHED_TOL``.
+SHED_TOL = 3e-2
+
 _PIVOT_TOL = 1e-10
+# The kept basis inverse is refactorized after this many rank-one updates,
+# and instead of an update whose pivot element is smaller than _TINY_PIVOT.
+_REFACTOR_EVERY = 64
+_TINY_PIVOT = 1e-7
 _DEGENERATE_STEP = 1e-12
 # Bland's rule takes over after this many degenerate steps per row.
 _STALL_PER_ROW = 10
@@ -383,52 +398,82 @@ def _best_improving(rc: np.ndarray, tol: float) -> np.ndarray:
 class _Pool:
     """Candidate structural columns of one phase.
 
-    ``ids`` holds the members in the order they joined; ``_sorted`` is
-    ``ids[_order]``, ascending.  Each refill's dense columns and phase
-    costs (the objective in phase two, 0 in phase one) stay one block,
-    starting at position ``_starts[b]`` of ``ids``, so a refill never
-    copies the pool.  Basic members are priced like the rest: their
-    reduced costs are 0 within rounding.
+    The first ``n`` entries of one id array, one ``(rows, capacity)``
+    column array and one cost array (the objective in phase two, 0 in
+    phase one) hold the members in the order they joined; ``_sorted`` is
+    ``ids[_order]``, ascending.  Capacity doubles when a refill does not
+    fit.  Basic members are priced like the rest: their reduced costs are
+    0 within rounding, so :meth:`shed` never drops one.
     """
 
     def __init__(self, problem: LpProblem, phase: int):
         self._problem = problem
         self._phase = phase
-        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        self._starts: list[int] = []
-        self.ids = self._sorted = self._order = np.empty(0, dtype=np.int64)
+        self.n = 0
+        self._ids = np.empty(0, dtype=np.int64)
+        self._cols = np.empty((problem.n_rows, 0))
+        self._cost = np.empty(0)
+        self._sorted = self._order = self._ids
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._ids[: self.n]
+
+    def _index(self) -> None:
+        """Sort the member ids again after they changed."""
+        self._order = np.argsort(self.ids, kind="stable")
+        self._sorted = self.ids[self._order]
+
+    def _lookup(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where ``columns`` fall in ``_sorted``, and which are members."""
+        if not self.n:
+            return np.zeros(columns.size, dtype=np.int64), np.zeros(columns.size, dtype=bool)
+        at = np.minimum(np.searchsorted(self._sorted, columns), self.n - 1)
+        return at, self._sorted[at] == columns
 
     def add(self, ids) -> None:
-        new = np.setdiff1d(ids, self._sorted, assume_unique=True)
-        if new.size:
-            cost = self._problem.objective(new) if self._phase == 2 else np.zeros(new.size)
-            self._blocks.append((self._problem.columns(new), cost))
-            self._starts.append(self.ids.size)
-            self.ids = np.concatenate([self.ids, new])
-            self._order = np.argsort(self.ids, kind="stable")
-            self._sorted = self.ids[self._order]
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        new = ids[~self._lookup(ids)[1]]
+        if not new.size:
+            return
+        n, stop = self.n, self.n + new.size
+        if stop > self._ids.size:
+            capacity = max(stop, 2 * self._ids.size)
+            self._ids, self._cols, self._cost = (
+                _with_capacity(a, n, capacity) for a in (self._ids, self._cols, self._cost)
+            )
+        self._ids[n:stop] = new
+        self._cols[:, n:stop] = self._problem.columns(new)
+        self._cost[n:stop] = self._problem.objective(new) if self._phase == 2 else 0.0
+        self.n = stop
+        self._index()
+
+    def shed(self, y: np.ndarray) -> None:
+        """Drop the members whose reduced cost is below ``-SHED_TOL``."""
+        keep = np.flatnonzero(self.reduced_costs(y) >= -SHED_TOL)
+        if keep.size < self.n:
+            k = self.n = keep.size
+            self._ids[:k], self._cost[:k] = self._ids[keep], self._cost[keep]
+            self._cols[:, :k] = self._cols[:, keep]
+            self._index()
 
     def positions(self, columns: np.ndarray) -> np.ndarray:
         """Positions in ``ids`` of the members among ``columns``."""
-        if not self.ids.size:
-            return self.ids
-        pos = np.minimum(np.searchsorted(self._sorted, columns), self.ids.size - 1)
-        return self._order[pos[self._sorted[pos] == columns]]
+        at, hit = self._lookup(columns)
+        return self._order[at[hit]]
 
     def reduced_costs(self, y: np.ndarray) -> np.ndarray:
         """``cost - y @ column`` of every member, in ``ids`` order."""
-        parts = [cost - y @ cols for cols, cost in self._blocks]
-        return np.concatenate(parts) if parts else np.empty(0)
+        return self._cost[: self.n] - y @ self._cols[:, : self.n]
 
     def row(self, rho: np.ndarray) -> np.ndarray:
         """``rho @ column`` of every member, in ``ids`` order."""
-        parts = [rho @ cols for cols, _ in self._blocks]
-        return np.concatenate(parts) if parts else np.empty(0)
+        return rho @ self._cols[:, : self.n]
 
     def price(self, y: np.ndarray):
         """Best member above ``OPTIMALITY_TOL`` as ``(column_index,
         reduced_cost)`` (ties by lowest index), or None."""
-        if not self.ids.size:
+        if not self.n:
             return None
         rc = self.reduced_costs(y)
         best = rc.max()
@@ -438,14 +483,18 @@ class _Pool:
 
     def member(self, column: int):
         """Cached ``(dense column, phase cost)`` of a member, or None."""
-        pos = int(np.searchsorted(self._sorted, column))
-        if pos == self._sorted.size or self._sorted[pos] != column:
+        k = self.positions(np.array([column], dtype=np.int64))
+        if not k.size:
             return None
-        k = int(self._order[pos])
-        b = bisect_right(self._starts, k) - 1
-        cols, cost = self._blocks[b]
-        k -= self._starts[b]
-        return cols[:, k], cost[k]
+        return self._cols[:, k[0]], self._cost[k[0]]
+
+
+def _with_capacity(a: np.ndarray, n: int, capacity: int) -> np.ndarray:
+    """A copy of the first ``n`` entries (along the last axis) of ``a``,
+    with room for ``capacity``."""
+    grown = np.empty((*a.shape[:-1], capacity), dtype=a.dtype)
+    grown[..., :n] = a[..., :n]
+    return grown
 
 
 class _Simplex:
@@ -515,18 +564,25 @@ class _Simplex:
     # -- steps shared by the primal and the dual loop ---------------
 
     def _solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Solve with the kept basis matrix (or its transpose), afresh."""
+        """``B^-1 rhs`` (or ``rhs B^-1``) from the kept basis inverse."""
+        return rhs @ self.binv if transpose else self.binv @ rhs
+
+    def _factor(self) -> None:
+        """Invert the kept basis matrix afresh."""
         try:
-            return np.linalg.solve(self.bmat.T if transpose else self.bmat, rhs)
+            self.binv = np.linalg.inv(self.bmat)
         except np.linalg.LinAlgError as exc:  # exactly singular basis
             raise EstimationError(f"basis factorization failed: {exc}") from exc
+        self.updates = 0
 
     def _load_basis(self) -> None:
-        """Build the kept basis state of ``basis``: a pivot then overwrites
-        one column of the matrix and one entry of the costs and bounds."""
+        """Build the kept basis state of ``basis`` and invert its matrix: a
+        pivot then overwrites one column of the matrix and one entry of the
+        costs and bounds, and updates the inverse."""
         self.bmat = self._work_columns(self.basis)
         self.c_basis = self._work_cost(self.basis)
         self.ub_basis = self._work_ub(self.basis)
+        self._factor()
 
     def _basic_solution(self) -> tuple[np.ndarray, np.ndarray]:
         """Basic values ``x`` and duals ``y`` of the kept basis, also kept
@@ -547,10 +603,10 @@ class _Simplex:
         ids = np.array([enter], dtype=np.int64)
         return self._work_columns(ids)[:, 0], self._work_cost(ids)[0]
 
-    def _replace(self, pos: int, enter: int, entering, to_upper: bool) -> None:
-        """Pivot ``enter``, with its ``(column, cost)``, into basis position
-        ``pos``; the leaving variable goes to its upper bound if
-        ``to_upper``, else to 0."""
+    def _replace(self, pos: int, enter: int, entering, d: np.ndarray, to_upper: bool) -> None:
+        """Pivot ``enter``, with its ``(column, cost)`` and ``d = B^-1
+        column``, into basis position ``pos``; the leaving variable goes to
+        its upper bound if ``to_upper``, else to 0."""
         leaving = int(self.basis[pos])
         if leaving >= self.n:
             self.at_upper[leaving - self.n] = to_upper
@@ -561,6 +617,14 @@ class _Simplex:
         self.basis[pos] = enter
         self.bmat[:, pos], self.c_basis[pos] = entering
         self.ub_basis[pos] = self.upper[enter - self.n] if enter >= self.n else np.inf
+        if self.updates < _REFACTOR_EVERY and abs(d[pos]) >= _TINY_PIVOT:
+            # product form: B'^-1 = E B^-1, E the identity but for column pos
+            row = self.binv[pos] / d[pos]
+            self.binv -= np.outer(d, row)
+            self.binv[pos] = row
+            self.updates += 1
+        else:
+            self._factor()
 
     def _slacks(self) -> tuple[np.ndarray, np.ndarray]:
         """Which slacks can move (nonbasic, with room between their
@@ -620,6 +684,7 @@ class _Simplex:
                 scan = price_columns(self.p, y, rule=rule, include_objective=(self.phase == 2))
                 if scan is not None:
                     cand_struct, found = scan
+                    self.pool.shed(y)
                     self.pool.add(found)
             cands = [c for c in (cand_struct, self._price_slacks(y, rule)) if c is not None]
             if not cands:
@@ -664,7 +729,7 @@ class _Simplex:
                     pos = int(tie_pos[np.argmin(self.basis[tie_pos])])
                 else:
                     pos = int(tie_pos[np.argmax(np.abs(step[tie_pos]))])
-                self._replace(pos, enter, entering, t_upp[pos] < t_low[pos])
+                self._replace(pos, enter, entering, d, t_upp[pos] < t_low[pos])
                 t = t_basic
 
             self.iterations += 1
@@ -720,9 +785,7 @@ class _Simplex:
                 return False
 
             # -- pivot row alpha = e_r B^-1 a over the candidates
-            unit = np.zeros(R)
-            unit[r] = 1.0
-            rho = self._solve(unit, transpose=True)
+            rho = self.binv[r]
             alpha[:members] = self.pool.row(rho)
             alpha[members:] = self.sign[:R] * rho
             # a candidate may enter only if moving it off its own bound pushes
@@ -733,7 +796,8 @@ class _Simplex:
                 return False
             ratio = np.maximum(-flip[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
             enter = int(ids[eligible][self._near_min(ratio)].min())
-            self._replace(r, enter, self._entering(enter), not below)
+            entering = self._entering(enter)
+            self._replace(r, enter, entering, self._solve(entering[0]), not below)
             self.iterations += 1
 
     # -- phase transitions and extraction ----------------------------
@@ -749,9 +813,12 @@ class _Simplex:
         return tuple(int(i) for i in np.sort(self.basis[violated] - self.art0))
 
     def extract(self, status: str, infeasible_rows=()) -> LpSolution:
+        # the reported masses come from one fresh LU solve of the kept
+        # matrix, not from the updated inverse
+        x = np.linalg.solve(self.bmat, self._effective_rhs())
         struct = self.basis < self.n
         ids = self.basis[struct]
-        vals = np.maximum(self.x_basis[struct], 0.0)
+        vals = np.maximum(x[struct], 0.0)
         keep = vals > 0.0
         ids, vals = ids[keep], vals[keep]
         order = np.argsort(ids, kind="stable")
@@ -770,7 +837,7 @@ class _Simplex:
             row_activity=activity,
             duals=self.duals.copy(),
             iterations=self.iterations,
-            pool=np.union1d(self.pool.ids, ids),
+            pool=_sorted_unique(np.concatenate([self.pool.ids, ids])),
             infeasible_rows=tuple(infeasible_rows),
             basis=self.basis.copy(),
             at_upper=self.at_upper.copy(),
@@ -794,7 +861,7 @@ def solve(problem: LpProblem, start=None) -> LpSolution:
     seed = problem.seed
     if start is not None:
         _check_start(start, problem)
-        seed = np.union1d(seed, _seed_ids(start.pool, problem.n_columns))
+        seed = _sorted_unique(np.concatenate([seed, _seed_ids(start.pool, problem.n_columns)]))
         s = _Simplex(problem, seed)
         s._enter_phase(2)
         if s._run_dual(start):
@@ -830,7 +897,16 @@ def _seed_ids(ids, n_columns: int) -> np.ndarray:
         raise ParameterError("a pool seed must be a sequence of integer column ids")
     if ids.min() < 0 or ids.max() >= n_columns:
         raise ParameterError(f"pool seed ids must lie in [0, {n_columns})")
-    return np.unique(ids.astype(np.int64))
+    return _sorted_unique(ids.astype(np.int64))
+
+
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """Sorted unique entries of a 1-d array: ``np.unique`` without the
+    import of ``numpy.ma`` that its first call costs."""
+    ids = np.sort(ids)
+    keep = np.ones(ids.size, dtype=bool)
+    keep[1:] = ids[1:] != ids[:-1]
+    return ids[keep]
 
 
 def relax_and_retry(problem: LpProblem, schedule, start=None) -> LpSolution:

@@ -320,13 +320,21 @@ def odds_ratio(counts: CategoryCounts) -> float:
     """Sample odds ratio (n11 * n00) / (n01 * n10) of one 2x2 table.
 
     Raises UndefinedStatisticError when any margin cell that enters the
-    denominator is zero; apply smoothing first if that is expected.  The
-    ratio is taken as ``(n11 / n01) * (n00 / n10)``, so counts near the
-    ends of the float range (1e300, 1e-300) neither overflow nor
-    underflow where the ratio itself is representable.
+    denominator is zero (apply smoothing first if that is expected), and
+    when the ratio lies outside the float range.  The ratio is taken as
+    ``(n11 / n01) * (n00 / n10)``, so counts near the ends of the float
+    range (1e300, 1e-300) neither overflow nor underflow where the ratio
+    itself is representable.
     """
     if counts.n01 == 0.0 or counts.n10 == 0.0:
         raise UndefinedStatisticError(
             "odds ratio undefined: a zero off-diagonal cell"
         )
-    return (counts.n11 / counts.n01) * (counts.n00 / counts.n10)
+    n11, n00 = np.float64(counts.n11), np.float64(counts.n00)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ratio = float((n11 / counts.n01) * (n00 / counts.n10))
+    if not math.isfinite(ratio) or (ratio == 0.0 and n11 > 0.0 and n00 > 0.0):
+        raise UndefinedStatisticError(
+            "odds ratio undefined: it lies outside the float range"
+        )
+    return ratio

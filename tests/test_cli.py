@@ -672,6 +672,18 @@ class TestMainEntry:
         assert code == 0
         assert json.loads(out.read_text(encoding="utf-8"))["input"]["odds_ratio"] == 1.0
 
+    def test_unrepresentable_odds_ratio_reported_as_null(self, tmp_path):
+        # n11 / n01 = 1e600 overflows; pytest turns any RuntimeWarning into an error
+        table = tmp_path / "table.csv"
+        counts = {(0, 1): "1e-300", (1, 1): "1e300", (0, 0): "1", (1, 0): "1"}
+        rows = [f"all,{e},{d},{count}" for (e, d), count in counts.items()]
+        table.write_text("category,exposure,outcome,count\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "report.json"
+        code = main(["estimate", "--mode", "closed-form", "--input", str(table),
+                     "--json-out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["input"]["odds_ratio"] is None
+
     @pytest.mark.parametrize("module", ["maxent_effects", "maxent_effects.cli"])
     def test_package_runs_as_module(self, module):
         src = str(Path(maxent_effects.__file__).resolve().parents[1])
@@ -817,7 +829,8 @@ class TestMainEntry:
 
 
 class TestRuntimeWithoutScipy:
-    """The package and its command line run with scipy unimportable."""
+    """The package and its command line run with scipy unimportable, and
+    load no module they do not use."""
 
     SRC = str(Path(maxent_effects.__file__).resolve().parents[1])
     R2 = ["--r2-propensity", "0.30", "--r2-prognosis", "0.20"]
@@ -848,16 +861,28 @@ class TestRuntimeWithoutScipy:
         )
         assert loaded == []
 
-    def test_commands_run_with_scipy_blocked(self, tmp_path):
+    def commands(self, tmp_path):
+        """A small estimate, converge and bootstrap, each with its report path."""
         commands = [
             ["estimate", "--input", MARGINAL, "--m", "25", *self.R2, "--epsilon", "3e-3"],
             ["converge", "--input", STRATIFIED, "--epsilon", "1.5e-3", "--m-values", "25"],
             ["bootstrap", "--input", MARGINAL, "--m", "25", *self.R2, "--epsilon", "3e-3",
              "--replicates", "2", "--seed", "7"],
         ]
-        commands = [
-            [*argv, "--json-out", str(tmp_path / f"{argv[0]}.json")] for argv in commands
-        ]
+        return [[*argv, "--json-out", str(tmp_path / f"{argv[0]}.json")] for argv in commands]
+
+    def test_commands_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.unique's first call imports numpy.ma, about 15 ms of start-up
+        loaded = self.run_python(
+            "import json, sys\n"
+            "from maxent_effects import cli\n"
+            f"codes = [cli.main(argv) for argv in {self.commands(tmp_path)!r}]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+        )
+        assert loaded == [[0, 0, 0], False]
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        commands = self.commands(tmp_path)
         codes = self.run_python(
             "import json, sys\n"
             "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"

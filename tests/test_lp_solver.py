@@ -729,6 +729,12 @@ class TestSeededPool:
             assert np.array_equal(sol.columns, [2])
             assert sol.pool.dtype == np.int64
 
+    def test_sorted_unique_matches_numpy(self):
+        rng = np.random.default_rng(RNG_SEED + 27)
+        for size in (0, 1, 2, 5, 100):
+            ids = rng.integers(0, 10, size=size)
+            assert np.array_equal(lp_solver._sorted_unique(ids), np.unique(ids))
+
     def test_random_lps_reach_unseeded_optimum(self):
         rng = np.random.default_rng(RNG_SEED + 11)
         for _ in range(30):
@@ -778,14 +784,58 @@ class TestSeededPool:
             gc.enable()
 
 
+class TestPoolShedding:
+    """A refill first drops the pool members that price below
+    ``-SHED_TOL``; basic members price at 0, so they stay."""
+
+    def test_refills_drop_dead_members_and_keep_basic_ones(self, monkeypatch):
+        state, dropped = {}, []
+        real_solution = lp_solver._Simplex._basic_solution
+        real_shed, real_add = lp_solver._Pool.shed, lp_solver._Pool.add
+
+        def basic_solution(self):
+            x, y = real_solution(self)
+            state["basic"] = self.basis[self.basis < self.n]
+            return x, y
+
+        def shed(pool, y):
+            basic = pool.ids[pool.positions(state["basic"])]
+            before = pool.n
+            real_shed(pool, y)
+            dropped.append(before - pool.n)
+            assert set(basic.tolist()) <= set(pool.ids.tolist())
+            state["y"] = y
+
+        def add(pool, ids):
+            real_add(pool, ids)
+            y = state.pop("y", None)
+            if y is not None:  # the refill that follows a shed
+                assert pool.reduced_costs(y).min() >= -lp_solver.SHED_TOL
+
+        monkeypatch.setattr(lp_solver._Simplex, "_basic_solution", basic_solution)
+        monkeypatch.setattr(lp_solver._Pool, "shed", shed)
+        monkeypatch.setattr(lp_solver._Pool, "add", add)
+        table = TestPoolPricing.TABLE
+        constrained = dict(r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
+        base = solve(build_problem(table, 8, **constrained).as_lp())
+        replicate = resample_table(table, np.random.default_rng(RNG_SEED + 26))
+        warm = solve(build_problem(replicate, 8, **constrained).as_lp(), start=base)
+        unconstrained = solve(build_problem(table, 8, epsilon=1e-2).as_lp())
+        assert base.status == warm.status == unconstrained.status == "optimal"
+        assert sum(d > 0 for d in dropped) > 1
+
+
 class TestKeptBasisState:
-    """Each phase's basis matrix, basic costs and basic bounds are kept
-    in place across pivots; at every pivot they must equal a rebuild."""
+    """Each phase's basis matrix, basic costs, basic bounds and basis
+    inverse are kept in place across pivots; at every pivot the first
+    three must equal a rebuild and the inverse must invert the matrix."""
 
     @staticmethod
     def watch(monkeypatch):
         """Check the kept state before every basis solve; return one
-        ``(phase, iterations, basis)`` record per pivot."""
+        ``(phase, iterations, basis, updates)`` record per pivot, where
+        ``updates`` counts the rank-one updates since the last
+        factorization."""
         records = []
         real = lp_solver._Simplex._solve
 
@@ -793,8 +843,10 @@ class TestKeptBasisState:
             assert np.array_equal(self.bmat, self._work_columns(self.basis))
             assert np.array_equal(self.c_basis, self._work_cost(self.basis))
             assert np.array_equal(self.ub_basis, self._work_ub(self.basis))
+            residual = self.binv @ self.bmat - np.eye(self.R)
+            assert np.abs(residual).sum(axis=1).max() <= 1e-9
             if transpose:  # once per pivot, before pricing
-                records.append((self.phase, self.iterations, self.basis.copy()))
+                records.append((self.phase, self.iterations, self.basis.copy(), self.updates))
             return real(self, rhs, transpose)
 
         monkeypatch.setattr(lp_solver._Simplex, "_solve", checked)
@@ -814,7 +866,7 @@ class TestKeptBasisState:
         for _ in range(30):
             objective, matrix, rows = feasible_instance(rng, negative=rng.uniform() < 0.3)
             assert solve(dense(objective, matrix, rows)).status == "optimal"
-        assert {phase for phase, _, _ in records} == {1, 2}
+        assert {phase for phase, *_ in records} == {1, 2}
         assert self.bound_flips(records) > 0
 
     def test_bland_mode(self, monkeypatch):
@@ -851,9 +903,34 @@ class TestKeptBasisState:
         monkeypatch.setattr(lp_solver._Pool, "member", member)
         sol = solve(grid.as_lp())
         assert sol.status == "optimal"
-        phases = [phase for phase, _, _ in records]
+        phases = [phase for phase, *_ in records]
         assert phases[0] == 1 and phases[-1] == 2
         assert sum(cached) > 0  # entering columns came from the pool's cache
+
+    def test_grid_lp_runs_past_the_refactorization_count(self, monkeypatch):
+        grid = build_problem(
+            TestPoolPricing.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
+        )
+        base = solve(grid.as_lp())
+        records = self.watch(monkeypatch)
+        sol = solve(grid.as_lp())
+        assert_identical(sol, base)
+        updates = [u for *_, u in records]
+        assert max(updates) == lp_solver._REFACTOR_EVERY
+        # the pivot after the last allowed update factorizes afresh
+        assert updates[updates.index(max(updates)) + 1] == 0
+
+    def test_tiny_pivot_elements_refactorize(self, monkeypatch):
+        rng = np.random.default_rng(RNG_SEED + 24)
+        instances = [feasible_instance(rng) for _ in range(10)]
+        expected = [solve(dense(*instance)) for instance in instances]
+        monkeypatch.setattr(lp_solver, "_TINY_PIVOT", np.inf)  # every pivot element is tiny
+        records = self.watch(monkeypatch)
+        for instance, base in zip(instances, expected):
+            sol = solve(dense(*instance))
+            assert sol.status == base.status == "optimal"
+            assert sol.objective == pytest.approx(base.objective, abs=1e-9)
+        assert records and all(u == 0 for *_, u in records)
 
     def test_pool_member_is_the_cached_column(self):
         matrix = np.arange(12.0).reshape(2, 6)
@@ -868,9 +945,36 @@ class TestKeptBasisState:
         assert pool.member(2) is None
         assert pool.member(6) is None
 
+    def test_pool_grows_and_sheds_in_place(self):
+        rng = np.random.default_rng(RNG_SEED + 25)
+        matrix = rng.uniform(-1.0, 1.0, size=(3, 500))
+        objective = rng.uniform(-1.0, 1.0, size=500)
+        p = dense(objective, matrix, [RangeRow(0.0, 1.0)] * 3)
+        pool = lp_solver._Pool(p, 2)
+        joined = []
+        for size in (1, 2, 7, 40, 3, 150, 90):  # several capacity doublings
+            ids = rng.choice(500, size=size, replace=False)
+            pool.add(ids)
+            joined += [i for i in ids.tolist() if i not in joined]
+            assert pool.ids.tolist() == joined
+        y = rng.uniform(-0.3, 0.3, size=3)
+        pool.shed(y)
+        kept = [i for i in joined if objective[i] - y @ matrix[:, i] >= -lp_solver.SHED_TOL]
+        assert 0 < len(kept) < len(joined)
+        assert pool.ids.tolist() == kept
+        expected = objective[kept] - y @ matrix[:, kept]
+        assert np.allclose(pool.reduced_costs(y), expected, rtol=0.0, atol=1e-15)
+        for column in range(500):
+            found = pool.member(column)
+            if column in kept:
+                assert np.array_equal(found[0], matrix[:, column])
+                assert found[1] == objective[column]
+            else:
+                assert found is None
+
     def test_singular_basis_raises_estimation_error(self):
         p = dense([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [RangeRow(0.0, 1.0)] * 2)
-        s = lp_solver._Simplex(p, 1e-9)
+        s = lp_solver._Simplex(p)
         s.basis = np.array([0, 1])  # two equal columns: exactly singular
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -288,6 +288,16 @@ class TestTables:
         with pytest.raises(UndefinedStatisticError):
             odds_ratio(CategoryCounts("z", 1, 1, 1, 0))
 
+    @pytest.mark.parametrize(
+        "counts", [(1e-300, 1e300, 1.0, 1.0), (1e300, 1e-300, 1.0, 1.0)], ids=["over", "under"]
+    )
+    def test_odds_ratio_outside_the_float_range_is_undefined(self, counts):
+        # the ratio is 1e600 or 1e-600: no float holds it
+        with pytest.raises(UndefinedStatisticError, match="float range"):
+            odds_ratio(CategoryCounts("all", *counts))
+        with pytest.raises(UndefinedStatisticError, match="float range"):
+            odds_ratio(CategoryCounts("all", *np.array(counts)))
+
 
 class TestJointOutcomeProbs:
     def test_sum_validation(self):
