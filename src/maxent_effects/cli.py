@@ -56,7 +56,7 @@ import numpy as np
 from .closed_form import HomogeneousSolution, solve_conditional_homogeneous
 from .errors import DegenerateTableError, EstimationError, ParameterError, UndefinedStatisticError
 from .grid_lp import CubeGrid, atoms_from_solution, build_problem
-from .lp_solver import relax_and_retry
+from .lp_solver import near_columns, relax_and_retry
 from .model import StratifiedTable, odds_ratio
 from .postprocess import ADJACENCIES, MixtureSolution, cluster_atoms
 from .svgplot import convergence_svg, mixture_svg
@@ -74,6 +74,9 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 DEFAULT_M_SWEEP = tuple(range(25, 100, 5))
+
+#: Replicates are seeded with the columns pricing above -NEAR_DELTA at the baseline.
+NEAR_DELTA = 3e-3
 
 
 @dataclass(frozen=True)
@@ -405,8 +408,11 @@ def run_bootstrap(config: RunConfig) -> dict:
     baseline is optimal, its basis is the warm start.  A replicate
     changes only the right-hand side and the marginals in the variance
     rows, so that basis stays dual feasible and a few dual simplex pivots
-    restore primal feasibility.  An infeasible baseline holds a basic
-    artificial, which sends the replicate's solve to a cold start.
+    restore primal feasibility.  An optimal baseline's near set
+    (:func:`lp_solver.near_columns` at its duals and ``NEAR_DELTA``) joins
+    that seed too, so the dual pivots see the columns the replicates'
+    duals may price in.  An infeasible baseline holds a basic artificial,
+    which sends the replicate to a cold start.
     """
     if config.replicates < 1:
         raise ParameterError("bootstrap needs replicates >= 1")
@@ -415,8 +421,10 @@ def run_bootstrap(config: RunConfig) -> dict:
     table = _load_input(config)
     rng = np.random.default_rng(config.seed)
     base_problem, base_solution = _solve_lp(config, table)
-    baseline = None
+    start, baseline = base_solution, None
     if base_solution.status == "optimal":
+        near = near_columns(base_problem.as_lp(), base_solution.duals, NEAR_DELTA)
+        start = dataclasses.replace(base_solution, pool=np.concatenate([base_solution.pool, near]))
         base_atoms = atoms_from_solution(base_problem, base_solution)
         baseline = _mixture_dict(
             cluster_atoms(base_problem, base_atoms, adjacency=config.adjacency)
@@ -430,7 +438,7 @@ def run_bootstrap(config: RunConfig) -> dict:
             rep_table = resample_table(table, rng)
             # seed and start each solve from the baseline only, so a
             # replicate depends on nothing but the baseline and its own table
-            rep_problem, rep_solution = _solve_lp(config, rep_table, start=base_solution)
+            rep_problem, rep_solution = _solve_lp(config, rep_table, start=start)
         except DegenerateTableError:
             per_replicate.append({"replicate": index, "status": "degenerate", "iterations": 0})
             continue
@@ -444,6 +452,7 @@ def run_bootstrap(config: RunConfig) -> dict:
         )
         if rep_solution.status == "optimal":
             pooled_atoms.append(atoms_from_solution(rep_problem, rep_solution))
+        del rep_problem, rep_solution  # not alive while the next replicate builds its grid
 
     n_ok = len(pooled_atoms)
     solution_dict = {"kind": "mixture"}

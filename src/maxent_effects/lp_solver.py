@@ -26,65 +26,50 @@ Implementation notes
   mass drops below ``FEASIBILITY_TOL``; surviving artificial values become
   the artificials' upper bounds so phase two cannot drift further from
   feasibility.  Artificials never re-enter the basis.
-* Each phase keeps its basis state in place: the rows x rows basis
-  matrix, the basic costs, the basic upper bounds and the basis inverse
-  are built once when the phase starts (``numpy.linalg.inv``; an exactly
-  singular basis raises :class:`EstimationError`), and a pivot
-  overwrites one column or entry of the first three.  The entering
-  column comes from the pool's cached copy when the pool holds it, else
-  from one ``columns_fn`` call for that column.  A pivot's solves are
-  products with the inverse (``B^-1 b`` for x, ``B^-1 a`` for the
-  direction, ``c_B B^-1`` for y), and the pivot updates the inverse in
-  the product form of Dantzig and Orchard-Hays (1954): with ``d = B^-1 a``
-  entering at position p, ``B^-1 -= outer(d - e_p, B^-1[p] / d[p])``,
-  O(R^2) per pivot.  The inverse is refactorized afresh after
-  ``_REFACTOR_EVERY`` such updates and in place of an update whose
-  pivot element ``|d[p]|`` is below ``_TINY_PIVOT``.  The reported
-  masses come from one fresh LU solve of the kept matrix.
+* Each phase keeps its basis state: the basis matrix, basic costs and
+  upper bounds, the effective right-hand side (``b`` shifted by the
+  logicals at their upper bounds), the slacks' free and flip flags and
+  the basis inverse, built when it starts (``numpy.linalg.inv``; an
+  exactly singular basis raises :class:`EstimationError`).  A pivot
+  overwrites one column or entry of the first three and changes the
+  right-hand side and flags only where a bound flag or the basis moved.
+  Its solves are products with the inverse (``B^-1 b``, ``B^-1 a``,
+  ``c_B B^-1``), which it updates in the product form of Dantzig and
+  Orchard-Hays (1954): with ``d = B^-1 a`` entering at position p,
+  ``B^-1 -= outer(d - e_p, B^-1[p] / d[p])``, refactorizing after
+  ``_REFACTOR_EVERY`` updates or for a pivot element below
+  ``_TINY_PIVOT``.  Reported masses come from one fresh LU solve.
 * Pricing is pool first (partial pricing, column generation inside the
   one running simplex).  Each phase owns a pool of structural columns:
-  their ids, dense columns and phase costs, in one contiguous array each
-  whose capacity doubles when a refill does not fit.  A pivot prices
-  only the pool, one ``cost - y @ columns``, while some member improves
-  (ties by lowest id).  When none does, a full scan of all columns
-  (:func:`price_columns`, ``PRICE_CHUNK`` columns at a time, priced into
-  one buffer that every chunk reuses) returns the entering column and
-  the ``POOL_PER_CHUNK`` best improving columns of every chunk.  Before
-  they join the pool, the members pricing below ``-SHED_TOL`` at the
-  current duals leave it, so the pool tracks the columns near the
-  optimal face instead of every column a scan ever found.  Neither the
-  pool nor the scan skips the basic columns: they price to 0 within
-  rounding (B^T y = c_B), far below ``OPTIMALITY_TOL``, so they never
-  enter and are never shed.  ``optimal`` is declared only when a full
-  scan and the slacks find nothing, so the certificate covers every
-  column.
-* A problem can carry a seed (``LpProblem(..., seed=ids)``): structural
-  ids that join each phase's pool, with that phase's costs, when the
-  phase starts, so the solve finds a support it can predict (say, the
-  grid cells around a continuum optimum) without discovering it through
-  full scans.  A warm-started solve adds its start's
-  :attr:`LpSolution.pool`, the final phase's pool plus the returned
-  columns, to the seed.  Seeding changes the path, never the
-  certificate.
+  ids, dense columns and phase costs in contiguous arrays whose capacity
+  doubles when a refill does not fit.  A pivot prices only the pool, one
+  ``cost - y @ columns``, while some member improves (ties by lowest
+  id), and reads the entering column at that member's position.  When
+  none does, a full scan (:func:`price_columns`, ``PRICE_CHUNK`` columns
+  at a time) returns the entering column, the ``POOL_PER_CHUNK`` best
+  improving columns of each chunk whose maximum is above
+  ``OPTIMALITY_TOL``, and the largest reduced cost; members pricing
+  below ``-SHED_TOL`` leave the pool first.  Basic columns price to 0
+  (B^T y = c_B): they never enter and are never shed.  ``optimal`` needs
+  a full scan and the slacks to find nothing, certifying every column.
+* A problem's seed (``LpProblem(..., seed=ids)``), plus a warm start's
+  ``pool``, joins each phase's pool when it starts, so a predictable
+  support (say, the cells around a continuum optimum) needs no full
+  scan.  Seeding changes the path, never the certificate.
 * A solve can warm-start from a related solution's final basis
   (``solve(..., start=solution)``), typically the same grid with another
   right-hand side, whose optimal basis stays dual feasible.  A dual
   simplex phase with phase-two costs and the artificials fixed at 0
-  pivots from that basis until it is primal feasible: the most
-  primal-infeasible basic variable leaves; its row of the kept basis
-  inverse, ``e_r B^-1``, times the pool's cached columns and the slacks
-  gives the pivot row; and a bounded ratio test (smallest
-  ``|d_j / alpha_j|`` over the eligible nonbasics, ties within a relative
-  1e-9 by lowest id) picks the entering column.  Phase two then runs as
-  after phase one, so its full scan still certifies the optimum over
-  every column.  A start that holds a basic artificial or is not dual
-  feasible over the pool and the slacks, a pivot row with no eligible
-  entering column, or the iteration limit sends the solve back to the
-  cold two-phase start.
-* The primal and the dual loop share their steps, one method each:
-  building the kept basis state, the basic solution with its non-finite
-  check, the pivot-in update, the slacks' free/flip rule and the
-  ratio-test tie rule (within a relative 1e-9 of the minimum).
+  pivots until the basis is primal feasible, over one candidate block
+  built when it starts: the pool's members and the slacks' unit columns.
+  The most primal-infeasible basic variable leaves; its row of the
+  inverse times the block gives the pivot row; and a bounded ratio test
+  (smallest ``|d_j / alpha_j|`` over the eligible nonbasics, ties within
+  a relative 1e-9 by lowest id) picks the entering column.  Phase two
+  goes on from the kept state, so its full scan still certifies the
+  optimum.  A start that holds a basic artificial or is not dual
+  feasible over the block, a pivot row with no eligible entering
+  column, or the iteration limit sends the solve to the cold start.
 * Pivot selection is largest reduced cost above ``OPTIMALITY_TOL`` with
   lowest-index tie-breaking, a structural column before a slack of equal
   ``|reduced cost|``; after a stall of ``10 * n_rows`` consecutive
@@ -168,9 +153,6 @@ class InequalityRow:
     """One-sided constraint activity >= rhs."""
 
     rhs: float
-
-
-Row = RangeRow | InequalityRow
 
 
 class LpProblem:
@@ -314,6 +296,8 @@ class LpSolution:
     a related solve.  ``basis`` (the R basic working ids) and
     ``at_upper`` (the 2R logicals' bound flags) hold the final basis
     state, the start of a warm-started related solve.
+    ``max_reduced_cost``, the final phase's last full scan's ``max_rc``
+    (NaN if none), is at optimality at most ``OPTIMALITY_TOL``.
     """
 
     status: str  # optimal | infeasible | iteration_limit | unbounded
@@ -327,6 +311,30 @@ class LpSolution:
     infeasible_rows: tuple[int, ...] = ()
     basis: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     at_upper: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
+    max_reduced_cost: float = np.nan
+
+
+@dataclass(frozen=True, eq=False)
+class PricingScan:
+    """What a full pricing scan saw (see :func:`price_columns`)."""
+
+    entering: tuple[int, float] | None
+    candidates: np.ndarray
+    max_rc: float
+
+
+def _chunks(problem: LpProblem, dual_values, include_objective: bool):
+    """``(start, reduced costs)`` of each ``PRICE_CHUNK`` span in index
+    order, in one reused buffer (fresh ones would re-fault their pages)."""
+    duals = np.asarray(dual_values, dtype=float)
+    if duals.shape != (problem.n_rows,):
+        raise ParameterError("dual vector length must equal the row count")
+    buffer = np.empty(min(PRICE_CHUNK, problem.n_columns))
+    for start in range(0, problem.n_columns, PRICE_CHUNK):
+        stop = min(start + PRICE_CHUNK, problem.n_columns)
+        yield start, problem.reduced_costs(
+            duals, start, stop, include_objective, out=buffer[: stop - start]
+        )
 
 
 def price_columns(
@@ -335,48 +343,44 @@ def price_columns(
     *,
     rule: str = "dantzig",
     include_objective: bool = True,
-):
-    """Scan all structural columns for entering candidates.
+) -> PricingScan:
+    """Scan all structural columns, a chunk at a time, for entering ones.
 
-    Returns ``None`` when no column's reduced cost exceeds
-    ``OPTIMALITY_TOL``, which certifies dual feasibility of
-    ``dual_values`` over the whole column set.  Else it returns
-    ``((column_index, reduced_cost), candidates)``: ``candidates`` holds
-    the ids of the ``POOL_PER_CHUNK`` best improving columns of every
-    chunk, best first over the whole scan (ties by lowest index), and the
-    returned column is its first entry.  Under ``rule="bland"`` the first
-    improving index is returned instead, with no candidates.  The scan
-    visits fixed-size chunks in index order and never materializes the
-    full matrix.
+    ``entering`` is ``(column_index, reduced_cost)``, or None, which
+    certifies dual feasibility of ``dual_values`` over every column;
+    ``max_rc`` is the largest reduced cost scanned.  ``candidates`` holds
+    the ``POOL_PER_CHUNK`` best improving ids of every chunk, best first
+    (ties by lowest index), and ``entering`` is its first.  Under
+    ``rule="bland"`` the first improving column enters, with no
+    candidates, and the scan stops there.
     """
-    duals = np.asarray(dual_values, dtype=float)
-    if duals.shape != (problem.n_rows,):
-        raise ParameterError("dual vector length must equal the row count")
-    # Bland's rule gathers nothing: the empty blocks make its result None
     found_ids, found_rcs = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    # one buffer for every chunk: fresh chunk-sized temporaries make the
-    # allocator return and re-fault their pages chunk after chunk
-    buffer = np.empty(min(PRICE_CHUNK, problem.n_columns))
-    for start in range(0, problem.n_columns, PRICE_CHUNK):
-        stop = min(start + PRICE_CHUNK, problem.n_columns)
-        rc = problem.reduced_costs(
-            duals, start, stop, include_objective, out=buffer[: stop - start]
-        )
-        if rule == "bland":
-            hits = np.flatnonzero(rc > OPTIMALITY_TOL)
-            if hits.size:
-                j = int(hits[0])
-                return (start + j, float(rc[j])), np.empty(0, dtype=np.int64)
+    max_rc = -np.inf
+    for start, rc in _chunks(problem, dual_values, include_objective):
+        top = float(rc.max())
+        max_rc = max(max_rc, top)
+        if not top > OPTIMALITY_TOL:
             continue
-        top = _best_improving(rc, OPTIMALITY_TOL)
-        found_ids.append(start + top)
-        found_rcs.append(rc[top])
+        if rule == "bland":
+            j = int(np.argmax(rc > OPTIMALITY_TOL))
+            return PricingScan((start + j, float(rc[j])), found_ids[0], max_rc)
+        picked = _best_improving(rc, OPTIMALITY_TOL)
+        found_ids.append(start + picked)
+        found_rcs.append(rc[picked])
     ids, rcs = np.concatenate(found_ids), np.concatenate(found_rcs)
     if not ids.size:
-        return None
+        return PricingScan(None, ids, max_rc)
     # stable: equal costs keep their ascending-id order
     order = np.argsort(-rcs, kind="stable")
-    return (int(ids[order[0]]), float(rcs[order[0]])), ids[order]
+    return PricingScan((int(ids[order[0]]), float(rcs[order[0]])), ids[order], max_rc)
+
+
+def near_columns(problem: LpProblem, duals: np.ndarray, delta: float) -> np.ndarray:
+    """Sorted ids of the columns whose phase-two reduced cost at ``duals``
+    is above ``-delta``, from one pass over all columns."""
+    return np.concatenate(
+        [start + np.flatnonzero(rc > -delta) for start, rc in _chunks(problem, duals, True)]
+    )
 
 
 def _best_improving(rc: np.ndarray, tol: float) -> np.ndarray:
@@ -471,22 +475,34 @@ class _Pool:
         return rho @ self._cols[:, : self.n]
 
     def price(self, y: np.ndarray):
-        """Best member above ``OPTIMALITY_TOL`` as ``(column_index,
-        reduced_cost)`` (ties by lowest index), or None."""
+        """Best member above ``OPTIMALITY_TOL`` as ``(position,
+        column_index, reduced_cost)`` (ties by lowest index), or None."""
         if not self.n:
             return None
         rc = self.reduced_costs(y)
-        best = rc.max()
-        if best > OPTIMALITY_TOL:
-            return int(self.ids[rc == best].min()), float(best)
-        return None
-
-    def member(self, column: int):
-        """Cached ``(dense column, phase cost)`` of a member, or None."""
-        k = self.positions(np.array([column], dtype=np.int64))
-        if not k.size:
+        k = int(rc.argmax())
+        best = rc[k]
+        if not best > OPTIMALITY_TOL:
             return None
-        return self._cols[:, k[0]], self._cost[k[0]]
+        ties = (rc == best).nonzero()[0]
+        if ties.size > 1:
+            k = int(ties[self._ids[ties].argmin()])
+        return k, int(self._ids[k]), float(best)
+
+    def column(self, k: int):
+        """Cached ``(dense column, phase cost)`` of the member at position ``k``."""
+        return self._cols[:, k], self._cost[k]
+
+    def with_units(self, first_id: int, signs: np.ndarray) -> _Pool:
+        """A new pool: these members, then ``signs[i]`` times the unit
+        column of row ``i`` as member ``first_id + i``, at cost 0."""
+        block, n, rows = _Pool(self._problem, self._phase), self.n, signs.size
+        block.n = n + rows
+        block._ids = np.concatenate([self.ids, np.arange(first_id, first_id + rows)])
+        block._cols = np.concatenate([self._cols[:, :n], np.diag(signs)], axis=1)
+        block._cost = np.concatenate([self._cost[:n], np.zeros(rows)])
+        block._index()
+        return block
 
 
 def _with_capacity(a: np.ndarray, n: int, capacity: int) -> np.ndarray:
@@ -517,6 +533,7 @@ class _Simplex:
         )
         self.at_upper = np.zeros(2 * self.R, dtype=bool)
 
+        self.slack_sign = -self.sign[: self.R]  # a slack's rc is slack_sign * y
         self.basis = np.arange(self.art0, self.art0 + self.R, dtype=np.int64)
         self.iterations = 0
         self.seed = seed
@@ -524,48 +541,18 @@ class _Simplex:
         self.duals = np.zeros(self.R)
 
     def _enter_phase(self, phase: int) -> None:
-        """Start ``phase`` (1 or 2) with a pool of the seed ids at its costs."""
+        """Start ``phase`` (1 or 2) at ``basis``: a seeded pool, the kept state."""
         self.phase = phase
         self.pool = _Pool(self.p, phase)
         self.pool.add(self.seed)
-
-    # -- working-variable helpers ------------------------------------
-
-    def _work_columns(self, ids: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.R, ids.size))
-        struct = ids < self.n
-        if struct.any():
-            out[:, struct] = self.p.columns(ids[struct])
-        pos = np.flatnonzero(~struct)
-        logical = ids[pos] - self.n
-        out[logical % self.R, pos] = self.sign[logical]
-        return out
-
-    def _work_cost(self, ids: np.ndarray) -> np.ndarray:
-        out = np.zeros(ids.size)
-        if self.phase == 1:
-            out[ids >= self.art0] = -1.0
-        else:
-            struct = ids < self.n
-            if struct.any():
-                out[struct] = self.p.objective(ids[struct])
-        return out
-
-    def _work_ub(self, ids: np.ndarray) -> np.ndarray:
-        out = np.full(ids.size, np.inf)
-        logical = ids >= self.n
-        out[logical] = self.upper[ids[logical] - self.n]
-        return out
+        self.max_rc = np.nan  # until the phase's first full scan
+        self._load_basis()
 
     def _effective_rhs(self) -> np.ndarray:
         shift = np.where(self.at_upper, self.sign * self.upper, 0.0)
         return self.b - shift[: self.R] - shift[self.R :]
 
     # -- steps shared by the primal and the dual loop ---------------
-
-    def _solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``B^-1 rhs`` (or ``rhs B^-1``) from the kept basis inverse."""
-        return rhs @ self.binv if transpose else self.binv @ rhs
 
     def _factor(self) -> None:
         """Invert the kept basis matrix afresh."""
@@ -576,46 +563,60 @@ class _Simplex:
         self.updates = 0
 
     def _load_basis(self) -> None:
-        """Build the kept basis state of ``basis`` and invert its matrix: a
-        pivot then overwrites one column of the matrix and one entry of the
-        costs and bounds, and updates the inverse."""
-        self.bmat = self._work_columns(self.basis)
-        self.c_basis = self._work_cost(self.basis)
-        self.ub_basis = self._work_ub(self.basis)
+        """Build the kept basis state of ``basis`` (see the module notes)."""
+        basis, R = self.basis, self.R
+        struct = basis < self.n
+        logical = basis[~struct] - self.n  # logical i is sign[i] e_(i % R)
+        self.bmat = np.zeros((R, R))
+        self.bmat[logical % R, np.flatnonzero(~struct)] = self.sign[logical]
+        self.c_basis = np.where(basis >= self.art0, -1.0 if self.phase == 1 else 0.0, 0.0)
+        if struct.any():
+            self.bmat[:, struct] = self.p.columns(basis[struct])
+            if self.phase == 2:
+                self.c_basis[struct] = self.p.objective(basis[struct])
+        self.ub_basis = np.full(R, np.inf)
+        self.ub_basis[~struct] = self.upper[logical]
+        self.rhs = self._effective_rhs()
+        # a slack is free if nonbasic with room between its bounds; flip is -1
+        # at its upper bound, else 1, so flip * rc > 0 means moving it improves
+        self.slack_free = self.upper[:R] > 0.0
+        self.slack_free[logical[logical < R]] = False
+        self.slack_flip = np.where(self.at_upper[:R], -1.0, 1.0)
         self._factor()
 
     def _basic_solution(self) -> tuple[np.ndarray, np.ndarray]:
         """Basic values ``x`` and duals ``y`` of the kept basis, also kept
         as ``x_basis`` and ``duals``."""
-        x = self._solve(self._effective_rhs())
-        if not np.all(np.isfinite(x)):
+        x = self.binv @ self.rhs
+        if not np.isfinite(x).all():
             raise EstimationError("numerical breakdown: non-finite basic solution")
         self.x_basis = x
-        self.duals = self._solve(self.c_basis, transpose=True)
+        self.duals = self.c_basis @ self.binv
         return x, self.duals
 
-    def _entering(self, enter: int):
-        """Working column and phase cost of the entering variable: the
-        pool's cached copy when it holds one, else built for it alone."""
-        cached = self.pool.member(enter) if enter < self.n else None
-        if cached is not None:
-            return cached
-        ids = np.array([enter], dtype=np.int64)
-        return self._work_columns(ids)[:, 0], self._work_cost(ids)[0]
-
-    def _replace(self, pos: int, enter: int, entering, d: np.ndarray, to_upper: bool) -> None:
-        """Pivot ``enter``, with its ``(column, cost)`` and ``d = B^-1
-        column``, into basis position ``pos``; the leaving variable goes to
-        its upper bound if ``to_upper``, else to 0."""
+    def _replace(self, pos: int, enter: int, column, cost, d: np.ndarray, to_upper: bool) -> None:
+        """Pivot ``enter`` (a structural or slack, with its column, phase cost
+        and ``d = B^-1 column``) into basis position ``pos``; the leaving
+        variable goes to its upper bound if ``to_upper``, else to 0."""
         leaving = int(self.basis[pos])
         if leaving >= self.n:
-            self.at_upper[leaving - self.n] = to_upper
+            i = leaving - self.n
+            self.at_upper[i] = to_upper
+            if i < self.R:
+                self.slack_free[i] = self.upper[i] > 0.0
+                self.slack_flip[i] = -1.0 if to_upper else 1.0
         elif to_upper:
             raise EstimationError("structural variable cannot leave at +inf")
+        flags_changed = to_upper
         if enter >= self.n:
-            self.at_upper[enter - self.n] = False
+            i = enter - self.n
+            flags_changed |= bool(self.at_upper[i])
+            self.at_upper[i] = self.slack_free[i] = False
+            self.slack_flip[i] = 1.0
+        if flags_changed:
+            self.rhs = self._effective_rhs()
         self.basis[pos] = enter
-        self.bmat[:, pos], self.c_basis[pos] = entering
+        self.bmat[:, pos], self.c_basis[pos] = column, cost
         self.ub_basis[pos] = self.upper[enter - self.n] if enter >= self.n else np.inf
         if self.updates < _REFACTOR_EVERY and abs(d[pos]) >= _TINY_PIVOT:
             # product form: B'^-1 = E B^-1, E the identity but for column pos
@@ -626,15 +627,6 @@ class _Simplex:
         else:
             self._factor()
 
-    def _slacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Which slacks can move (nonbasic, with room between their
-        bounds), and each slack's flip: -1 at its upper bound, else 1, so
-        ``flip * rc > 0`` means moving it off its bound improves."""
-        free = self.upper[: self.R] > 0.0
-        logical = self.basis[self.basis >= self.n] - self.n
-        free[logical[logical < self.R]] = False
-        return free, np.where(self.at_upper[: self.R], -1.0, 1.0)
-
     @staticmethod
     def _near_min(v: np.ndarray) -> np.ndarray:
         """Entries within a relative 1e-9 of the minimum: ratio-test ties,
@@ -643,29 +635,47 @@ class _Simplex:
 
     # -- the primal loop ---------------------------------------------
 
-    def _price_slacks(self, y: np.ndarray, rule: str):
-        """Best nonbasic slack candidate as (work_id, reduced_cost) or None.
-
-        Slacks cost 0, so a slack's reduced cost is ``-sign * y``; it
-        improves by rising from its lower bound or falling from its upper.
-        """
-        rc = -self.sign[: self.R] * y
-        free, flip = self._slacks()
-        cands = np.flatnonzero(free & (flip * rc > OPTIMALITY_TOL))
-        if not cands.size:
-            return None
-        i = cands[0] if rule == "bland" else cands[np.argmax(np.abs(rc[cands]))]
-        return self.n + int(i), rc[i]
+    def _entering(self, y: np.ndarray, bland: bool):
+        """``(working id, column, phase cost)`` of the entering variable at
+        duals ``y``, or None: the best structural (pool, else a refilling
+        full scan) or slack, by the selection rule of the module notes."""
+        found = None if bland else self.pool.price(y)
+        if found is None:
+            scan = price_columns(
+                self.p, y, rule="bland" if bland else "dantzig", include_objective=self.phase == 2
+            )
+            self.max_rc = scan.max_rc
+            if scan.entering is not None:
+                self.pool.shed(y)
+                self.pool.add(scan.candidates)
+                # a member now, unless Bland's rule found it
+                k = self.pool.positions(np.array([scan.entering[0]]))
+                found = (k[0] if k.size else None, *scan.entering)
+        # a slack's rc is slack_sign * y; a free one improves where flip * rc > 0
+        gain = self.slack_flip * self.slack_sign * y * self.slack_free
+        i = int((gain > OPTIMALITY_TOL).argmax() if bland else gain.argmax())
+        if found is not None and (bland or found[2] >= gain[i]):
+            k, enter, _ = found
+            if k is not None:
+                return (enter, *self.pool.column(k))
+            column = self.p.columns([enter])[:, 0]
+            return enter, column, self.p.objective([enter])[0] if self.phase == 2 else 0.0
+        if gain[i] > OPTIMALITY_TOL:
+            column = np.zeros(self.R)
+            column[i] = self.sign[i]
+            return self.n + i, column, 0.0
+        return None
 
     def _infeasibility(self) -> float:
         art = self.basis >= self.art0
         return float(np.sum(np.maximum(self.x_basis[art], 0.0)))
 
     def _run_phase(self) -> str:
+        """Primal pivots from the kept basis state until the phase ends."""
         stall = 0
         bland = False
         last_objective = -np.inf
-        self._load_basis()
+        unbounded = np.full(self.R, np.inf)
 
         while True:
             x, y = self._basic_solution()
@@ -677,49 +687,33 @@ class _Simplex:
             if self.iterations >= MAX_ITERATIONS:
                 return "iteration_limit"
 
-            # -- entering variable: the pool first, all columns if it prices out
-            rule = "bland" if bland else "dantzig"
-            cand_struct = None if bland else self.pool.price(y)
-            if cand_struct is None:
-                scan = price_columns(self.p, y, rule=rule, include_objective=(self.phase == 2))
-                if scan is not None:
-                    cand_struct, found = scan
-                    self.pool.shed(y)
-                    self.pool.add(found)
-            cands = [c for c in (cand_struct, self._price_slacks(y, rule)) if c is not None]
-            if not cands:
+            entering = self._entering(y, bland)
+            if entering is None:
                 return "optimal"
-            # Bland: the lowest id; else the largest |rc|, the structural on a tie
-            enter = min(cands)[0] if bland else max(cands, key=lambda c: abs(c[1]))[0]
-
-            enter_at_upper = enter >= self.n and self.at_upper[enter - self.n]
-            entering = self._entering(enter)
-            d = self._solve(entering[0])
-            if not np.all(np.isfinite(d)):
+            enter, column, cost = entering
+            d = self.binv @ column
+            if not np.isfinite(d).all():
                 raise EstimationError("numerical breakdown: non-finite direction")
-            step = -d if enter_at_upper else d
+            logical = enter >= self.n
+            step = -d if logical and self.at_upper[enter - self.n] else d
 
-            # -- ratio test: x_basis(t) = x_basis - t*step, t >= 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_low = np.where(
-                    step > _PIVOT_TOL, np.maximum(x, 0.0) / step, np.inf
-                )
-                room = self.ub_basis - x
-                t_upp = np.where(
-                    (step < -_PIVOT_TOL) & np.isfinite(self.ub_basis),
-                    np.maximum(room, 0.0) / (-step),
-                    np.inf,
-                )
+            # -- ratio test: x_basis(t) = x_basis - t*step, t >= 0 (no upper bound: room inf)
+            positive, negative = step > _PIVOT_TOL, step < -_PIVOT_TOL
+            t_low = np.divide(np.maximum(x, 0.0), step, out=unbounded.copy(), where=positive)
+            room = np.maximum(self.ub_basis - x, 0.0)
+            t_upp = np.divide(room, -step, out=unbounded.copy(), where=negative)
             t_leave = np.minimum(t_low, t_upp)
             t_basic = float(t_leave.min())
-            ub_enter = float(self.upper[enter - self.n]) if enter >= self.n else np.inf
+            ub_enter = float(self.upper[enter - self.n]) if logical else np.inf
 
             if ub_enter <= t_basic:
-                # Bound flip: the entering variable traverses its own range.
+                # Bound flip: the entering slack traverses its own range.
                 if not np.isfinite(ub_enter):
                     return "unbounded"
                 i = enter - self.n
                 self.at_upper[i] = not self.at_upper[i]
+                self.slack_flip[i] = -self.slack_flip[i]
+                self.rhs = self._effective_rhs()
                 t = ub_enter
             else:
                 if not np.isfinite(t_basic):
@@ -729,7 +723,7 @@ class _Simplex:
                     pos = int(tie_pos[np.argmin(self.basis[tie_pos])])
                 else:
                     pos = int(tie_pos[np.argmax(np.abs(step[tie_pos]))])
-                self._replace(pos, enter, entering, d, t_upp[pos] < t_low[pos])
+                self._replace(pos, enter, column, cost, d, t_upp[pos] < t_low[pos])
                 t = t_basic
 
             self.iterations += 1
@@ -745,12 +739,9 @@ class _Simplex:
     # -- the dual loop -----------------------------------------------
 
     def _run_dual(self, start: LpSolution) -> bool:
-        """Dual simplex from ``start``'s basis, with phase-two costs and
-        the artificials fixed at 0, until the basis is primal feasible
-        (True).  False asks for a cold start: the start holds a basic
-        artificial or is not dual feasible over the pool and the slacks,
-        a pivot row has no eligible entering column, or the iteration
-        limit is hit."""
+        """Dual simplex from ``start``'s basis (see the module notes) until
+        the basis is primal feasible (True), so phase two can go on from
+        the kept state.  False asks for a cold start."""
         R, n = self.R, self.n
         at_upper = start.at_upper.copy()
         at_upper[R:] = False
@@ -759,45 +750,47 @@ class _Simplex:
         self.basis = start.basis.copy()
         self.at_upper = at_upper
         self._freeze_artificials()  # no artificial is basic: all fixed at 0
-        self._load_basis()
-        # candidates: the pool's members, then the slacks; flip is -1 for a
-        # slack at its upper bound, so flip * d <= 0 is dual feasibility
-        # for each nonbasic one
-        members = self.pool.ids.size
-        ids = np.concatenate([self.pool.ids, np.arange(n, n + R)])
-        free, flip = np.ones(ids.size, dtype=bool), np.ones(ids.size)
-        d, alpha = np.empty(ids.size), np.empty(ids.size)
+        self._enter_phase(2)
+        # flip * d <= 0 is dual feasibility for each free candidate; the
+        # slacks' kept flags become views of the block's
+        members = self.pool.n
+        block = self.pool.with_units(n, self.sign[:R])
+        free, flip = np.ones(block.n, dtype=bool), np.ones(block.n)
+        free[members:], flip[members:] = self.slack_free, self.slack_flip
+        self.slack_free, self.slack_flip = free[members:], flip[members:]
+        basic = block.positions(self.basis)
+        free[basic] = False
+        slot = dict(zip(block.ids[basic].tolist(), basic.tolist()))  # basic id -> position
         while True:
             x, y = self._basic_solution()
-            free[:members] = True
-            free[self.pool.positions(self.basis[self.basis < n])] = False
-            free[members:], flip[members:] = self._slacks()
-            d[:members] = self.pool.reduced_costs(y)
-            d[members:] = -self.sign[:R] * y
+            d = block.reduced_costs(y)
             if self.iterations == 0 and np.any(flip[free] * d[free] > OPTIMALITY_TOL):
                 return False  # checked once, at the start's basis
 
             infeasibility = np.maximum(-x, x - self.ub_basis)
-            r = int(np.argmax(infeasibility))
+            r = int(infeasibility.argmax())
             if infeasibility[r] <= FEASIBILITY_TOL:
                 return True
             if self.iterations >= MAX_ITERATIONS:
                 return False
 
             # -- pivot row alpha = e_r B^-1 a over the candidates
-            rho = self.binv[r]
-            alpha[:members] = self.pool.row(rho)
-            alpha[members:] = self.sign[:R] * rho
+            alpha = block.row(self.binv[r])
             # a candidate may enter only if moving it off its own bound pushes
             # x_r back towards the bound it violates (0 from below, or its upper)
             below = x[r] < 0.0
-            eligible = free & ((alpha if below else -alpha) * flip < -_PIVOT_TOL)
-            if not eligible.any():
+            eligible = (free & ((alpha if below else -alpha) * flip < -_PIVOT_TOL)).nonzero()[0]
+            if not eligible.size:
                 return False
             ratio = np.maximum(-flip[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
-            enter = int(ids[eligible][self._near_min(ratio)].min())
-            entering = self._entering(enter)
-            self._replace(r, enter, entering, self._solve(entering[0]), not below)
+            ties = eligible[self._near_min(ratio)]
+            k = int(ties[block.ids[ties].argmin()])
+            enter, (column, cost) = int(block.ids[k]), block.column(k)
+            out = slot.pop(int(self.basis[r]), -1)
+            if 0 <= out < members:  # the slacks' flags are _replace's
+                free[out] = True
+            free[k], slot[enter] = False, k
+            self._replace(r, enter, column, cost, self.binv @ column, not below)
             self.iterations += 1
 
     # -- phase transitions and extraction ----------------------------
@@ -815,7 +808,7 @@ class _Simplex:
     def extract(self, status: str, infeasible_rows=()) -> LpSolution:
         # the reported masses come from one fresh LU solve of the kept
         # matrix, not from the updated inverse
-        x = np.linalg.solve(self.bmat, self._effective_rhs())
+        x = np.linalg.solve(self.bmat, self.rhs)
         struct = self.basis < self.n
         ids = self.basis[struct]
         vals = np.maximum(x[struct], 0.0)
@@ -823,24 +816,19 @@ class _Simplex:
         ids, vals = ids[keep], vals[keep]
         order = np.argsort(ids, kind="stable")
         ids, vals = ids[order], vals[order]
-        if ids.size:
-            activity = self.p.columns(ids) @ vals
-            objective = float(self.p.objective(ids) @ vals)
-        else:
-            activity = np.zeros(self.R)
-            objective = 0.0
         return LpSolution(
             status=status,
             columns=ids,
             masses=vals,
-            objective=objective,
-            row_activity=activity,
+            objective=float(self.p.objective(ids) @ vals),
+            row_activity=self.p.columns(ids) @ vals,
             duals=self.duals.copy(),
             iterations=self.iterations,
             pool=_sorted_unique(np.concatenate([self.pool.ids, ids])),
             infeasible_rows=tuple(infeasible_rows),
             basis=self.basis.copy(),
             at_upper=self.at_upper.copy(),
+            max_reduced_cost=self.max_rc,
         )
 
 
@@ -863,7 +851,6 @@ def solve(problem: LpProblem, start=None) -> LpSolution:
         _check_start(start, problem)
         seed = _sorted_unique(np.concatenate([seed, _seed_ids(start.pool, problem.n_columns)]))
         s = _Simplex(problem, seed)
-        s._enter_phase(2)
         if s._run_dual(start):
             return s.extract(s._run_phase())
     s = _Simplex(problem, seed)

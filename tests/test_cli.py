@@ -1,5 +1,6 @@
 """Report assembly, determinism, exit codes, and SVG rendering."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -191,6 +192,16 @@ class TestEstimateReport:
         assert n_vertex <= n_face
 
 
+    def test_every_optimal_solve_is_certified(self, monkeypatch):
+        calls = record_pools(monkeypatch)
+        for config in (small_lp_config(), small_lp_config(r2_propensity=0.1, r2_prognosis=0.05),
+                       small_lp_config(input_path=STRATIFIED)):
+            assert run_estimate(config)["status"] == "optimal"
+        assert len(calls) == 3
+        for call in calls:
+            assert_certified(call.problem, call.solution)
+
+
 class TestConvergenceReport:
     def test_sweep_records_gap_per_resolution(self):
         config = RunConfig(input_path=MARGINAL, epsilon=0.01)
@@ -295,16 +306,19 @@ def unseeded_lp(grid):
 
 def assert_certified(problem, solution):
     """Check an optimal solve's certificate from its duals y: no column
-    prices above ``OPTIMALITY_TOL``, y <= 0 on every inequality row, and
-    the dual bound (y * upper where y > 0, else y * lower) is at most
-    1e-9 above the objective."""
+    prices above ``OPTIMALITY_TOL`` (as its recorded ``max_reduced_cost``
+    says), y <= 0 on every inequality row, and the dual bound (y * upper
+    where y > 0, else y * lower) is at most 1e-9 above the objective."""
     y = solution.duals
     inequality = np.isinf(problem.upper)
     assert np.all(y[inequality] <= 1e-12)
     upper = np.where(inequality, 0.0, problem.upper)
     bound = np.maximum(y, 0.0) @ upper + np.minimum(y, 0.0) @ problem.lower
     assert bound - solution.objective <= 1e-9
-    assert lp_solver.price_columns(problem, y) is None
+    scan = lp_solver.price_columns(problem, y)
+    assert scan.entering is None
+    assert solution.max_reduced_cost <= lp_solver.OPTIMALITY_TOL
+    assert solution.max_reduced_cost == pytest.approx(scan.max_rc, abs=1e-12)
 
 
 class TestBootstrapReport:
@@ -337,9 +351,18 @@ class TestBootstrapReport:
         assert base.solution.status == "optimal"
         for call in [base, *replicates]:
             assert call.problem.seed.size == 0  # R2 rows: no cell-block seed
+        # one start for every replicate: the baseline, its pool joined by
+        # the near set at its duals
+        near = lp_solver.near_columns(base.problem, base.solution.duals, cli.NEAR_DELTA)
+        start = replicates[0].start
+        assert near.size and set(start.pool.tolist()) == set(base.solution.pool.tolist()) | set(
+            near.tolist()
+        )
+        for field in dataclasses.fields(start):
+            if field.name != "pool":
+                assert getattr(start, field.name) is getattr(base.solution, field.name)
         for call in replicates:
-            # the start brings the baseline's pool
-            assert call.start is base.solution
+            assert call.start is start
         monkeypatch.undo()
         record_pools(monkeypatch, seeded=False)
         unseeded = run_bootstrap(config)

@@ -1,5 +1,6 @@
 """Revised-simplex solver: exact optima, randomized cross-checks, staging."""
 
+import copy
 import dataclasses
 import gc
 import warnings
@@ -318,7 +319,10 @@ class TestRandomizedCrossCheck:
             problem = dense(objective, matrix, rows)
             sol = solve(problem)
             assert sol.status == "optimal"
-            assert price_columns(problem, sol.duals) is None
+            scan = price_columns(problem, sol.duals)
+            assert scan.entering is None
+            # the solution records its certifying scan's maximum
+            assert sol.max_reduced_cost == scan.max_rc <= lp_solver.OPTIMALITY_TOL
 
 
 class TestDeterminism:
@@ -419,9 +423,11 @@ class TestEnteringRule:
         entered, rules = [], []
         real_entering, real_scan = lp_solver._Simplex._entering, lp_solver.price_columns
 
-        def entering(self, enter):
-            entered.append(enter)
-            return real_entering(self, enter)
+        def entering(self, y, bland):
+            found = real_entering(self, y, bland)
+            if found is not None:
+                entered.append(found[0])
+            return found
 
         def scan(*args, **kwargs):
             rules.append(kwargs["rule"])
@@ -461,17 +467,17 @@ class TestEnteringRule:
 class TestPricing:
     def test_dantzig_picks_largest_with_lowest_index_ties(self):
         p = dense([1.0, 3.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
-        assert price_columns(p, np.zeros(1))[0] == (1, 3.0)
+        assert price_columns(p, np.zeros(1)).entering == (1, 3.0)
 
     def test_tolerance_is_optimality_tol(self):
         tol = lp_solver.OPTIMALITY_TOL
         p = dense([tol, 2.0 * tol, tol], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
-        assert price_columns(p, np.zeros(1))[0] == (1, 2.0 * tol)
-        assert price_columns(p, np.array([tol])) is None
+        assert price_columns(p, np.zeros(1)).entering == (1, 2.0 * tol)
+        assert price_columns(p, np.array([tol])).entering is None
 
     def test_bland_returns_first_improving(self):
         p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
-        assert price_columns(p, np.zeros(1), rule="bland")[0] == (1, 2.0)
+        assert price_columns(p, np.zeros(1), rule="bland").entering == (1, 2.0)
 
     def test_duals_shape_validated(self):
         p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
@@ -481,9 +487,59 @@ class TestPricing:
     def test_objective_toggle(self):
         p = dense([5.0], [[2.0]], [RangeRow(0.0, 1.0)])
         duals = np.array([1.0])
-        with_obj = price_columns(p, duals)
-        assert with_obj[0] == (0, 3.0)
-        assert price_columns(p, duals, include_objective=False) is None
+        assert price_columns(p, duals).entering == (0, 3.0)
+        assert price_columns(p, duals, include_objective=False).entering is None
+
+
+class TestScanRecord:
+    """A scan's ``max_rc`` and :func:`near_columns` against a brute-force
+    reduced-cost vector."""
+
+    def test_grid_lp_in_both_phases(self, monkeypatch):
+        monkeypatch.setattr(lp_solver, "PRICE_CHUNK", 100)  # cuts the 64-column j-slices
+        grid = build_problem(
+            TestPoolPricing.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
+        )
+        problem = grid.as_lp()
+        ids = np.arange(problem.n_columns)
+        columns, objective = problem.columns(ids), problem.objective(ids)
+        rng = np.random.default_rng(RNG_SEED + 28)
+        for duals in (rng.normal(size=problem.n_rows), solve(problem).duals):
+            for include in (True, False):
+                rc = (objective if include else 0.0) - duals @ columns
+                scan = price_columns(problem, duals, include_objective=include)
+                assert scan.max_rc == pytest.approx(rc.max(), abs=1e-12)
+                assert (scan.entering is None) == (rc.max() <= lp_solver.OPTIMALITY_TOL)
+            rc = objective - duals @ columns
+            ranked = np.sort(rc)
+            # thresholds midway in gaps of the sorted costs, so rounding cannot
+            # move them; the last gap lies just below the largest costs
+            gaps = np.flatnonzero(np.diff(ranked) > 1e-9)
+            for i in gaps[[gaps.size // 2, 9 * gaps.size // 10, -1]]:
+                delta = -(ranked[i] + ranked[i + 1]) / 2.0
+                near = lp_solver.near_columns(problem, duals, delta)
+                assert near.tolist() == np.flatnonzero(rc > -delta).tolist()
+                assert 0 < near.size < rc.size
+
+    def test_a_chunk_peaking_at_the_tolerance_is_dead(self, monkeypatch):
+        monkeypatch.setattr(lp_solver, "PRICE_CHUNK", 3)
+        tol = lp_solver.OPTIMALITY_TOL
+        zero = np.zeros(1)
+        # the second chunk's maximum is exactly tol: no column improves,
+        # and that chunk still holds the maximum
+        p = dense([-1.0, -2.0, -1.0, 0.0, tol, -3.0, -1.0], np.ones((1, 7)), [RangeRow(0.0, 1.0)])
+        for rule in ("dantzig", "bland"):
+            scan = price_columns(p, zero, rule=rule)
+            assert scan.entering is None and scan.candidates.size == 0
+            assert scan.max_rc == tol
+        assert lp_solver.near_columns(p, zero, 1.0).tolist() == [3, 4]  # rc > -1, strictly
+        # an improving column in the next chunk: both rules take it
+        p = dense([-1.0, -2.0, -1.0, 0.0, tol, -3.0, 2 * tol, -1.0], np.ones((1, 8)),
+                  [RangeRow(0.0, 1.0)])
+        assert price_columns(p, zero, rule="bland").entering == (6, 2 * tol)
+        scan = price_columns(p, zero)
+        assert scan.entering == (6, 2 * tol) and scan.candidates.tolist() == [6]
+        assert scan.max_rc == 2 * tol
 
 
 class TestBestImproving:
@@ -538,18 +594,18 @@ class TestPoolPricing:
             p = dense(objective, np.ones((1, n)), [RangeRow(0.0, 1.0)])
             expected = scan_candidates(objective, keep, 7)
             scan = price_columns(p, np.zeros(1))
-            if scan is None:
-                assert expected == []
+            assert scan.candidates.tolist() == expected
+            assert scan.max_rc == objective.max()
+            if scan.entering is not None:
+                assert scan.entering == (expected[0], objective[expected[0]])
             else:
-                best, found = scan
-                assert found.tolist() == expected
-                assert best == (found[0], objective[found[0]])
+                assert expected == []
 
     def test_bland_scan_gathers_no_candidates(self):
         p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
-        best, found = price_columns(p, np.zeros(1), rule="bland")
-        assert best == (1, 2.0)
-        assert found.size == 0
+        scan = price_columns(p, np.zeros(1), rule="bland")
+        assert scan.entering == (1, 2.0)
+        assert scan.candidates.size == 0
 
     def test_pool_prices_members_at_phase_costs_ties_low(self):
         objective = np.array([1.0, 5.0, 2.0, 5.0, 5.0, 0.5])
@@ -558,12 +614,13 @@ class TestPoolPricing:
         pool.add([4, 1, 5])
         pool.add([3, 1, 0])  # 1 is already a member
         assert sorted(pool.ids.tolist()) == [0, 1, 3, 4, 5]
-        assert pool.price(np.zeros(1)) == (1, 5.0)
-        assert pool.price(np.array([4.5])) == (1, 0.5)
+        # (position, id, rc): the members joined as 4, 1, 5, 3, 0
+        assert pool.price(np.zeros(1)) == (1, 1, 5.0)
+        assert pool.price(np.array([4.5])) == (1, 1, 0.5)
         assert pool.price(np.array([5.0])) is None
         phase_one = lp_solver._Pool(p, 1)  # structural columns cost 0
         phase_one.add([4, 1])
-        assert phase_one.price(np.array([-2.0])) == (1, 2.0)
+        assert phase_one.price(np.array([-2.0])) == (1, 1, 2.0)
         assert phase_one.price(np.zeros(1)) is None
 
     def test_grid_lp_matches_reference_with_fewer_scans(self, monkeypatch):
@@ -590,7 +647,7 @@ class TestPoolPricing:
         assert False in scans and True in scans  # both phases scanned
         assert len(scans) < sol.iterations
         # the certificate: at the returned duals no column prices out
-        assert price_columns(problem, sol.duals) is None
+        assert price_columns(problem, sol.duals).entering is None
 
 
 class TestBasicColumnsPriceToZero:
@@ -693,7 +750,7 @@ class TestSeededPool:
         assert seeded.status == unseeded.status == "optimal"
         assert seeded.objective == pytest.approx(unseeded.objective, abs=1e-9)
         # the certificate still covers every column
-        assert price_columns(problem, seeded.duals) is None
+        assert price_columns(problem, seeded.duals).entering is None
         assert set(seeded.columns.tolist()) <= set(seeded.pool.tolist())
         assert np.array_equal(seeded.pool, np.unique(seeded.pool))
 
@@ -826,30 +883,31 @@ class TestPoolShedding:
 
 
 class TestKeptBasisState:
-    """Each phase's basis matrix, basic costs, basic bounds and basis
-    inverse are kept in place across pivots; at every pivot the first
-    three must equal a rebuild and the inverse must invert the matrix."""
+    """Each phase's basis matrix, basic costs, basic bounds, basis
+    inverse, effective right-hand side and slack flags are kept in place
+    across pivots; at every pivot all but the inverse must equal a
+    rebuild and the inverse must invert the matrix."""
 
     @staticmethod
     def watch(monkeypatch):
-        """Check the kept state before every basis solve; return one
-        ``(phase, iterations, basis, updates)`` record per pivot, where
-        ``updates`` counts the rank-one updates since the last
-        factorization."""
+        """Check the kept state before every pivot's basic solution;
+        return one ``(phase, iterations, basis, updates)`` record per
+        pivot, where ``updates`` counts the rank-one updates since the
+        last factorization."""
         records = []
-        real = lp_solver._Simplex._solve
+        real = lp_solver._Simplex._basic_solution
 
-        def checked(self, rhs, transpose=False):
-            assert np.array_equal(self.bmat, self._work_columns(self.basis))
-            assert np.array_equal(self.c_basis, self._work_cost(self.basis))
-            assert np.array_equal(self.ub_basis, self._work_ub(self.basis))
+        def checked(self):
+            rebuilt = copy.copy(self)
+            rebuilt._load_basis()
+            for name in ("bmat", "c_basis", "ub_basis", "rhs", "slack_free", "slack_flip"):
+                assert np.array_equal(getattr(self, name), getattr(rebuilt, name)), name
             residual = self.binv @ self.bmat - np.eye(self.R)
             assert np.abs(residual).sum(axis=1).max() <= 1e-9
-            if transpose:  # once per pivot, before pricing
-                records.append((self.phase, self.iterations, self.basis.copy(), self.updates))
-            return real(self, rhs, transpose)
+            records.append((self.phase, self.iterations, self.basis.copy(), self.updates))
+            return real(self)
 
-        monkeypatch.setattr(lp_solver._Simplex, "_solve", checked)
+        monkeypatch.setattr(lp_solver._Simplex, "_basic_solution", checked)
         return records
 
     @staticmethod
@@ -891,21 +949,27 @@ class TestKeptBasisState:
         grid = build_problem(
             TestPoolPricing.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
         )
+        problem = grid.as_lp()
         records = self.watch(monkeypatch)
         cached = []
-        real_member = lp_solver._Pool.member
+        real_entering = lp_solver._Simplex._entering
 
-        def member(pool, column):
-            found = real_member(pool, column)
-            cached.append(found is not None)
+        def entering(self, y, bland):
+            found = real_entering(self, y, bland)
+            if found is not None and found[0] < self.n:
+                enter, column, cost = found
+                # read by position, the pool's cached column is the entering one
+                assert np.array_equal(column, problem.columns([enter])[:, 0])
+                assert cost == (problem.objective([enter])[0] if self.phase == 2 else 0.0)
+                cached.append(np.shares_memory(column, self.pool._cols))
             return found
 
-        monkeypatch.setattr(lp_solver._Pool, "member", member)
-        sol = solve(grid.as_lp())
+        monkeypatch.setattr(lp_solver._Simplex, "_entering", entering)
+        sol = solve(problem)
         assert sol.status == "optimal"
         phases = [phase for phase, *_ in records]
         assert phases[0] == 1 and phases[-1] == 2
-        assert sum(cached) > 0  # entering columns came from the pool's cache
+        assert cached and all(cached)  # entering columns came from the pool's cache
 
     def test_grid_lp_runs_past_the_refactorization_count(self, monkeypatch):
         grid = build_problem(
@@ -938,12 +1002,15 @@ class TestKeptBasisState:
         pool = lp_solver._Pool(p, 2)
         pool.add([4, 1])
         pool.add([5, 0, 1])
-        for column in (0, 1, 4, 5):
-            col, cost = pool.member(column)
+        assert pool.ids.tolist() == [4, 1, 5, 0]
+        for k, column in enumerate(pool.ids.tolist()):
+            col, cost = pool.column(k)
             assert np.array_equal(col, matrix[:, column])
             assert cost == column
-        assert pool.member(2) is None
-        assert pool.member(6) is None
+        assert pool.positions(np.array([2, 5, 6, 4])).tolist() == [2, 0]
+        # price's position reads the priced member
+        k, column, rc = pool.price(np.zeros(2))
+        assert column == 5 and pool.ids[k] == 5 and rc == 5.0
 
     def test_pool_grows_and_sheds_in_place(self):
         rng = np.random.default_rng(RNG_SEED + 25)
@@ -964,13 +1031,13 @@ class TestKeptBasisState:
         assert pool.ids.tolist() == kept
         expected = objective[kept] - y @ matrix[:, kept]
         assert np.allclose(pool.reduced_costs(y), expected, rtol=0.0, atol=1e-15)
-        for column in range(500):
-            found = pool.member(column)
-            if column in kept:
-                assert np.array_equal(found[0], matrix[:, column])
-                assert found[1] == objective[column]
-            else:
-                assert found is None
+        assert pool.positions(np.arange(500)).tolist() == sorted(
+            range(len(kept)), key=lambda k: kept[k]
+        )
+        for k, column in enumerate(kept):
+            found = pool.column(k)
+            assert np.array_equal(found[0], matrix[:, column])
+            assert found[1] == objective[column]
 
     def test_singular_basis_raises_estimation_error(self):
         p = dense([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [RangeRow(0.0, 1.0)] * 2)
@@ -1062,7 +1129,7 @@ class TestWarmStart:
                     continue
                 assert warm.status == cold.status == "optimal"
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-                assert price_columns(problem, warm.duals) is None
+                assert price_columns(problem, warm.duals).entering is None
                 if pool is every_column:
                     # no cold start, and the dual phase ends at the optimum
                     dual, (phase, before, after) = records
@@ -1143,7 +1210,7 @@ class TestWarmStart:
             assert records[0] == ("dual", True)
             assert cold.status == warm.status == "optimal"
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-            assert price_columns(problem, warm.duals) is None
+            assert price_columns(problem, warm.duals).entering is None
             warm_pivots += warm.iterations
             cold_pivots += cold.iterations
         assert warm_pivots < cold_pivots
