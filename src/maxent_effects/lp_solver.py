@@ -28,11 +28,11 @@ Implementation notes
   feasibility.  Artificials never re-enter the basis.
 * Each phase keeps its basis state: the basis matrix, basic costs and
   upper bounds, the effective right-hand side (``b`` shifted by the
-  logicals at their upper bounds), the slacks' free and flip flags and
-  the basis inverse, built when it starts (``numpy.linalg.inv``; an
+  logicals at their upper bounds), each basic variable's pool position
+  and the basis inverse, built when it starts (``numpy.linalg.inv``; an
   exactly singular basis raises :class:`EstimationError`).  A pivot
   overwrites one column or entry of the first three and changes the
-  right-hand side and flags only where a bound flag or the basis moved.
+  right-hand side only where a bound flag moved.
   Its solves are products with the inverse (``B^-1 b``, ``B^-1 a``,
   ``c_B B^-1``), which it updates in the product form of Dantzig and
   Orchard-Hays (1954): with ``d = B^-1 a`` entering at position p,
@@ -40,18 +40,20 @@ Implementation notes
   ``_REFACTOR_EVERY`` updates or for a pivot element below
   ``_TINY_PIVOT``.  Reported masses come from one fresh LU solve.
 * Pricing is pool first (partial pricing, column generation inside the
-  one running simplex).  Each phase owns a pool of structural columns:
-  ids, dense columns and phase costs in contiguous arrays whose capacity
-  doubles when a refill does not fit.  A pivot prices only the pool, one
-  ``cost - y @ columns``, while some member improves (ties by lowest
-  id), and reads the entering column at that member's position.  When
-  none does, a full scan (:func:`price_columns`, ``PRICE_CHUNK`` columns
+  one running simplex).  Each phase owns a pool of every variable that
+  can enter: the R slacks at positions 0..R-1, then candidate structural
+  columns; ids, dense columns, phase costs and one bound direction per
+  member (+1 at its lower bound, -1 at its upper, 0 basic or fixed) in
+  contiguous arrays whose capacity doubles when a refill does not fit.
+  A pivot prices the pool, one ``cost - y @ columns``; a member's gain
+  is its direction times its reduced cost.  When no structural member
+  improves, a full scan (:func:`price_columns`, ``PRICE_CHUNK`` columns
   at a time) returns the entering column, the ``POOL_PER_CHUNK`` best
   improving columns of each chunk whose maximum is above
-  ``OPTIMALITY_TOL``, and the largest reduced cost; members pricing
-  below ``-SHED_TOL`` leave the pool first.  Basic columns price to 0
-  (B^T y = c_B): they never enter and are never shed.  ``optimal`` needs
-  a full scan and the slacks to find nothing, certifying every column.
+  ``OPTIMALITY_TOL``, and the largest reduced cost; structural members
+  pricing below ``-SHED_TOL`` leave the pool first.  Basic columns
+  price to 0 (B^T y = c_B) and are never shed.  ``optimal`` needs a full
+  scan and the slacks to find nothing, certifying every column.
 * A problem's seed (``LpProblem(..., seed=ids)``), plus a warm start's
   ``pool``, joins each phase's pool when it starts, so a predictable
   support (say, the cells around a continuum optimum) needs no full
@@ -60,21 +62,22 @@ Implementation notes
   (``solve(..., start=solution)``), typically the same grid with another
   right-hand side, whose optimal basis stays dual feasible.  A dual
   simplex phase with phase-two costs and the artificials fixed at 0
-  pivots until the basis is primal feasible, over one candidate block
-  built when it starts: the pool's members and the slacks' unit columns.
+  pivots over the phase's pool until the basis is primal feasible.
   The most primal-infeasible basic variable leaves; its row of the
-  inverse times the block gives the pivot row; and a bounded ratio test
+  inverse times the pool gives the pivot row; and a bounded ratio test
   (smallest ``|d_j / alpha_j|`` over the eligible nonbasics, ties within
-  a relative 1e-9 by lowest id) picks the entering column.  Phase two
+  a relative 1e-9 by lowest id) picks the entering member.  Phase two
   goes on from the kept state, so its full scan still certifies the
   optimum.  A start that holds a basic artificial or is not dual
-  feasible over the block, a pivot row with no eligible entering
-  column, or the iteration limit sends the solve to the cold start.
-* Pivot selection is largest reduced cost above ``OPTIMALITY_TOL`` with
-  lowest-index tie-breaking, a structural column before a slack of equal
-  ``|reduced cost|``; after a stall of ``10 * n_rows`` consecutive
-  degenerate steps the solver switches to Bland's rule, which skips the
-  pool and takes the first improving column of a full scan, until the
+  feasible over the pool, a pivot row with no eligible entering
+  member, or the iteration limit sends the solve to the cold start.
+* Pivot selection takes the best improving structural (the pool's, else
+  the full scan's) and the best slack, each by largest gain above
+  ``OPTIMALITY_TOL`` with lowest-id tie-breaking, and enters the larger,
+  the structural on a tie; after a stall of ``10 * n_rows`` consecutive
+  degenerate steps the solver switches to Bland's rule, which takes the
+  lowest improving working id: the first improving column of a full
+  scan, which joins the pool, else the first improving slack, until the
   objective moves again.  A solve stops with ``iteration_limit`` after
   ``MAX_ITERATIONS`` pivots.  All scan and reduction orders are fixed, so
   identical inputs give identical output.
@@ -291,9 +294,9 @@ class LpSolution:
 
     ``columns``/``masses`` hold only the nonzero structural variables of
     the final vertex, sorted by column index; at optimality their count
-    never exceeds the row count.  ``pool`` holds the sorted ids of the
-    final phase's candidate pool and the returned columns, the seed for
-    a related solve.  ``basis`` (the R basic working ids) and
+    never exceeds the row count.  ``pool`` holds the sorted structural
+    ids of the final phase's pool (no slack) and the returned columns,
+    the seed for a related solve.  ``basis`` (the R basic working ids) and
     ``at_upper`` (the 2R logicals' bound flags) hold the final basis
     state, the start of a warm-started related solve.
     ``max_reduced_cost``, the final phase's last full scan's ``max_rc``
@@ -341,7 +344,7 @@ def price_columns(
     problem: LpProblem,
     dual_values: np.ndarray,
     *,
-    rule: str = "dantzig",
+    bland: bool = False,
     include_objective: bool = True,
 ) -> PricingScan:
     """Scan all structural columns, a chunk at a time, for entering ones.
@@ -351,8 +354,8 @@ def price_columns(
     ``max_rc`` is the largest reduced cost scanned.  ``candidates`` holds
     the ``POOL_PER_CHUNK`` best improving ids of every chunk, best first
     (ties by lowest index), and ``entering`` is its first.  Under
-    ``rule="bland"`` the first improving column enters, with no
-    candidates, and the scan stops there.
+    ``bland`` the first improving column enters, as the only candidate,
+    and the scan stops there.
     """
     found_ids, found_rcs = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     max_rc = -np.inf
@@ -361,9 +364,9 @@ def price_columns(
         max_rc = max(max_rc, top)
         if not top > OPTIMALITY_TOL:
             continue
-        if rule == "bland":
+        if bland:
             j = int(np.argmax(rc > OPTIMALITY_TOL))
-            return PricingScan((start + j, float(rc[j])), found_ids[0], max_rc)
+            return PricingScan((start + j, float(rc[j])), np.array([start + j]), max_rc)
         picked = _best_improving(rc, OPTIMALITY_TOL)
         found_ids.append(start + picked)
         found_rcs.append(rc[picked])
@@ -400,71 +403,83 @@ def _best_improving(rc: np.ndarray, tol: float) -> np.ndarray:
 
 
 class _Pool:
-    """Candidate structural columns of one phase.
+    """Every variable of one phase that can enter: the R slacks, then
+    candidate structural columns.
 
-    The first ``n`` entries of one id array, one ``(rows, capacity)``
-    column array and one cost array (the objective in phase two, 0 in
-    phase one) hold the members in the order they joined; ``_sorted`` is
-    ``ids[_order]``, ascending.  Capacity doubles when a refill does not
-    fit.  Basic members are priced like the rest: their reduced costs are
-    0 within rounding, so :meth:`shed` never drops one.
+    Member ``i < R`` is slack ``i``: working id ``n + i``, column
+    ``sign[i]`` times the unit column of row ``i``, cost 0; slacks keep
+    these positions and are never shed.  The structural members follow in
+    the order they joined.  The first ``n`` entries of one id array, one
+    ``(rows, capacity)`` column array, one cost array (the objective in
+    phase two, 0 in phase one) and one direction array hold the members;
+    ``_sorted`` is ``ids[_order]``, ascending.  Capacity doubles when a
+    refill does not fit.  A member's direction is +1 if it may rise from
+    its lower bound, -1 if it may fall from its upper bound and 0 if it
+    is basic or fixed, so ``dirn * reduced_costs(y)`` is its gain; a new
+    structural member starts at +1.  Basic members are priced like the
+    rest: their reduced costs are 0 within rounding, so :meth:`shed`
+    never drops one.
     """
 
-    def __init__(self, problem: LpProblem, phase: int):
+    def __init__(self, problem: LpProblem, phase: int, signs: np.ndarray):
         self._problem = problem
         self._phase = phase
-        self.n = 0
-        self._ids = np.empty(0, dtype=np.int64)
-        self._cols = np.empty((problem.n_rows, 0))
-        self._cost = np.empty(0)
-        self._sorted = self._order = self._ids
+        self.n = self._slacks = signs.size
+        self._ids = np.arange(problem.n_columns, problem.n_columns + self.n)
+        self._cols = np.diag(signs)
+        self._cost = np.zeros(self.n)
+        self._dirn = np.zeros(self.n)
+        self._index()
 
     @property
     def ids(self) -> np.ndarray:
         return self._ids[: self.n]
+
+    @property
+    def dirn(self) -> np.ndarray:
+        return self._dirn[: self.n]
 
     def _index(self) -> None:
         """Sort the member ids again after they changed."""
         self._order = np.argsort(self.ids, kind="stable")
         self._sorted = self.ids[self._order]
 
-    def _lookup(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where ``columns`` fall in ``_sorted``, and which are members."""
-        if not self.n:
-            return np.zeros(columns.size, dtype=np.int64), np.zeros(columns.size, dtype=bool)
-        at = np.minimum(np.searchsorted(self._sorted, columns), self.n - 1)
-        return at, self._sorted[at] == columns
+    def positions(self, work_ids) -> np.ndarray:
+        """Position in ``ids`` of each of ``work_ids``, -1 for one that is
+        no member."""
+        at = np.minimum(np.searchsorted(self._sorted, work_ids), self.n - 1)
+        return np.where(self._sorted[at] == work_ids, self._order[at], -1)
 
     def add(self, ids) -> None:
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        new = ids[~self._lookup(ids)[1]]
+        new = ids[self.positions(ids) < 0]
         if not new.size:
             return
         n, stop = self.n, self.n + new.size
         if stop > self._ids.size:
             capacity = max(stop, 2 * self._ids.size)
-            self._ids, self._cols, self._cost = (
-                _with_capacity(a, n, capacity) for a in (self._ids, self._cols, self._cost)
+            self._ids, self._cols, self._cost, self._dirn = (
+                _with_capacity(a, n, capacity)
+                for a in (self._ids, self._cols, self._cost, self._dirn)
             )
         self._ids[n:stop] = new
         self._cols[:, n:stop] = self._problem.columns(new)
         self._cost[n:stop] = self._problem.objective(new) if self._phase == 2 else 0.0
+        self._dirn[n:stop] = 1.0
         self.n = stop
         self._index()
 
     def shed(self, y: np.ndarray) -> None:
-        """Drop the members whose reduced cost is below ``-SHED_TOL``."""
-        keep = np.flatnonzero(self.reduced_costs(y) >= -SHED_TOL)
+        """Drop the structural members whose reduced cost is below ``-SHED_TOL``."""
+        keep = self.reduced_costs(y) >= -SHED_TOL
+        keep[: self._slacks] = True
+        keep = np.flatnonzero(keep)
         if keep.size < self.n:
             k = self.n = keep.size
-            self._ids[:k], self._cost[:k] = self._ids[keep], self._cost[keep]
+            for a in (self._ids, self._cost, self._dirn):
+                a[:k] = a[keep]
             self._cols[:, :k] = self._cols[:, keep]
             self._index()
-
-    def positions(self, columns: np.ndarray) -> np.ndarray:
-        """Positions in ``ids`` of the members among ``columns``."""
-        at, hit = self._lookup(columns)
-        return self._order[at[hit]]
 
     def reduced_costs(self, y: np.ndarray) -> np.ndarray:
         """``cost - y @ column`` of every member, in ``ids`` order."""
@@ -473,36 +488,6 @@ class _Pool:
     def row(self, rho: np.ndarray) -> np.ndarray:
         """``rho @ column`` of every member, in ``ids`` order."""
         return rho @ self._cols[:, : self.n]
-
-    def price(self, y: np.ndarray):
-        """Best member above ``OPTIMALITY_TOL`` as ``(position,
-        column_index, reduced_cost)`` (ties by lowest index), or None."""
-        if not self.n:
-            return None
-        rc = self.reduced_costs(y)
-        k = int(rc.argmax())
-        best = rc[k]
-        if not best > OPTIMALITY_TOL:
-            return None
-        ties = (rc == best).nonzero()[0]
-        if ties.size > 1:
-            k = int(ties[self._ids[ties].argmin()])
-        return k, int(self._ids[k]), float(best)
-
-    def column(self, k: int):
-        """Cached ``(dense column, phase cost)`` of the member at position ``k``."""
-        return self._cols[:, k], self._cost[k]
-
-    def with_units(self, first_id: int, signs: np.ndarray) -> _Pool:
-        """A new pool: these members, then ``signs[i]`` times the unit
-        column of row ``i`` as member ``first_id + i``, at cost 0."""
-        block, n, rows = _Pool(self._problem, self._phase), self.n, signs.size
-        block.n = n + rows
-        block._ids = np.concatenate([self.ids, np.arange(first_id, first_id + rows)])
-        block._cols = np.concatenate([self._cols[:, :n], np.diag(signs)], axis=1)
-        block._cost = np.concatenate([self._cost[:n], np.zeros(rows)])
-        block._index()
-        return block
 
 
 def _with_capacity(a: np.ndarray, n: int, capacity: int) -> np.ndarray:
@@ -533,7 +518,6 @@ class _Simplex:
         )
         self.at_upper = np.zeros(2 * self.R, dtype=bool)
 
-        self.slack_sign = -self.sign[: self.R]  # a slack's rc is slack_sign * y
         self.basis = np.arange(self.art0, self.art0 + self.R, dtype=np.int64)
         self.iterations = 0
         self.seed = seed
@@ -543,7 +527,7 @@ class _Simplex:
     def _enter_phase(self, phase: int) -> None:
         """Start ``phase`` (1 or 2) at ``basis``: a seeded pool, the kept state."""
         self.phase = phase
-        self.pool = _Pool(self.p, phase)
+        self.pool = _Pool(self.p, phase, self.sign[: self.R])
         self.pool.add(self.seed)
         self.max_rc = np.nan  # until the phase's first full scan
         self._load_basis()
@@ -577,11 +561,11 @@ class _Simplex:
         self.ub_basis = np.full(R, np.inf)
         self.ub_basis[~struct] = self.upper[logical]
         self.rhs = self._effective_rhs()
-        # a slack is free if nonbasic with room between its bounds; flip is -1
-        # at its upper bound, else 1, so flip * rc > 0 means moving it improves
-        self.slack_free = self.upper[:R] > 0.0
-        self.slack_free[logical[logical < R]] = False
-        self.slack_flip = np.where(self.at_upper[:R], -1.0, 1.0)
+        self.basis_pos = self.pool.positions(basis)
+        dirn = self.pool.dirn
+        dirn[R:] = 1.0
+        dirn[:R] = np.where(self.at_upper[:R], -1.0, 1.0) * (self.upper[:R] > 0.0)
+        dirn[self.basis_pos[self.basis_pos >= 0]] = 0.0
         self._factor()
 
     def _basic_solution(self) -> tuple[np.ndarray, np.ndarray]:
@@ -594,30 +578,32 @@ class _Simplex:
         self.duals = self.c_basis @ self.binv
         return x, self.duals
 
-    def _replace(self, pos: int, enter: int, column, cost, d: np.ndarray, to_upper: bool) -> None:
-        """Pivot ``enter`` (a structural or slack, with its column, phase cost
-        and ``d = B^-1 column``) into basis position ``pos``; the leaving
-        variable goes to its upper bound if ``to_upper``, else to 0."""
-        leaving = int(self.basis[pos])
+    def _replace(self, pos: int, k: int, d: np.ndarray, to_upper: bool) -> None:
+        """Pivot the pool member at position ``k`` (``d = B^-1 column``) into
+        basis position ``pos``; the leaving variable goes to its upper bound
+        if ``to_upper``, else to 0."""
+        pool, R = self.pool, self.R
+        dirn = pool._dirn
+        leaving, out = int(self.basis[pos]), int(self.basis_pos[pos])
         if leaving >= self.n:
             i = leaving - self.n
             self.at_upper[i] = to_upper
-            if i < self.R:
-                self.slack_free[i] = self.upper[i] > 0.0
-                self.slack_flip[i] = -1.0 if to_upper else 1.0
+            if i < R:  # a slack, at pool position i
+                dirn[i] = (-1.0 if to_upper else 1.0) if self.upper[i] > 0.0 else 0.0
         elif to_upper:
             raise EstimationError("structural variable cannot leave at +inf")
+        elif out >= 0:
+            dirn[out] = 1.0
         flags_changed = to_upper
-        if enter >= self.n:
-            i = enter - self.n
-            flags_changed |= bool(self.at_upper[i])
-            self.at_upper[i] = self.slack_free[i] = False
-            self.slack_flip[i] = 1.0
+        if k < R:
+            flags_changed |= bool(self.at_upper[k])
+            self.at_upper[k] = False
+        dirn[k] = 0.0
         if flags_changed:
             self.rhs = self._effective_rhs()
-        self.basis[pos] = enter
-        self.bmat[:, pos], self.c_basis[pos] = column, cost
-        self.ub_basis[pos] = self.upper[enter - self.n] if enter >= self.n else np.inf
+        self.basis[pos], self.basis_pos[pos] = pool._ids[k], k
+        self.bmat[:, pos], self.c_basis[pos] = pool._cols[:, k], pool._cost[k]
+        self.ub_basis[pos] = self.upper[k] if k < R else np.inf
         if self.updates < _REFACTOR_EVERY and abs(d[pos]) >= _TINY_PIVOT:
             # product form: B'^-1 = E B^-1, E the identity but for column pos
             row = self.binv[pos] / d[pos]
@@ -636,35 +622,36 @@ class _Simplex:
     # -- the primal loop ---------------------------------------------
 
     def _entering(self, y: np.ndarray, bland: bool):
-        """``(working id, column, phase cost)`` of the entering variable at
-        duals ``y``, or None: the best structural (pool, else a refilling
-        full scan) or slack, by the selection rule of the module notes."""
-        found = None if bland else self.pool.price(y)
+        """Pool position of the entering variable at duals ``y``, or None:
+        the best improving structural member (else a refilling full scan's
+        entering column) against the best slack, by the selection rule of
+        the module notes."""
+        pool, R = self.pool, self.R
+        gain = pool._dirn[: pool.n] * pool.reduced_costs(y)
+        struct = gain[R:]
+        found = None  # (position, reduced cost) of the best structural
+        if not bland and struct.size:
+            k = int(struct.argmax())
+            best = struct[k]
+            if best > OPTIMALITY_TOL:
+                ties = (struct == best).nonzero()[0]
+                if ties.size > 1:
+                    k = int(ties[pool._ids[R + ties].argmin()])
+                found = R + k, best
         if found is None:
-            scan = price_columns(
-                self.p, y, rule="bland" if bland else "dantzig", include_objective=self.phase == 2
-            )
+            scan = price_columns(self.p, y, bland=bland, include_objective=self.phase == 2)
             self.max_rc = scan.max_rc
             if scan.entering is not None:
-                self.pool.shed(y)
-                self.pool.add(scan.candidates)
-                # a member now, unless Bland's rule found it
-                k = self.pool.positions(np.array([scan.entering[0]]))
-                found = (k[0] if k.size else None, *scan.entering)
-        # a slack's rc is slack_sign * y; a free one improves where flip * rc > 0
-        gain = self.slack_flip * self.slack_sign * y * self.slack_free
-        i = int((gain > OPTIMALITY_TOL).argmax() if bland else gain.argmax())
-        if found is not None and (bland or found[2] >= gain[i]):
-            k, enter, _ = found
-            if k is not None:
-                return (enter, *self.pool.column(k))
-            column = self.p.columns([enter])[:, 0]
-            return enter, column, self.p.objective([enter])[0] if self.phase == 2 else 0.0
-        if gain[i] > OPTIMALITY_TOL:
-            column = np.zeros(self.R)
-            column[i] = self.sign[i]
-            return self.n + i, column, 0.0
-        return None
+                pool.shed(y)
+                pool.add(scan.candidates)
+                self.basis_pos = pool.positions(self.basis)
+                enter, rc = scan.entering
+                found = int(pool.positions(enter)), rc
+        slack = gain[:R]
+        i = int((slack > OPTIMALITY_TOL).argmax() if bland else slack.argmax())
+        if found is not None and (bland or found[1] >= slack[i]):
+            return found[0]
+        return i if slack[i] > OPTIMALITY_TOL else None
 
     def _infeasibility(self) -> float:
         art = self.basis >= self.art0
@@ -687,15 +674,13 @@ class _Simplex:
             if self.iterations >= MAX_ITERATIONS:
                 return "iteration_limit"
 
-            entering = self._entering(y, bland)
-            if entering is None:
+            k = self._entering(y, bland)
+            if k is None:
                 return "optimal"
-            enter, column, cost = entering
-            d = self.binv @ column
+            d = self.binv @ self.pool._cols[:, k]
             if not np.isfinite(d).all():
                 raise EstimationError("numerical breakdown: non-finite direction")
-            logical = enter >= self.n
-            step = -d if logical and self.at_upper[enter - self.n] else d
+            step = d if self.pool._dirn[k] > 0.0 else -d  # -1: a slack at its upper bound
 
             # -- ratio test: x_basis(t) = x_basis - t*step, t >= 0 (no upper bound: room inf)
             positive, negative = step > _PIVOT_TOL, step < -_PIVOT_TOL
@@ -704,15 +689,14 @@ class _Simplex:
             t_upp = np.divide(room, -step, out=unbounded.copy(), where=negative)
             t_leave = np.minimum(t_low, t_upp)
             t_basic = float(t_leave.min())
-            ub_enter = float(self.upper[enter - self.n]) if logical else np.inf
+            ub_enter = float(self.upper[k]) if k < self.R else np.inf
 
             if ub_enter <= t_basic:
                 # Bound flip: the entering slack traverses its own range.
                 if not np.isfinite(ub_enter):
                     return "unbounded"
-                i = enter - self.n
-                self.at_upper[i] = not self.at_upper[i]
-                self.slack_flip[i] = -self.slack_flip[i]
+                self.at_upper[k] = not self.at_upper[k]
+                self.pool._dirn[k] = -self.pool._dirn[k]
                 self.rhs = self._effective_rhs()
                 t = ub_enter
             else:
@@ -723,7 +707,7 @@ class _Simplex:
                     pos = int(tie_pos[np.argmin(self.basis[tie_pos])])
                 else:
                     pos = int(tie_pos[np.argmax(np.abs(step[tie_pos]))])
-                self._replace(pos, enter, column, cost, d, t_upp[pos] < t_low[pos])
+                self._replace(pos, k, d, t_upp[pos] < t_low[pos])
                 t = t_basic
 
             self.iterations += 1
@@ -742,7 +726,7 @@ class _Simplex:
         """Dual simplex from ``start``'s basis (see the module notes) until
         the basis is primal feasible (True), so phase two can go on from
         the kept state.  False asks for a cold start."""
-        R, n = self.R, self.n
+        R = self.R
         at_upper = start.at_upper.copy()
         at_upper[R:] = False
         if np.any(start.basis >= self.art0) or np.any(at_upper & np.isinf(self.upper)):
@@ -751,20 +735,13 @@ class _Simplex:
         self.at_upper = at_upper
         self._freeze_artificials()  # no artificial is basic: all fixed at 0
         self._enter_phase(2)
-        # flip * d <= 0 is dual feasibility for each free candidate; the
-        # slacks' kept flags become views of the block's
-        members = self.pool.n
-        block = self.pool.with_units(n, self.sign[:R])
-        free, flip = np.ones(block.n, dtype=bool), np.ones(block.n)
-        free[members:], flip[members:] = self.slack_free, self.slack_flip
-        self.slack_free, self.slack_flip = free[members:], flip[members:]
-        basic = block.positions(self.basis)
-        free[basic] = False
-        slot = dict(zip(block.ids[basic].tolist(), basic.tolist()))  # basic id -> position
+        pool = self.pool
+        dirn = pool.dirn  # no refill in this loop: the view stays valid
         while True:
             x, y = self._basic_solution()
-            d = block.reduced_costs(y)
-            if self.iterations == 0 and np.any(flip[free] * d[free] > OPTIMALITY_TOL):
+            d = pool.reduced_costs(y)
+            # dirn * d <= 0 is dual feasibility for each member
+            if self.iterations == 0 and np.any(dirn * d > OPTIMALITY_TOL):
                 return False  # checked once, at the start's basis
 
             infeasibility = np.maximum(-x, x - self.ub_basis)
@@ -774,23 +751,18 @@ class _Simplex:
             if self.iterations >= MAX_ITERATIONS:
                 return False
 
-            # -- pivot row alpha = e_r B^-1 a over the candidates
-            alpha = block.row(self.binv[r])
-            # a candidate may enter only if moving it off its own bound pushes
+            # -- pivot row alpha = e_r B^-1 a over the members
+            alpha = pool.row(self.binv[r])
+            # a member may enter only if moving it off its own bound pushes
             # x_r back towards the bound it violates (0 from below, or its upper)
             below = x[r] < 0.0
-            eligible = (free & ((alpha if below else -alpha) * flip < -_PIVOT_TOL)).nonzero()[0]
+            eligible = ((alpha if below else -alpha) * dirn < -_PIVOT_TOL).nonzero()[0]
             if not eligible.size:
                 return False
-            ratio = np.maximum(-flip[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
+            ratio = np.maximum(-dirn[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
             ties = eligible[self._near_min(ratio)]
-            k = int(ties[block.ids[ties].argmin()])
-            enter, (column, cost) = int(block.ids[k]), block.column(k)
-            out = slot.pop(int(self.basis[r]), -1)
-            if 0 <= out < members:  # the slacks' flags are _replace's
-                free[out] = True
-            free[k], slot[enter] = False, k
-            self._replace(r, enter, column, cost, self.binv @ column, not below)
+            k = int(ties[pool._ids[ties].argmin()])
+            self._replace(r, k, self.binv @ pool._cols[:, k], not below)
             self.iterations += 1
 
     # -- phase transitions and extraction ----------------------------
@@ -824,7 +796,7 @@ class _Simplex:
             row_activity=self.p.columns(ids) @ vals,
             duals=self.duals.copy(),
             iterations=self.iterations,
-            pool=_sorted_unique(np.concatenate([self.pool.ids, ids])),
+            pool=_sorted_unique(np.concatenate([self.pool.ids[self.R :], ids])),
             infeasible_rows=tuple(infeasible_rows),
             basis=self.basis.copy(),
             at_upper=self.at_upper.copy(),

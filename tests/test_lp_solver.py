@@ -11,7 +11,12 @@ import pytest
 from scipy.optimize import linprog
 
 from maxent_effects import lp_solver
-from maxent_effects.errors import EstimationError, ParameterError
+from maxent_effects.errors import (
+    DegenerateTableError,
+    DomainError,
+    EstimationError,
+    ParameterError,
+)
 from maxent_effects.grid_lp import build_problem
 from maxent_effects.lp_solver import (
     FEASIBILITY_TOL,
@@ -396,7 +401,7 @@ class TestBlandMode:
         real = lp_solver.price_columns
 
         def spy(*args, **kwargs):
-            rules.append(kwargs["rule"])
+            rules.append(kwargs["bland"])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(lp_solver, "price_columns", spy)
@@ -406,7 +411,7 @@ class TestBlandMode:
             rules.clear()
             sol = solve(dense(objective, matrix, rows))
             ref = reference_solve(objective, matrix, rows)
-            assert "bland" in rules
+            assert True in rules
             assert sol.status == "optimal"
             assert ref.status == 0
             assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
@@ -419,18 +424,19 @@ class TestEnteringRule:
 
     @staticmethod
     def watch(monkeypatch):
-        """Record every entering working id and the rule of every full scan."""
+        """Record every entering working id and, for every full scan,
+        whether it ran under Bland's rule."""
         entered, rules = [], []
         real_entering, real_scan = lp_solver._Simplex._entering, lp_solver.price_columns
 
         def entering(self, y, bland):
-            found = real_entering(self, y, bland)
-            if found is not None:
-                entered.append(found[0])
-            return found
+            k = real_entering(self, y, bland)
+            if k is not None:
+                entered.append(int(self.pool.ids[k]))
+            return k
 
         def scan(*args, **kwargs):
-            rules.append(kwargs["rule"])
+            rules.append(kwargs["bland"])
             return real_scan(*args, **kwargs)
 
         monkeypatch.setattr(lp_solver._Simplex, "_entering", entering)
@@ -442,7 +448,7 @@ class TestEnteringRule:
         # phase one starts with y = -1: the pool member w0 and the row's
         # slack (working id 1) both price at exactly 1
         sol = solve(dense([1.0], [[1.0]], [RangeRow(0.5, 1.0)], seed=[0]))
-        assert entered[0] == 0 and rules == ["dantzig"]  # one scan, in phase two
+        assert entered[0] == 0 and rules == [False]  # one scan, in phase two
         assert sol.status == "optimal" and sol.iterations == 1
         assert sol.columns.tolist() == [0] and sol.masses.tolist() == [1.0]
 
@@ -460,8 +466,23 @@ class TestEnteringRule:
         )
         sol = solve(problem)
         assert entered[:3] == [0, 1, 2]
-        assert rules[:2] == ["dantzig", "bland"]
+        assert rules[:2] == [False, True]
         assert sol.status == "optimal"
+
+
+    def test_bland_takes_the_lowest_improving_slack(self):
+        # no structural improves; the slacks gain -y_i from their lower bounds
+        p = dense([-10.0, -10.0], np.ones((2, 2)), [RangeRow(0.0, 1.0)] * 2)
+        s = lp_solver._Simplex(p)
+        s._enter_phase(2)
+        y = np.array([-0.5, -2.0])
+        assert s._entering(y, False) == 1  # the larger gain
+        assert s._entering(y, True) == 0  # the lower working id
+        # at its upper bound, slack 0 may only fall: it no longer improves
+        s.at_upper[0] = True
+        s._load_basis()
+        assert s.pool.dirn[:2].tolist() == [-1.0, 1.0]
+        assert s._entering(y, True) == 1
 
 
 class TestPricing:
@@ -477,7 +498,9 @@ class TestPricing:
 
     def test_bland_returns_first_improving(self):
         p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
-        assert price_columns(p, np.zeros(1), rule="bland").entering == (1, 2.0)
+        assert price_columns(p, np.zeros(1), bland=True).entering == (1, 2.0)
+        with pytest.raises(TypeError):  # the rule is a flag, not a name
+            price_columns(p, np.zeros(1), rule="bland")
 
     def test_duals_shape_validated(self):
         p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
@@ -528,15 +551,15 @@ class TestScanRecord:
         # the second chunk's maximum is exactly tol: no column improves,
         # and that chunk still holds the maximum
         p = dense([-1.0, -2.0, -1.0, 0.0, tol, -3.0, -1.0], np.ones((1, 7)), [RangeRow(0.0, 1.0)])
-        for rule in ("dantzig", "bland"):
-            scan = price_columns(p, zero, rule=rule)
+        for bland in (False, True):
+            scan = price_columns(p, zero, bland=bland)
             assert scan.entering is None and scan.candidates.size == 0
             assert scan.max_rc == tol
         assert lp_solver.near_columns(p, zero, 1.0).tolist() == [3, 4]  # rc > -1, strictly
         # an improving column in the next chunk: both rules take it
         p = dense([-1.0, -2.0, -1.0, 0.0, tol, -3.0, 2 * tol, -1.0], np.ones((1, 8)),
                   [RangeRow(0.0, 1.0)])
-        assert price_columns(p, zero, rule="bland").entering == (6, 2 * tol)
+        assert price_columns(p, zero, bland=True).entering == (6, 2 * tol)
         scan = price_columns(p, zero)
         assert scan.entering == (6, 2 * tol) and scan.candidates.tolist() == [6]
         assert scan.max_rc == 2 * tol
@@ -601,27 +624,31 @@ class TestPoolPricing:
             else:
                 assert expected == []
 
-    def test_bland_scan_gathers_no_candidates(self):
+    def test_bland_scan_candidate_is_its_entering_id(self):
         p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
-        scan = price_columns(p, np.zeros(1), rule="bland")
+        scan = price_columns(p, np.zeros(1), bland=True)
         assert scan.entering == (1, 2.0)
-        assert scan.candidates.size == 0
+        assert scan.candidates.tolist() == [1]
 
     def test_pool_prices_members_at_phase_costs_ties_low(self):
         objective = np.array([1.0, 5.0, 2.0, 5.0, 5.0, 0.5])
         p = dense(objective, np.ones((1, 6)), [RangeRow(0.0, 1.0)])
-        pool = lp_solver._Pool(p, 2)
-        pool.add([4, 1, 5])
-        pool.add([3, 1, 0])  # 1 is already a member
-        assert sorted(pool.ids.tolist()) == [0, 1, 3, 4, 5]
-        # (position, id, rc): the members joined as 4, 1, 5, 3, 0
-        assert pool.price(np.zeros(1)) == (1, 1, 5.0)
-        assert pool.price(np.array([4.5])) == (1, 1, 0.5)
-        assert pool.price(np.array([5.0])) is None
-        phase_one = lp_solver._Pool(p, 1)  # structural columns cost 0
-        phase_one.add([4, 1])
-        assert phase_one.price(np.array([-2.0])) == (1, 1, 2.0)
-        assert phase_one.price(np.zeros(1)) is None
+        s = lp_solver._Simplex(p)  # the row's artificial is basic
+        s._enter_phase(2)
+        s.pool.add([4, 1, 5])
+        s.pool.add([3, 1, 0])  # 1 is already a member
+        # the slack (working id 6) first, then the members as they joined
+        assert s.pool.ids.tolist() == [6, 4, 1, 5, 3, 0]
+        assert s.pool.dirn.tolist() == [1.0] * 6
+        # 1, 3 and 4 tie at the best rc: the lowest id enters
+        assert s._entering(np.zeros(1), False) == 2
+        assert s._entering(np.array([4.5]), False) == 2
+        assert s._entering(np.array([5.0]), False) is None  # after a scan finds nothing
+        s._enter_phase(1)  # structural columns cost 0
+        s.pool.add([4, 1])
+        # w1, w4 and the slack all price at 2: the lowest structural id enters
+        assert s._entering(np.array([-2.0]), False) == 2
+        assert s._entering(np.zeros(1), False) is None
 
     def test_grid_lp_matches_reference_with_fewer_scans(self, monkeypatch):
         grid = build_problem(
@@ -698,7 +725,8 @@ class TestBasicColumnsPriceToZero:
 
         def pool_costs(self, y):
             rc = real_pool(self, y)
-            record("pool", rc[self.positions(state["basic"])])
+            at = self.positions(state["basic"])
+            record("pool", rc[at[at >= 0]])
             return rc
 
         monkeypatch.setattr(lp_solver._Simplex, "_basic_solution", basic_solution)
@@ -842,8 +870,9 @@ class TestSeededPool:
 
 
 class TestPoolShedding:
-    """A refill first drops the pool members that price below
-    ``-SHED_TOL``; basic members price at 0, so they stay."""
+    """A refill first drops the structural members that price below
+    ``-SHED_TOL``; basic members price at 0, so they stay, and the slacks
+    are never shed."""
 
     def test_refills_drop_dead_members_and_keep_basic_ones(self, monkeypatch):
         state, dropped = {}, []
@@ -852,22 +881,25 @@ class TestPoolShedding:
 
         def basic_solution(self):
             x, y = real_solution(self)
-            state["basic"] = self.basis[self.basis < self.n]
+            state["basis"], state["slacks"] = self.basis.copy(), self.n + np.arange(self.R)
             return x, y
 
         def shed(pool, y):
-            basic = pool.ids[pool.positions(state["basic"])]
+            at = pool.positions(state["basis"])
+            basic = pool.ids[at[at >= 0]]
             before = pool.n
             real_shed(pool, y)
             dropped.append(before - pool.n)
             assert set(basic.tolist()) <= set(pool.ids.tolist())
+            assert np.array_equal(pool.ids[: state["slacks"].size], state["slacks"])
             state["y"] = y
 
         def add(pool, ids):
             real_add(pool, ids)
             y = state.pop("y", None)
             if y is not None:  # the refill that follows a shed
-                assert pool.reduced_costs(y).min() >= -lp_solver.SHED_TOL
+                structural = pool.reduced_costs(y)[state["slacks"].size :]
+                assert structural.min() >= -lp_solver.SHED_TOL
 
         monkeypatch.setattr(lp_solver._Simplex, "_basic_solution", basic_solution)
         monkeypatch.setattr(lp_solver._Pool, "shed", shed)
@@ -884,9 +916,10 @@ class TestPoolShedding:
 
 class TestKeptBasisState:
     """Each phase's basis matrix, basic costs, basic bounds, basis
-    inverse, effective right-hand side and slack flags are kept in place
-    across pivots; at every pivot all but the inverse must equal a
-    rebuild and the inverse must invert the matrix."""
+    inverse, effective right-hand side, basic pool positions and pool
+    directions are kept in place across pivots; at every pivot all but
+    the inverse must equal a rebuild and the inverse must invert the
+    matrix."""
 
     @staticmethod
     def watch(monkeypatch):
@@ -899,9 +932,15 @@ class TestKeptBasisState:
 
         def checked(self):
             rebuilt = copy.copy(self)
+            rebuilt.pool = copy.copy(self.pool)  # the rebuild writes its directions
+            rebuilt.pool._dirn = self.pool._dirn.copy()
             rebuilt._load_basis()
-            for name in ("bmat", "c_basis", "ub_basis", "rhs", "slack_free", "slack_flip"):
+            for name in ("bmat", "c_basis", "ub_basis", "rhs", "basis_pos"):
                 assert np.array_equal(getattr(self, name), getattr(rebuilt, name)), name
+            assert np.array_equal(self.pool.dirn, rebuilt.pool.dirn)
+            assert np.array_equal(self.basis_pos, self.pool.positions(self.basis))
+            basic = self.basis_pos[self.basis_pos >= 0]
+            assert not self.pool.dirn[basic].any()  # basic members have direction 0
             residual = self.binv @ self.bmat - np.eye(self.R)
             assert np.abs(residual).sum(axis=1).max() <= 1e-9
             records.append((self.phase, self.iterations, self.basis.copy(), self.updates))
@@ -923,7 +962,9 @@ class TestKeptBasisState:
         rng = np.random.default_rng(RNG_SEED + 13)
         for _ in range(30):
             objective, matrix, rows = feasible_instance(rng, negative=rng.uniform() < 0.3)
-            assert solve(dense(objective, matrix, rows)).status == "optimal"
+            sol = solve(dense(objective, matrix, rows))
+            assert sol.status == "optimal"
+            assert sol.pool.max() < len(objective)  # structural ids only, no slack
         assert {phase for phase, *_ in records} == {1, 2}
         assert self.bound_flips(records) > 0
 
@@ -934,7 +975,7 @@ class TestKeptBasisState:
         real = lp_solver.price_columns
 
         def spy(*args, **kwargs):
-            rules.append(kwargs["rule"])
+            rules.append(kwargs["bland"])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(lp_solver, "price_columns", spy)
@@ -942,7 +983,7 @@ class TestKeptBasisState:
         for _ in range(12):
             objective, matrix, rows = degenerate_instance(rng)
             assert solve(dense(objective, matrix, rows)).status == "optimal"
-        assert "bland" in rules
+        assert True in rules
         assert records
 
     def test_phase_switch_on_a_grid_lp(self, monkeypatch):
@@ -951,25 +992,30 @@ class TestKeptBasisState:
         )
         problem = grid.as_lp()
         records = self.watch(monkeypatch)
-        cached = []
+        entered = []
         real_entering = lp_solver._Simplex._entering
 
         def entering(self, y, bland):
-            found = real_entering(self, y, bland)
-            if found is not None and found[0] < self.n:
-                enter, column, cost = found
-                # read by position, the pool's cached column is the entering one
-                assert np.array_equal(column, problem.columns([enter])[:, 0])
-                assert cost == (problem.objective([enter])[0] if self.phase == 2 else 0.0)
-                cached.append(np.shares_memory(column, self.pool._cols))
-            return found
+            k = real_entering(self, y, bland)
+            if k is not None:
+                # the entering member's cached id, column and cost
+                enter = int(self.pool.ids[k])
+                column, cost = self.pool._cols[:, k], self.pool._cost[k]
+                if k < self.R:
+                    assert enter == self.n + k and cost == 0.0
+                    assert np.array_equal(column, self.sign[k] * np.eye(self.R)[k])
+                else:
+                    assert np.array_equal(column, problem.columns([enter])[:, 0])
+                    assert cost == (problem.objective([enter])[0] if self.phase == 2 else 0.0)
+                entered.append(k < self.R)
+            return k
 
         monkeypatch.setattr(lp_solver._Simplex, "_entering", entering)
         sol = solve(problem)
         assert sol.status == "optimal"
         phases = [phase for phase, *_ in records]
         assert phases[0] == 1 and phases[-1] == 2
-        assert cached and all(cached)  # entering columns came from the pool's cache
+        assert False in entered and True in entered  # structurals and slacks entered
 
     def test_grid_lp_runs_past_the_refactorization_count(self, monkeypatch):
         grid = build_problem(
@@ -998,46 +1044,54 @@ class TestKeptBasisState:
 
     def test_pool_member_is_the_cached_column(self):
         matrix = np.arange(12.0).reshape(2, 6)
-        p = dense(np.arange(6.0), matrix, [RangeRow(0.0, 1.0)] * 2)
-        pool = lp_solver._Pool(p, 2)
+        p = dense(np.arange(6.0), matrix, [RangeRow(0.0, 1.0), InequalityRow(1.0)])
+        pool = lp_solver._Pool(p, 2, np.array([1.0, -1.0]))
         pool.add([4, 1])
         pool.add([5, 0, 1])
-        assert pool.ids.tolist() == [4, 1, 5, 0]
+        # the two slacks (working ids 6 and 7), then the members as they joined
+        assert pool.ids.tolist() == [6, 7, 4, 1, 5, 0]
+        slacks = np.array([[1.0, 0.0], [0.0, -1.0]])
         for k, column in enumerate(pool.ids.tolist()):
-            col, cost = pool.column(k)
-            assert np.array_equal(col, matrix[:, column])
-            assert cost == column
-        assert pool.positions(np.array([2, 5, 6, 4])).tolist() == [2, 0]
-        # price's position reads the priced member
-        k, column, rc = pool.price(np.zeros(2))
-        assert column == 5 and pool.ids[k] == 5 and rc == 5.0
+            expected = slacks[:, k] if k < 2 else matrix[:, column]
+            assert np.array_equal(pool._cols[:, k], expected)
+            assert pool._cost[k] == (0.0 if k < 2 else column)
+        assert pool.dirn.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 1.0]  # until a basis loads
+        # working ids 2 and 8 (row 0's artificial) are no members
+        assert pool.positions(np.array([2, 5, 6, 4, 7, 8])).tolist() == [-1, 4, 0, 2, 1, -1]
 
     def test_pool_grows_and_sheds_in_place(self):
         rng = np.random.default_rng(RNG_SEED + 25)
         matrix = rng.uniform(-1.0, 1.0, size=(3, 500))
         objective = rng.uniform(-1.0, 1.0, size=500)
-        p = dense(objective, matrix, [RangeRow(0.0, 1.0)] * 3)
-        pool = lp_solver._Pool(p, 2)
+        signs = np.array([1.0, -1.0, 1.0])
+        p = dense(objective, matrix, [RangeRow(0.0, 1.0), InequalityRow(0.0), RangeRow(0.0, 1.0)])
+        pool = lp_solver._Pool(p, 2, signs)
+        slacks = [500, 501, 502]  # working ids n + i, at positions i
         joined = []
         for size in (1, 2, 7, 40, 3, 150, 90):  # several capacity doublings
             ids = rng.choice(500, size=size, replace=False)
             pool.add(ids)
             joined += [i for i in ids.tolist() if i not in joined]
-            assert pool.ids.tolist() == joined
-        y = rng.uniform(-0.3, 0.3, size=3)
+            assert pool.ids.tolist() == slacks + joined
+        # the slacks price at -0.3, -0.2 and -0.1, all below -SHED_TOL
+        y = np.array([0.3, -0.2, 0.1])
+        pool.dirn[:] = np.arange(pool.n) % 3 - 1.0  # directions move with their members
+        dirn = dict(zip(pool.ids.tolist(), pool.dirn.tolist()))
         pool.shed(y)
         kept = [i for i in joined if objective[i] - y @ matrix[:, i] >= -lp_solver.SHED_TOL]
         assert 0 < len(kept) < len(joined)
-        assert pool.ids.tolist() == kept
-        expected = objective[kept] - y @ matrix[:, kept]
+        assert pool.ids.tolist() == slacks + kept
+        assert pool.dirn.tolist() == [dirn[i] for i in slacks + kept]
+        expected = np.concatenate([-signs * y, objective[kept] - y @ matrix[:, kept]])
+        assert (expected[:3] < -lp_solver.SHED_TOL).all()
         assert np.allclose(pool.reduced_costs(y), expected, rtol=0.0, atol=1e-15)
-        assert pool.positions(np.arange(500)).tolist() == sorted(
-            range(len(kept)), key=lambda k: kept[k]
-        )
-        for k, column in enumerate(kept):
-            found = pool.column(k)
-            assert np.array_equal(found[0], matrix[:, column])
-            assert found[1] == objective[column]
+        members = slacks + kept
+        assert pool.positions(np.arange(504)).tolist() == [
+            members.index(i) if i in members else -1 for i in range(504)
+        ]
+        for k, column in enumerate(kept, start=3):
+            assert np.array_equal(pool._cols[:, k], matrix[:, column])
+            assert pool._cost[k] == objective[column]
 
     def test_singular_basis_raises_estimation_error(self):
         p = dense([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [RangeRow(0.0, 1.0)] * 2)
@@ -1196,7 +1250,8 @@ class TestWarmStart:
         # resampled tables: another right-hand side and variance marginals, the same grid
         table = TestPoolPricing.TABLE
         options = dict(r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
-        base = solve(build_problem(table, 8, **options).as_lp())
+        base_problem = build_problem(table, 8, **options).as_lp()
+        base = solve(base_problem)
         assert base.status == "optimal"
         records = self.watch_phases(monkeypatch)
         rng = np.random.default_rng(RNG_SEED + 19)
@@ -1211,9 +1266,84 @@ class TestWarmStart:
             assert cold.status == warm.status == "optimal"
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             assert price_columns(problem, warm.duals).entering is None
+            assert warm.pool.max() < problem.n_columns  # structural ids only, no slack
             warm_pivots += warm.iterations
             cold_pivots += cold.iterations
         assert warm_pivots < cold_pivots
+        # a replicate's solution seeds the next one
+        assert solve(base_problem, start=warm).status == "optimal"
+
+
+class TestGridFuzz:
+    """Seeded random grid LPs, each solved cold, warm-started from the
+    solution of a resampled table of the same shape, seeded with its
+    optimal columns and under Bland's rule: every path agrees with HiGHS
+    on the status and, at an optimum, on the objective."""
+
+    @staticmethod
+    def random_grid(rng):
+        """A random grid LP and its table, resolution and build options;
+        None where the table or its variance rows cannot be built."""
+        d = int(rng.integers(1, 4))
+        counts = rng.integers(1, 60, size=(d, 4)).astype(float)
+        counts[rng.random((d, 4)) < 0.2] = 0.0
+        m, epsilon = int(rng.integers(2, 11)), 0.2 * rng.random() ** 4
+        # exact rows (epsilon 0) make degenerate pivots, so Bland's rule engages
+        options = dict(epsilon=0.0 if rng.random() < 0.3 else epsilon)
+        if rng.random() < 0.5:
+            options.update(r2_propensity=rng.uniform(0.0, 0.5), r2_prognosis=rng.uniform(0.0, 0.5))
+        try:
+            labels = [f"c{c}" for c in range(d)]
+            table = StratifiedTable.from_counts(dict(zip(labels, map(tuple, counts))))
+            return build_problem(table, m, **options), table, m, options
+        except (DegenerateTableError, DomainError):
+            return None
+
+    def test_paths_agree_with_reference(self, monkeypatch):
+        rng = np.random.default_rng(RNG_SEED + 29)
+        accepted, bland_scans = [], []
+        real_dual, real_scan = lp_solver._Simplex._run_dual, lp_solver.price_columns
+
+        def run_dual(self, start):
+            accepted.append(real_dual(self, start))
+            return accepted[-1]
+
+        def scan(*args, **kwargs):
+            bland_scans.append(kwargs["bland"])
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(lp_solver._Simplex, "_run_dual", run_dual)
+        monkeypatch.setattr(lp_solver, "price_columns", scan)
+        statuses = []
+        while len(statuses) < 60:
+            built = self.random_grid(rng)
+            if built is None:
+                continue
+            grid, table, m, options = built
+            problem = grid.as_lp()
+            ids = np.arange(problem.n_columns)
+            ref = reference_solve(problem.objective(ids), problem.columns(ids), grid.rows)
+            expected = {0: "optimal", 2: "infeasible"}[ref.status]
+            cold = solve(problem)
+            paths = [cold, solve(reseeded(grid, cold.columns))]
+            try:
+                replicate = build_problem(resample_table(table, rng), m, **options)
+            except (DegenerateTableError, DomainError):
+                replicate = None
+            if replicate is not None:
+                paths.append(solve(problem, start=solve(replicate.as_lp())))
+            with monkeypatch.context() as forced:
+                forced.setattr(lp_solver, "_STALL_PER_ROW", 0)  # Bland after one stall
+                paths.append(solve(problem))
+            for sol in paths:
+                assert sol.status == expected
+                if expected == "optimal":
+                    assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
+                assert sol.pool.size == 0 or sol.pool.max() < problem.n_columns
+            statuses.append(expected)
+        assert 15 <= statuses.count("optimal") <= 45
+        assert accepted.count(True) >= 10  # the dual loop ran to primal feasibility
+        assert sum(bland_scans) >= 100  # Bland's rule took over
 
 
 class TestRelaxAndRetry:
