@@ -17,14 +17,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .grid_lp import Atom, CubeGrid, DiscretizedProblem, atoms_from_solution, build_problem
-from .lp_solver import (
-    InequalityRow,
-    LpProblem,
-    LpSolution,
-    RangeRow,
-    relax_and_retry,
-    solve,
-)
+from .lp_solver import LpProblem, LpSolution, relax_and_retry, solve
 from .model import (
     CategoryCounts,
     JointOutcomeProbs,

@@ -34,10 +34,7 @@ the same effect.
 
 Every LP is solved once, through :func:`lp_solver.relax_and_retry` with
 its only schedule ``(1e-9,)``: the solver's fixed feasibility tolerance
-``lp_solver.FEASIBILITY_TOL``.  Schema 2 dropped ``config.tol_schedule``
-and the per-tolerance LP records under ``solution.lp`` with the
-``--tol-schedule`` option, and the ``converge`` command no longer takes
-or records ``--m`` and ``--adjacency``, which it never used.
+``lp_solver.FEASIBILITY_TOL``.
 """
 
 from __future__ import annotations

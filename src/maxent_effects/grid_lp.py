@@ -61,7 +61,7 @@ import numpy as np
 
 from .closed_form import r2_to_variance_bound
 from .errors import ParameterError
-from .lp_solver import InequalityRow, LpProblem, LpSolution, RangeRow, row_bounds
+from .lp_solver import LpProblem, LpSolution, check_bounds
 from .model import PropensityPrognosisTriple, StratifiedTable, cell_entropy, cell_probs
 
 __all__ = [
@@ -137,8 +137,10 @@ class DiscretizedProblem:
     Immutable once built; exposes the LP via :meth:`as_lp` and exact
     (non-discretized) row activities for arbitrary atom sets via
     :meth:`activities`, which is what residual reporting uses after
-    cluster centroids move off the grid.  ``rows`` holds the row objects
-    and ``lower``/``upper`` their bounds (:func:`lp_solver.row_bounds`).
+    cluster centroids move off the grid.  Three arrays describe the rows:
+    their bounds ``lower`` and ``upper`` (``upper = +inf`` for a variance
+    floor), and ``row_index``, whose row c holds the LP rows of category
+    c's six coefficient rows (``n_rows`` for an absent variance row).
     Pricing and the objective come from ten m x m tables of the grid (see
     the module docstring), so building a problem costs O(m**2).
     """
@@ -159,41 +161,31 @@ class DiscretizedProblem:
 
         n = table.total
         d = table.n_categories
-        self.rhs = table.counts_matrix() / n  # (d, 4), grand-total normalized
+        targets = table.counts_matrix().ravel() / n  # grand-total normalized
         pooled = table.pooled()
         self.marginal_exposure = (pooled.n11 + pooled.n10) / n
         self.marginal_outcome = (pooled.n01 + pooled.n11) / n
 
-        rows: list[RangeRow | InequalityRow] = []
-        for c in range(d):
-            for cell in range(4):
-                target = self.rhs[c, cell]
-                rows.append(RangeRow(target - self.epsilon, target + self.epsilon))
-        self.variance_row_exposure: int | None = None
-        self.variance_row_outcome: int | None = None
-        if r2_propensity is not None:
-            variance_bound_exposure = r2_to_variance_bound(
-                r2_propensity, self.marginal_exposure
+        # each category's four frequency rows, then the variance floors asked
+        # for, keyed by their coefficient row (see _coefficients)
+        floors = {
+            row: r2_to_variance_bound(r2, marginal)
+            for row, r2, marginal in (
+                (4, r2_propensity, self.marginal_exposure),
+                (5, r2_prognosis, self.marginal_outcome),
             )
-            self.variance_row_exposure = len(rows)
-            rows.append(InequalityRow(variance_bound_exposure))
-        if r2_prognosis is not None:
-            variance_bound_outcome = r2_to_variance_bound(
-                r2_prognosis, self.marginal_outcome
-            )
-            self.variance_row_outcome = len(rows)
-            rows.append(InequalityRow(variance_bound_outcome))
-        self.rows = tuple(rows)
-        self.lower, self.upper = row_bounds(self.rows)
+            if r2 is not None
+        }
+        self.lower, self.upper = check_bounds(
+            np.concatenate([targets - self.epsilon, list(floors.values())]),
+            np.concatenate([targets + self.epsilon, np.full(len(floors), np.inf)]),
+        )
         self.n_columns = d * grid.n_cells
 
         # LP rows of each category's six coefficient rows; n_rows pads.
-        self.row_index = np.full((d, 6), len(rows))
-        self.row_index[:, :4] = 4 * np.arange(d)[:, None] + np.arange(4)
-        if self.variance_row_exposure is not None:
-            self.row_index[:, 4] = self.variance_row_exposure
-        if self.variance_row_outcome is not None:
-            self.row_index[:, 5] = self.variance_row_outcome
+        self.row_index = np.full((d, 6), self.n_rows)
+        self.row_index[:, :4] = np.arange(4 * d).reshape(d, 4)
+        self.row_index[:, list(floors)] = 4 * d + np.arange(len(floors))
 
         # the ten m x m tables of the separable reduced cost, indexed [j, k]
         # or [j, l]: P's five, Q's four and the cross factor, in the order
@@ -225,7 +217,7 @@ class DiscretizedProblem:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.lower.size
 
     def split_column(self, column: int) -> tuple[int, int, int, int]:
         """Global column index -> (category, j, k, l)."""
@@ -251,16 +243,10 @@ class DiscretizedProblem:
         return self._tables[0, j, k] + self._tables[5, j, l]
 
     def _reduced_costs(
-        self,
-        duals: np.ndarray,
-        start: int,
-        stop: int,
-        include_objective: bool = True,
-        out: np.ndarray | None = None,
+        self, duals: np.ndarray, start: int, stop: int, include_objective: bool, out: np.ndarray
     ) -> np.ndarray:
-        """Reduced costs of columns [start, stop), written into ``out`` (a
-        new array when None), one category's span at a time."""
-        out = np.empty(stop - start) if out is None else out
+        """Reduced costs of columns [start, stop), written into ``out``, one
+        category's span at a time."""
         n_cells = self.grid.n_cells
         padded = np.append(duals, 0.0)
         for c in range(start // n_cells, (stop - 1) // n_cells + 1):
@@ -319,14 +305,14 @@ class DiscretizedProblem:
         """The LP, its pricing pool seeded with :meth:`_block_cells` when
         the problem has no variance row; a binding variance row spreads
         the optimum beyond those blocks, so such a problem has no seed."""
-        unconstrained = self.variance_row_exposure is None and self.variance_row_outcome is None
         return LpProblem(
-            self.rows,
+            self.lower,
+            self.upper,
             self.n_columns,
             columns_fn=self._columns,
             objective_fn=self._objective,
             reduced_cost_fn=self._reduced_costs,
-            seed=self._block_cells() if unconstrained else (),
+            seed=() if np.isinf(self.upper).any() else self._block_cells(),
         )
 
     def _block_cells(self) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Primal revised simplex for very wide, very short linear programs.
 
-Solves  maximize c.w  subject to per-row constraints and w >= 0, where a
-row is either an interval  lo <= a.w <= hi  or an inequality  a.w >= rhs.
+Solves  maximize c.w  subject to  lower <= A w <= upper  and w >= 0, row
+by row, where ``upper = +inf`` makes a row the inequality  a.w >= lower.
 The problems this package builds have a handful of rows (a few dozen) and
 up to tens of millions of columns, so the solver never materializes the
 constraint matrix: columns are generated on demand, and the entering
@@ -11,8 +11,9 @@ prices out.
 
 Implementation notes
 --------------------
-* :class:`LpProblem` converts its rows once into ``lower``/``upper``
-  bound arrays (``upper = +inf`` for an inequality row).
+* Two float arrays, ``lower`` and ``upper``, are the only description of
+  the rows; :func:`check_bounds` validates them when an
+  :class:`LpProblem` is built.
 * With n structural columns and R rows, the working variables are the
   structurals ``0..n-1`` followed by 2R logicals ``n..n+2R-1``.  Logical
   ``i`` (counted from n) is ``sign[i]`` times the unit column of row
@@ -92,14 +93,12 @@ import numpy as np
 from .errors import EstimationError, ParameterError
 
 __all__ = [
-    "RangeRow",
-    "InequalityRow",
     "LpProblem",
     "LpSolution",
     "solve",
     "price_columns",
     "relax_and_retry",
-    "row_bounds",
+    "check_bounds",
     "ROW_CAP",
     "OPTIMALITY_TOL",
     "FEASIBILITY_TOL",
@@ -137,35 +136,15 @@ _DEGENERATE_STEP = 1e-12
 _STALL_PER_ROW = 10
 
 
-@dataclass(frozen=True)
-class RangeRow:
-    """Interval constraint lower <= activity <= upper."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if not (self.lower <= self.upper):
-            raise ParameterError(
-                f"range row needs lower <= upper, got [{self.lower}, {self.upper}]"
-            )
-
-
-@dataclass(frozen=True)
-class InequalityRow:
-    """One-sided constraint activity >= rhs."""
-
-    rhs: float
-
-
 class LpProblem:
-    """A wide LP described by row metadata and column generators.
+    """A wide LP described by row bounds and column generators.
 
     Parameters
     ----------
-    rows : sequence of RangeRow | InequalityRow
-        Converted once into the bound arrays ``lower`` and ``upper``
-        (``upper = +inf`` for an inequality row).
+    lower, upper : sequence of float
+        Row ``i`` is ``lower[i] <= a_i.w <= upper[i]``, or the inequality
+        ``a_i.w >= lower[i]`` where ``upper[i] = +inf``; kept as the float
+        arrays ``lower`` and ``upper``, validated by :func:`check_bounds`.
     n_columns : int
         Total number of structural columns.
     columns_fn : callable(indices) -> ndarray (n_rows, len(indices))
@@ -176,16 +155,18 @@ class LpProblem:
         ``objective - duals @ columns`` (without the objective when
         ``include_objective`` is false) for the contiguous index span
         [start, stop), the kernel of every full pricing scan.  ``out`` is
-        None or a buffer of ``stop - start`` floats it may write the
-        result into; it returns the result.
+        a buffer of ``stop - start`` floats it may write the result into;
+        it returns the result.
     seed : sequence of int, optional
         Structural column ids (duplicates allowed) that every phase's
         pricing pool starts with; kept as the sorted unique int64 array
         ``seed``.
     """
 
-    def __init__(self, rows, n_columns: int, columns_fn, objective_fn, reduced_cost_fn, seed=()):
-        self.lower, self.upper = row_bounds(rows)
+    def __init__(
+        self, lower, upper, n_columns: int, columns_fn, objective_fn, reduced_cost_fn, seed=()
+    ):
+        self.lower, self.upper = check_bounds(lower, upper)
         if n_columns <= 0:
             raise ParameterError("problem needs at least one column")
         self.n_columns = int(n_columns)
@@ -213,24 +194,19 @@ class LpProblem:
         return np.asarray(self._objective_fn(idx), dtype=float)
 
     def reduced_costs(
-        self,
-        duals: np.ndarray,
-        start: int,
-        stop: int,
-        include_objective: bool = True,
-        out: np.ndarray | None = None,
+        self, duals: np.ndarray, start: int, stop: int, include_objective: bool, out: np.ndarray
     ) -> np.ndarray:
         """``objective - duals @ columns`` for columns [start, stop); ``out``
-        (``stop - start`` floats), when given, may receive the result in
-        place of a new array."""
+        (``stop - start`` floats) may receive the result in place of a new
+        array."""
         return self._reduced_cost_fn(duals, start, stop, include_objective, out)
 
     @classmethod
-    def from_dense(cls, objective, matrix, rows, seed=()) -> LpProblem:
+    def from_dense(cls, objective, matrix, lower, upper, seed=()) -> LpProblem:
         """Convenience constructor from an explicit coefficient matrix."""
         a = np.asarray(matrix, dtype=float)
         c = np.asarray(objective, dtype=float)
-        if a.ndim != 2 or a.shape[0] != len(tuple(rows)) or a.shape[1] != c.size:
+        if a.ndim != 2 or a.shape != (np.size(lower), c.size):
             raise ParameterError("matrix shape does not match rows/objective")
 
         def reduced_costs(duals, start, stop, include_objective, out):
@@ -239,7 +215,8 @@ class LpProblem:
             return rc + c[idx] if include_objective else rc
 
         return cls(
-            rows,
+            lower,
+            upper,
             c.size,
             columns_fn=lambda idx: a[:, idx],
             objective_fn=lambda idx: c[idx],
@@ -248,38 +225,39 @@ class LpProblem:
         )
 
 
-def row_bounds(rows) -> tuple[np.ndarray, np.ndarray]:
-    """``(lower, upper)`` arrays of a row sequence, validated.
+def check_bounds(lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Row bounds ``lower`` and ``upper`` as new float arrays, validated.
 
-    An inequality row has ``upper = +inf``.  Every row needs a finite
-    right-hand side: ``upper`` where it is finite, else ``lower`` (NaN
-    counts as infinite).  A row with two finite bounds also needs a
-    finite width ``upper - lower``, its slack's upper bound.
+    The arrays need equal lengths and at most ``ROW_CAP`` rows.  Every
+    row needs ``lower <= upper`` (NaN fails) and a finite right-hand
+    side: ``upper`` where it is finite, else ``lower``.  A row with two
+    finite bounds also needs a finite width ``upper - lower``, its
+    slack's upper bound.
     """
-    rows = tuple(rows)
-    if not rows:
+    lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
+    if lower.ndim != 1 or lower.shape != upper.shape:
+        raise ParameterError(
+            f"row bounds need two 1-d arrays of equal length, got shapes {lower.shape} "
+            f"and {upper.shape}"
+        )
+    if not lower.size:
         raise ParameterError("problem needs at least one row")
-    if len(rows) > ROW_CAP:
+    if lower.size > ROW_CAP:
         raise ParameterError(
-            f"{len(rows)} rows exceeds the {ROW_CAP}-row cap of this solver"
+            f"{lower.size} rows exceeds the {ROW_CAP}-row cap of this solver"
         )
-    lower, upper = np.array(
-        [(r.lower, r.upper) if isinstance(r, RangeRow) else (r.rhs, np.inf) for r in rows],
-        dtype=float,
-    ).T.copy()
-    bad = np.flatnonzero(~np.isfinite(_rhs(lower, upper)))
-    if bad.size:
-        i = bad[0]
-        raise ParameterError(
-            f"row {i} needs a finite right-hand side, got [{float(lower[i])}, {float(upper[i])}]"
+    with np.errstate(over="ignore", invalid="ignore"):
+        failures = (
+            ("a finite right-hand side", ~np.isfinite(_rhs(lower, upper))),
+            ("lower <= upper", ~(lower <= upper)),
+            ("a finite width", np.isfinite(lower) & np.isfinite(upper) & np.isinf(upper - lower)),
         )
-    with np.errstate(over="ignore"):
-        wide = np.flatnonzero(np.isfinite(lower) & np.isfinite(upper) & np.isinf(upper - lower))
-    if wide.size:
-        i = wide[0]
-        raise ParameterError(
-            f"row {i} needs a finite width, got [{float(lower[i])}, {float(upper[i])}]"
-        )
+    for need, bad in failures:
+        if bad.any():
+            i = int(bad.argmax())
+            raise ParameterError(
+                f"row {i} needs {need}, got [{float(lower[i])}, {float(upper[i])}]"
+            )
     return lower, upper
 
 

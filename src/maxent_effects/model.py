@@ -138,6 +138,8 @@ class CategoryCounts:
         for name in ("n01", "n11", "n00", "n10"):
             if getattr(self, name) < 0:
                 raise DomainError(f"count {name} of {self.label!r} is negative")
+        if not math.isfinite(self.total):
+            raise DomainError(f"counts of {self.label!r} sum to {self.total}, not a finite number")
         if self.total <= 0:
             raise DegenerateTableError(f"category {self.label!r} has no individuals")
 
@@ -167,6 +169,17 @@ class StratifiedTable:
         if not self.categories:
             raise DegenerateTableError("table has no categories")
         object.__setattr__(self, "categories", tuple(self.categories))
+        try:
+            self.total  # fsum raises OverflowError where the exact sum overflows
+        except OverflowError:
+            running = 0.0
+            for c in self.categories:  # name the category where the sum overflows
+                running += c.total
+                if running == math.inf:
+                    break
+            raise DomainError(
+                f"the table's total count overflows the float range at category {c.label!r}"
+            ) from None
 
     @property
     def n_categories(self) -> int:

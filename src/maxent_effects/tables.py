@@ -45,9 +45,19 @@ def _parse_count(text: str, line: int) -> float:
     return value
 
 
+def _csv_rows(text: str):
+    """The CSV rows of ``text``; a malformed record, such as a field over
+    the csv module's size limit, raises :class:`TableParseError`."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TableParseError(f"line {reader.line_num}: {exc}") from None
+
+
 def loads_table(text: str) -> StratifiedTable:
     """Parse CSV text into a table; see :func:`load_table`."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:

@@ -91,6 +91,42 @@ class TestRunConfig:
 
 HEAD_KEYS = ["schema_version", "command", "config", "input"]
 
+HEADER = "category,exposure,outcome,count\n"
+
+#: Tables every command must reject with one error line, never a traceback,
+#: and a fragment of that line.
+DEGENERATE_TABLES = {
+    "empty-file": ("", "empty input"),
+    "header-only": (HEADER, "no data rows"),
+    "nan-count": (HEADER + "a,0,0,nan\n", "count must be finite"),
+    "category-without-individuals": (
+        HEADER + "a,0,0,0\na,1,1,0\nb,0,0,3\nb,1,1,2\n", "'a' has no individuals"
+    ),
+    # one field longer than the csv module's 131,072-character limit
+    "oversized-field": (
+        HEADER + "a,0,0," + "1" * 140_000 + "\n", "line 2: field larger than field limit"
+    ),
+    # each category's total is finite, their sum is not
+    "grand-total-overflows": (
+        HEADER + "".join(
+            f"{c},{e},{d},{1e308 if (e, d) == (0, 0) else 1}\n"
+            for c in "ab" for e in (0, 1) for d in (0, 1)
+        ),
+        "overflows the float range at category 'b'",
+    ),
+    "category-total-overflows": (
+        HEADER + "".join(f"a,{e},{d},1e308\n" for e in (0, 1) for d in (0, 1)),
+        "counts of 'a' sum to inf",
+    ),
+}
+
+COMMANDS = {
+    "estimate-lp": ["estimate", "--m", "4"],
+    "estimate-closed-form": ["estimate", "--mode", "closed-form"],
+    "converge": ["converge", "--m-values", "4"],
+    "bootstrap": ["bootstrap", "--m", "4", "--replicates", "2", "--seed", "1"],
+}
+
 
 class TestEstimateReport:
     def test_closed_form_report_shape(self):
@@ -296,7 +332,8 @@ def record_pools(monkeypatch, seeded=True):
 def unseeded_lp(grid):
     """The LP of ``grid``, a :class:`DiscretizedProblem`, without a seed."""
     return lp_solver.LpProblem(
-        grid.rows,
+        grid.lower,
+        grid.upper,
         grid.n_columns,
         columns_fn=grid._columns,
         objective_fn=grid._objective,
@@ -604,6 +641,18 @@ class TestMainEntry:
         code = main(["converge", "--input", MARGINAL, "--m-values", "12", *option])
         assert code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
+    @pytest.mark.parametrize("table", DEGENERATE_TABLES.values(), ids=DEGENERATE_TABLES)
+    def test_degenerate_table_ends_in_one_error_line(self, table, command, tmp_path, capsys):
+        text, message = table
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        code = main([*command, "--input", str(path), "--json-out", str(tmp_path / "out.json")])
+        assert code in (1, 2)
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [err.strip()] and message in errors[0]
 
     def test_degenerate_closed_form_exit_code(self, tmp_path, capsys):
         # nobody exposed: pi = 0 leaves r1 undefined

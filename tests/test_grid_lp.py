@@ -19,7 +19,7 @@ from maxent_effects.grid_lp import (
     atoms_from_solution,
     build_problem,
 )
-from maxent_effects.lp_solver import InequalityRow, LpProblem, LpSolution, RangeRow, solve
+from maxent_effects.lp_solver import LpProblem, LpSolution, solve
 from maxent_effects.model import (
     StratifiedTable,
     cell_entropy,
@@ -172,27 +172,25 @@ class TestProblemAssembly:
         targets = TABLE_B.counts_matrix() / n
         for c in range(2):
             for cell in range(4):
-                row = p.rows[4 * c + cell]
-                assert isinstance(row, RangeRow)
-                assert row.lower == pytest.approx(targets[c, cell] - eps, abs=1e-15)
-                assert row.upper == pytest.approx(targets[c, cell] + eps, abs=1e-15)
+                i = p.row_index[c, cell]
+                assert i == 4 * c + cell
+                assert p.lower[i] == pytest.approx(targets[c, cell] - eps, abs=1e-15)
+                assert p.upper[i] == pytest.approx(targets[c, cell] + eps, abs=1e-15)
+        assert (p.row_index[:, 4:] == p.n_rows).all()  # no variance row: the padding slot
 
     def test_variance_rows_appended(self):
         p = build_problem(TABLE_B, 10, r2_propensity=0.05, r2_prognosis=0.02)
         assert p.n_rows == 10
-        assert p.variance_row_exposure == 8
-        assert p.variance_row_outcome == 9
+        assert (p.row_index[:, 4] == 8).all()
+        assert (p.row_index[:, 5] == 9).all()
         assert p.marginal_exposure == pytest.approx(0.4)
         assert p.marginal_outcome == pytest.approx(0.36)
-        exposure_row = p.rows[8]
-        outcome_row = p.rows[9]
-        assert isinstance(exposure_row, InequalityRow)
-        assert exposure_row.rhs == pytest.approx(
-            r2_to_variance_bound(0.05, 0.4), abs=1e-15
-        )
-        assert outcome_row.rhs == pytest.approx(
-            r2_to_variance_bound(0.02, 0.36), abs=1e-15
-        )
+        assert np.isinf(p.upper[8:]).all()  # inequality rows
+        assert p.lower[8] == pytest.approx(r2_to_variance_bound(0.05, 0.4), abs=1e-15)
+        assert p.lower[9] == pytest.approx(r2_to_variance_bound(0.02, 0.36), abs=1e-15)
+        # the outcome row alone takes row 8; the absent exposure row pads
+        p = build_problem(TABLE_B, 10, r2_prognosis=0.02)
+        assert p.n_rows == 9 and p.row_index[:, 4:].tolist() == [[9, 8], [9, 8]]
 
     def test_column_count_and_split_round_trip(self):
         p = build_problem(TABLE_B, 7)
@@ -253,7 +251,7 @@ class TestProblemAssembly:
             idx = np.arange(start, stop)
             for duals in (random_duals, sparse_duals, np.zeros(p.n_rows)):
                 for include in (True, False):
-                    fast = p._reduced_costs(duals, start, stop, include)
+                    fast = p._reduced_costs(duals, start, stop, include, np.empty(stop - start))
                     generic = -(duals @ p._columns(idx))
                     if include:
                         generic = generic + p._objective(idx)
@@ -478,17 +476,17 @@ class TestAtomsAndEvaluation:
         p = build_problem(TABLE_A, 10, r2_propensity=0.05)
         act = np.zeros(p.n_rows)
         res = p.residuals(act)
-        for i, row in enumerate(p.rows):
-            if isinstance(row, RangeRow):
-                assert res[i] == pytest.approx(max(row.lower, 0.0), abs=1e-15)
-            else:
-                assert res[i] == pytest.approx(row.rhs, abs=1e-15)
+        for i, (lower, upper) in enumerate(zip(p.lower, p.upper)):
+            if np.isfinite(upper):
+                assert res[i] == pytest.approx(max(lower, 0.0), abs=1e-15)
+            else:  # an inequality row
+                assert res[i] == pytest.approx(lower, abs=1e-15)
         res = p.residuals(np.ones(p.n_rows))
-        for i, row in enumerate(p.rows):
-            if isinstance(row, RangeRow):
-                assert res[i] == pytest.approx(1.0 - row.upper, abs=1e-15)
+        for i, (lower, upper) in enumerate(zip(p.lower, p.upper)):
+            if np.isfinite(upper):
+                assert res[i] == pytest.approx(1.0 - upper, abs=1e-15)
             else:
-                assert res[i] == pytest.approx(max(row.rhs - 1.0, 0.0), abs=1e-15)
+                assert res[i] == pytest.approx(max(lower - 1.0, 0.0), abs=1e-15)
         with pytest.raises(ParameterError):
             p.residuals(np.zeros(3))
 

@@ -21,9 +21,7 @@ from maxent_effects.grid_lp import build_problem
 from maxent_effects.lp_solver import (
     FEASIBILITY_TOL,
     ROW_CAP,
-    InequalityRow,
     LpProblem,
-    RangeRow,
     price_columns,
     relax_and_retry,
     solve,
@@ -34,15 +32,22 @@ from maxent_effects.tables import resample_table
 RNG_SEED = 90210
 
 
+def bounds(rows):
+    """``(lower, upper)`` arrays of ``(lo, hi)`` row pairs; ``hi = inf``
+    makes a row the inequality ``a.w >= lo``."""
+    return np.array(rows, dtype=float).reshape(-1, 2).T
+
+
 def dense(objective, matrix, rows, seed=()):
-    return LpProblem.from_dense(objective, matrix, rows, seed=seed)
+    return LpProblem.from_dense(objective, matrix, *bounds(rows), seed=seed)
 
 
 def reseeded(grid, seed):
     """The LP of ``grid``, a :class:`DiscretizedProblem`, with the pool
     seed ``seed`` in place of its own."""
     return LpProblem(
-        grid.rows,
+        grid.lower,
+        grid.upper,
         grid.n_columns,
         columns_fn=grid._columns,
         objective_fn=grid._objective,
@@ -61,19 +66,16 @@ def assert_identical(a, b):
             assert x == y, field.name
 
 
-def reference_solve(objective, matrix, rows):
+def reference_solve(objective, matrix, lower, upper):
     """scipy HiGHS solve of the same maximization, for cross-checking."""
     a_ub, b_ub = [], []
-    for coef, row in zip(matrix, rows):
+    for coef, lo, hi in zip(matrix, lower, upper):
         coef = np.asarray(coef, dtype=float)
-        if isinstance(row, RangeRow):
+        if np.isfinite(hi):
             a_ub.append(coef)
-            b_ub.append(row.upper)
-            a_ub.append(-coef)
-            b_ub.append(-row.lower)
-        else:
-            a_ub.append(-coef)
-            b_ub.append(-row.rhs)
+            b_ub.append(hi)
+        a_ub.append(-coef)
+        b_ub.append(-lo)
     return linprog(
         -np.asarray(objective, dtype=float),
         A_ub=np.array(a_ub),
@@ -102,14 +104,9 @@ def feasible_instance(rng, negative=False):
     rows = []
     for i in range(n_rows):
         if i > 0 and rng.uniform() < 0.3:
-            rows.append(InequalityRow(activity[i] - rng.uniform(0.0, 0.1)))
+            rows.append((activity[i] - rng.uniform(0.0, 0.1), np.inf))
         else:
-            rows.append(
-                RangeRow(
-                    activity[i] - rng.uniform(0.0, 0.05),
-                    activity[i] + rng.uniform(0.0, 0.05),
-                )
-            )
+            rows.append((activity[i] - rng.uniform(0.0, 0.05), activity[i] + rng.uniform(0.0, 0.05)))
     objective = rng.uniform(-1.0, 1.0, size=n_cols)
     return objective, matrix, rows
 
@@ -128,26 +125,24 @@ def degenerate_instance(rng):
     support = rng.choice(n_cols, size=n_rows, replace=False)
     x0[support] = rng.uniform(0.2, 1.0, size=n_rows)
     matrix[1:, support[0]] -= (matrix[1:] @ x0) / x0[support[0]]
-    rows = [RangeRow(1.0, 1.0)] + [RangeRow(0.0, 0.0)] * (n_rows - 1)
+    rows = [(1.0, 1.0)] + [(0.0, 0.0)] * (n_rows - 1)
     return rng.uniform(-1.0, 1.0, size=n_cols), matrix, rows
 
 
 def assert_matches_reference(objective, matrix, rows):
     """Optimal, equal to HiGHS, feasible and sparse at the returned vertex."""
     sol = solve(dense(objective, matrix, rows))
-    ref = reference_solve(objective, matrix, rows)
+    lower, upper = bounds(rows)
+    ref = reference_solve(objective, matrix, lower, upper)
     assert sol.status == "optimal"
     assert ref.status == 0
     assert sol.objective == pytest.approx(-ref.fun, abs=1e-7, rel=1e-7)
-    # vertex feasibility, recomputed from the reported columns
+    # vertex feasibility, recomputed from the reported columns (upper = inf
+    # for an inequality row)
     x = np.zeros(len(objective))
     x[sol.columns] = sol.masses
     act = matrix @ x
-    for i, row in enumerate(rows):
-        if isinstance(row, RangeRow):
-            assert row.lower - 1e-7 <= act[i] <= row.upper + 1e-7
-        else:
-            assert act[i] >= row.rhs - 1e-7
+    assert np.all((lower - 1e-7 <= act) & (act <= upper + 1e-7))
     # vertex sparsity: nonzero columns never exceed row count
     assert sol.columns.size <= len(rows)
 
@@ -155,19 +150,19 @@ def assert_matches_reference(objective, matrix, rows):
 class TestExactSmallProblems:
     def test_single_equality(self):
         # max x0 + 2 x1 with x0 + x1 = 1
-        sol = solve(dense([1.0, 2.0], [[1.0, 1.0]], [RangeRow(1.0, 1.0)]))
+        sol = solve(dense([1.0, 2.0], [[1.0, 1.0]], [(1.0, 1.0)]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-12)
         assert sol.columns.tolist() == [1]
         assert sol.masses == pytest.approx([1.0])
 
     def test_range_row_upper_binds(self):
-        sol = solve(dense([1.0], [[1.0]], [RangeRow(2.0, 5.0)]))
+        sol = solve(dense([1.0], [[1.0]], [(2.0, 5.0)]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(5.0, abs=1e-12)
 
     def test_inequality_row_binds_from_below(self):
-        sol = solve(dense([-1.0], [[1.0]], [InequalityRow(3.0)]))
+        sol = solve(dense([-1.0], [[1.0]], [(3.0, np.inf)]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-3.0, abs=1e-12)
 
@@ -178,7 +173,7 @@ class TestExactSmallProblems:
             dense(
                 [1.0, 1.0],
                 [[1.0, 2.0], [1.0, 0.0]],
-                [RangeRow(4.0, 4.0), InequalityRow(1.0)],
+                [(4.0, 4.0), (1.0, np.inf)],
             )
         )
         assert sol.status == "optimal"
@@ -191,7 +186,7 @@ class TestExactSmallProblems:
             dense(
                 [1.0, 1.0],
                 [[1.0, 1.0], [1.0, 1.0]],
-                [RangeRow(1.0, 1.0), RangeRow(3.0, 3.0)],
+                [(1.0, 1.0), (3.0, 3.0)],
             )
         )
         assert sol.status == "infeasible"
@@ -199,7 +194,7 @@ class TestExactSmallProblems:
         assert set(sol.infeasible_rows) <= {0, 1}
 
     def test_unbounded_ray(self):
-        sol = solve(dense([1.0], [[1.0]], [InequalityRow(1.0)]))
+        sol = solve(dense([1.0], [[1.0]], [(1.0, np.inf)]))
         assert sol.status == "unbounded"
 
     def test_iteration_limit_reports_violated_rows(self, monkeypatch):
@@ -208,7 +203,7 @@ class TestExactSmallProblems:
             dense(
                 [1.0, 1.0],
                 [[1.0, 2.0], [1.0, 0.0]],
-                [RangeRow(4.0, 4.0), InequalityRow(1.0)],
+                [(4.0, 4.0), (1.0, np.inf)],
             )
         )
         assert sol.status == "iteration_limit"
@@ -220,7 +215,7 @@ class TestExactSmallProblems:
             dense(
                 [0.0, 1.0],
                 [[1.0, 1.0], [0.0, 1.0]],
-                [RangeRow(1.0, 1.0), RangeRow(0.0, 0.4)],
+                [(1.0, 1.0), (0.0, 0.4)],
             )
         )
         assert sol.status == "optimal"
@@ -229,29 +224,33 @@ class TestExactSmallProblems:
 
 class TestValidation:
     def test_row_cap(self):
-        rows = [RangeRow(0.0, 1.0)] * (ROW_CAP + 1)
-        with pytest.raises(ParameterError):
-            LpProblem(
-                rows, 1, lambda i: np.ones((len(rows), i.size)), lambda i: np.zeros(i.size), None
-            )
+        lower, upper = np.zeros(ROW_CAP + 1), np.ones(ROW_CAP + 1)
+        with pytest.raises(ParameterError, match="row cap"):
+            LpProblem(lower, upper, 1, None, None, None)
 
     def test_empty_rows_and_columns(self):
         with pytest.raises(ParameterError):
-            LpProblem([], 1, None, None, None)
+            LpProblem([], [], 1, None, None, None)
         with pytest.raises(ParameterError):
-            LpProblem([RangeRow(0.0, 1.0)], 0, None, None, None)
+            LpProblem([0.0], [1.0], 0, None, None, None)
+
+    def test_bounds_need_equal_lengths(self):
+        with pytest.raises(ParameterError, match="equal length"):
+            LpProblem([0.0, 0.0], [1.0], 1, None, None, None)
 
     def test_range_row_ordering(self):
-        with pytest.raises(ParameterError):
-            RangeRow(2.0, 1.0)
+        for row in ((2.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(ParameterError, match=r"row 0 needs lower <= upper"):
+                dense([1.0], [[1.0]], [row])
 
     def test_from_dense_shape_mismatch(self):
         with pytest.raises(ParameterError):
-            LpProblem.from_dense([1.0, 2.0], [[1.0]], [RangeRow(0.0, 1.0)])
+            LpProblem.from_dense([1.0, 2.0], [[1.0]], [0.0], [1.0])
 
     def test_columns_fn_shape_checked(self):
         p = LpProblem(
-            [RangeRow(0.0, 1.0)],
+            [0.0],
+            [1.0],
             3,
             columns_fn=lambda idx: np.ones((2, idx.size)),
             objective_fn=lambda idx: np.zeros(idx.size),
@@ -261,28 +260,24 @@ class TestValidation:
             p.columns([0])
 
     def test_rows_need_finite_right_hand_side(self):
-        for row in (
-            InequalityRow(np.nan),
-            InequalityRow(np.inf),
-            InequalityRow(-np.inf),
-            RangeRow(-np.inf, np.inf),
-            RangeRow(np.inf, np.inf),
-        ):
+        # an inequality row with a NaN or infinite bound, or a range row
+        # with two infinite ones
+        for row in ((np.nan, np.inf), (np.inf, np.inf), (-np.inf, np.inf)):
             with pytest.raises(ParameterError, match="right-hand side"):
                 dense([1.0], [[1.0]], [row])
 
     def test_rows_need_finite_width(self):
-        rows = [RangeRow(0.0, 1.0), RangeRow(-1e308, 1e308)]  # the width overflows
+        rows = [(0.0, 1.0), (-1e308, 1e308)]  # the width overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="row 1 needs a finite width"):
                 dense([1.0], [[1.0], [1.0]], rows)
         # a <= row: one infinite bound, so its slack has no upper bound
-        sol = solve(dense([1.0], [[1.0]], [RangeRow(-np.inf, 1.0)]))
+        sol = solve(dense([1.0], [[1.0]], [(-np.inf, 1.0)]))
         assert sol.status == "optimal" and sol.objective == 1.0
 
     def test_positive_tolerances_required(self):
-        p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
+        p = dense([1.0], [[1.0]], [(0.0, 1.0)])
         for schedule in ((0.0,), (-FEASIBILITY_TOL,)):
             with pytest.raises(ParameterError):
                 relax_and_retry(p, schedule)
@@ -299,8 +294,8 @@ class TestRandomizedCrossCheck:
         rng = np.random.default_rng(RNG_SEED + 9)
         for _ in range(30):
             objective, matrix, rows = feasible_instance(rng, negative=True)
-            rhs = [r.upper if isinstance(r, RangeRow) else r.rhs for r in rows]
-            assert min(rhs) < 0.0
+            lower, upper = bounds(rows)
+            assert np.where(np.isfinite(upper), upper, lower).min() < 0.0
             assert_matches_reference(objective, matrix, rows)
 
     def test_detects_infeasibility(self):
@@ -309,9 +304,9 @@ class TestRandomizedCrossCheck:
             objective, matrix, rows = feasible_instance(rng)
             # duplicate row 0's activity into a far-away disjoint band
             matrix = np.vstack([matrix, matrix[0]])
-            rows = list(rows) + [RangeRow(rows[0].upper + 10.0, rows[0].upper + 10.01)]
+            rows = list(rows) + [(rows[0][1] + 10.0, rows[0][1] + 10.01)]
             sol = solve(dense(objective, matrix, rows))
-            ref = reference_solve(objective, matrix, rows)
+            ref = reference_solve(objective, matrix, *bounds(rows))
             assert sol.status == "infeasible"
             assert ref.status == 2
             assert sol.infeasible_rows
@@ -362,7 +357,7 @@ class TestDeterminism:
 
         plain = dense(objective, matrix, rows)
         fast = LpProblem(
-            rows,
+            *bounds(rows),
             objective.size,
             columns_fn=lambda idx: matrix[:, idx],
             objective_fn=lambda idx: objective[idx],
@@ -377,19 +372,20 @@ class TestDeterminism:
     def test_from_dense_kernel_matches_dense_formula(self):
         rng = np.random.default_rng(RNG_SEED + 6)
         objective, matrix = rng.normal(size=50), rng.normal(size=(4, 50))
-        problem = dense(objective, matrix, [RangeRow(-1.0, 1.0)] * 4)
+        problem = dense(objective, matrix, [(-1.0, 1.0)] * 4)
         for _ in range(20):
             duals = rng.normal(size=4)
             start = int(rng.integers(0, 50))
             stop = int(rng.integers(start + 1, 51))
             idx = np.arange(start, stop)
             columns = problem.columns(idx)
+            out = np.empty(stop - start)
             np.testing.assert_array_equal(
-                problem.reduced_costs(duals, start, stop), objective[idx] - duals @ columns
+                problem.reduced_costs(duals, start, stop, True, out),
+                objective[idx] - duals @ columns,
             )
             np.testing.assert_array_equal(
-                problem.reduced_costs(duals, start, stop, include_objective=False),
-                -(duals @ columns),
+                problem.reduced_costs(duals, start, stop, False, out), -(duals @ columns)
             )
 
 
@@ -410,7 +406,7 @@ class TestBlandMode:
             objective, matrix, rows = degenerate_instance(rng)
             rules.clear()
             sol = solve(dense(objective, matrix, rows))
-            ref = reference_solve(objective, matrix, rows)
+            ref = reference_solve(objective, matrix, *bounds(rows))
             assert True in rules
             assert sol.status == "optimal"
             assert ref.status == 0
@@ -447,7 +443,7 @@ class TestEnteringRule:
         entered, rules = self.watch(monkeypatch)
         # phase one starts with y = -1: the pool member w0 and the row's
         # slack (working id 1) both price at exactly 1
-        sol = solve(dense([1.0], [[1.0]], [RangeRow(0.5, 1.0)], seed=[0]))
+        sol = solve(dense([1.0], [[1.0]], [(0.5, 1.0)], seed=[0]))
         assert entered[0] == 0 and rules == [False]  # one scan, in phase two
         assert sol.status == "optimal" and sol.iterations == 1
         assert sol.columns.tolist() == [0] and sol.masses.tolist() == [1.0]
@@ -462,7 +458,7 @@ class TestEnteringRule:
         problem = dense(
             [0.0, 0.0, 0.0],
             [[1.0, 1.5, w2], [1.0, 0.25, 0.0]],
-            [RangeRow(0.5, 1.0), RangeRow(-1.0, 0.0)],
+            [(0.5, 1.0), (-1.0, 0.0)],
         )
         sol = solve(problem)
         assert entered[:3] == [0, 1, 2]
@@ -472,7 +468,7 @@ class TestEnteringRule:
 
     def test_bland_takes_the_lowest_improving_slack(self):
         # no structural improves; the slacks gain -y_i from their lower bounds
-        p = dense([-10.0, -10.0], np.ones((2, 2)), [RangeRow(0.0, 1.0)] * 2)
+        p = dense([-10.0, -10.0], np.ones((2, 2)), [(0.0, 1.0)] * 2)
         s = lp_solver._Simplex(p)
         s._enter_phase(2)
         y = np.array([-0.5, -2.0])
@@ -487,28 +483,28 @@ class TestEnteringRule:
 
 class TestPricing:
     def test_dantzig_picks_largest_with_lowest_index_ties(self):
-        p = dense([1.0, 3.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
+        p = dense([1.0, 3.0, 3.0], [[1.0, 1.0, 1.0]], [(0.0, 1.0)])
         assert price_columns(p, np.zeros(1)).entering == (1, 3.0)
 
     def test_tolerance_is_optimality_tol(self):
         tol = lp_solver.OPTIMALITY_TOL
-        p = dense([tol, 2.0 * tol, tol], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
+        p = dense([tol, 2.0 * tol, tol], [[1.0, 1.0, 1.0]], [(0.0, 1.0)])
         assert price_columns(p, np.zeros(1)).entering == (1, 2.0 * tol)
         assert price_columns(p, np.array([tol])).entering is None
 
     def test_bland_returns_first_improving(self):
-        p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
+        p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [(0.0, 1.0)])
         assert price_columns(p, np.zeros(1), bland=True).entering == (1, 2.0)
         with pytest.raises(TypeError):  # the rule is a flag, not a name
             price_columns(p, np.zeros(1), rule="bland")
 
     def test_duals_shape_validated(self):
-        p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
+        p = dense([1.0], [[1.0]], [(0.0, 1.0)])
         with pytest.raises(ParameterError):
             price_columns(p, np.zeros(2))
 
     def test_objective_toggle(self):
-        p = dense([5.0], [[2.0]], [RangeRow(0.0, 1.0)])
+        p = dense([5.0], [[2.0]], [(0.0, 1.0)])
         duals = np.array([1.0])
         assert price_columns(p, duals).entering == (0, 3.0)
         assert price_columns(p, duals, include_objective=False).entering is None
@@ -550,7 +546,7 @@ class TestScanRecord:
         zero = np.zeros(1)
         # the second chunk's maximum is exactly tol: no column improves,
         # and that chunk still holds the maximum
-        p = dense([-1.0, -2.0, -1.0, 0.0, tol, -3.0, -1.0], np.ones((1, 7)), [RangeRow(0.0, 1.0)])
+        p = dense([-1.0, -2.0, -1.0, 0.0, tol, -3.0, -1.0], np.ones((1, 7)), [(0.0, 1.0)])
         for bland in (False, True):
             scan = price_columns(p, zero, bland=bland)
             assert scan.entering is None and scan.candidates.size == 0
@@ -558,7 +554,7 @@ class TestScanRecord:
         assert lp_solver.near_columns(p, zero, 1.0).tolist() == [3, 4]  # rc > -1, strictly
         # an improving column in the next chunk: both rules take it
         p = dense([-1.0, -2.0, -1.0, 0.0, tol, -3.0, 2 * tol, -1.0], np.ones((1, 8)),
-                  [RangeRow(0.0, 1.0)])
+                  [(0.0, 1.0)])
         assert price_columns(p, zero, bland=True).entering == (6, 2 * tol)
         scan = price_columns(p, zero)
         assert scan.entering == (6, 2 * tol) and scan.candidates.tolist() == [6]
@@ -614,7 +610,7 @@ class TestPoolPricing:
             n = int(rng.integers(1, 40))
             # few distinct values: ties within and across chunks
             objective = rng.integers(-2, 4, size=n).astype(float)
-            p = dense(objective, np.ones((1, n)), [RangeRow(0.0, 1.0)])
+            p = dense(objective, np.ones((1, n)), [(0.0, 1.0)])
             expected = scan_candidates(objective, keep, 7)
             scan = price_columns(p, np.zeros(1))
             assert scan.candidates.tolist() == expected
@@ -625,14 +621,14 @@ class TestPoolPricing:
                 assert expected == []
 
     def test_bland_scan_candidate_is_its_entering_id(self):
-        p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(0.0, 1.0)])
+        p = dense([-1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [(0.0, 1.0)])
         scan = price_columns(p, np.zeros(1), bland=True)
         assert scan.entering == (1, 2.0)
         assert scan.candidates.tolist() == [1]
 
     def test_pool_prices_members_at_phase_costs_ties_low(self):
         objective = np.array([1.0, 5.0, 2.0, 5.0, 5.0, 0.5])
-        p = dense(objective, np.ones((1, 6)), [RangeRow(0.0, 1.0)])
+        p = dense(objective, np.ones((1, 6)), [(0.0, 1.0)])
         s = lp_solver._Simplex(p)  # the row's artificial is basic
         s._enter_phase(2)
         s.pool.add([4, 1, 5])
@@ -667,7 +663,9 @@ class TestPoolPricing:
         monkeypatch.undo()
 
         ids = np.arange(problem.n_columns)
-        ref = reference_solve(problem.objective(ids), problem.columns(ids), grid.rows)
+        ref = reference_solve(
+            problem.objective(ids), problem.columns(ids), grid.lower, grid.upper
+        )
         assert sol.status == "optimal"
         assert ref.status == 0
         assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
@@ -794,7 +792,7 @@ class TestSeededPool:
         ids=["out-of-range", "negative", "float", "2-d", "string"],
     )
     def test_bad_ids_rejected(self, pool, message):
-        args = [1.0] * 40, np.ones((1, 40)), [RangeRow(1.0, 1.0)]
+        args = [1.0] * 40, np.ones((1, 40)), [(1.0, 1.0)]
         with pytest.raises(ParameterError, match=message):
             dense(*args, seed=pool)
         # a start's pool joins the seed: it is checked alike
@@ -805,7 +803,7 @@ class TestSeededPool:
 
     def test_duplicates_and_dtypes_accepted(self):
         for pool in ([1, 1, 0, 1], np.array([2, 2], dtype=np.uint8), np.array([], dtype=float)):
-            p = dense([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [RangeRow(1.0, 1.0)], seed=pool)
+            p = dense([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0]], [(1.0, 1.0)], seed=pool)
             assert p.seed.dtype == np.int64
             assert np.array_equal(p.seed, np.unique(np.asarray(pool, dtype=np.int64)))
             sol = solve(p)
@@ -1044,7 +1042,7 @@ class TestKeptBasisState:
 
     def test_pool_member_is_the_cached_column(self):
         matrix = np.arange(12.0).reshape(2, 6)
-        p = dense(np.arange(6.0), matrix, [RangeRow(0.0, 1.0), InequalityRow(1.0)])
+        p = dense(np.arange(6.0), matrix, [(0.0, 1.0), (1.0, np.inf)])
         pool = lp_solver._Pool(p, 2, np.array([1.0, -1.0]))
         pool.add([4, 1])
         pool.add([5, 0, 1])
@@ -1064,7 +1062,7 @@ class TestKeptBasisState:
         matrix = rng.uniform(-1.0, 1.0, size=(3, 500))
         objective = rng.uniform(-1.0, 1.0, size=500)
         signs = np.array([1.0, -1.0, 1.0])
-        p = dense(objective, matrix, [RangeRow(0.0, 1.0), InequalityRow(0.0), RangeRow(0.0, 1.0)])
+        p = dense(objective, matrix, [(0.0, 1.0), (0.0, np.inf), (0.0, 1.0)])
         pool = lp_solver._Pool(p, 2, signs)
         slacks = [500, 501, 502]  # working ids n + i, at positions i
         joined = []
@@ -1094,7 +1092,7 @@ class TestKeptBasisState:
             assert pool._cost[k] == objective[column]
 
     def test_singular_basis_raises_estimation_error(self):
-        p = dense([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [RangeRow(0.0, 1.0)] * 2)
+        p = dense([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [(0.0, 1.0)] * 2)
         s = lp_solver._Simplex(p)
         s.basis = np.array([0, 1])  # two equal columns: exactly singular
         with warnings.catch_warnings():
@@ -1114,8 +1112,8 @@ class TestWarmStart:
         """The rows with every range row's bounds moved by one random step."""
         steps = rng.uniform(-scale, scale, size=len(rows))
         return [
-            RangeRow(r.lower + step, r.upper + step) if isinstance(r, RangeRow) else r
-            for r, step in zip(rows, steps)
+            (lo + step, hi + step) if np.isfinite(hi) else (lo, hi)
+            for (lo, hi), step in zip(rows, steps)
         ]
 
     @staticmethod
@@ -1144,7 +1142,7 @@ class TestWarmStart:
         records = self.watch_phases(monkeypatch)
         # from the basis {w0}, w0 = -1 violates w0 >= 0; w1 and w2 can
         # enter with ratios 1e-17 (d = -1e-17) and exactly 0 (d = 0)
-        problem = dense([0.0, -1e-17, 0.0], [[1.0, -1.0, -1.0]], [RangeRow(-2.0, -1.0)])
+        problem = dense([0.0, -1e-17, 0.0], [[1.0, -1.0, -1.0]], [(-2.0, -1.0)])
         start = lp_solver.LpSolution(
             status="optimal",
             columns=np.array([0]),
@@ -1207,7 +1205,7 @@ class TestWarmStart:
             objective, matrix, rows = feasible_instance(rng)
             first = solve(dense(objective, matrix, rows))
             # row 0 has positive coefficients: no w >= 0 reaches a negative band
-            problem = dense(objective, matrix, [RangeRow(-2.0, -1.0), *rows[1:]], seed=first.pool)
+            problem = dense(objective, matrix, [(-2.0, -1.0), *rows[1:]], seed=first.pool)
             cold = solve(problem)
             warm = solve(problem, start=first)
             assert cold.status == "infeasible" and cold.infeasible_rows
@@ -1227,8 +1225,8 @@ class TestWarmStart:
             assert_identical(warm, cold)
 
     def test_bad_start_rejected(self):
-        two = dense([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [RangeRow(1.0, 1.0), RangeRow(0.0, 1.0)])
-        three = dense([1.0, 2.0], np.ones((3, 2)), [RangeRow(1.0, 1.0)] * 3)
+        two = dense([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [(1.0, 1.0), (0.0, 1.0)])
+        three = dense([1.0, 2.0], np.ones((3, 2)), [(1.0, 1.0)] * 3)
         start = solve(two)
         with pytest.raises(ParameterError, match="basis of 3 ids"):
             solve(three, start=start)
@@ -1322,7 +1320,9 @@ class TestGridFuzz:
             grid, table, m, options = built
             problem = grid.as_lp()
             ids = np.arange(problem.n_columns)
-            ref = reference_solve(problem.objective(ids), problem.columns(ids), grid.rows)
+            ref = reference_solve(
+                problem.objective(ids), problem.columns(ids), grid.lower, grid.upper
+            )
             expected = {0: "optimal", 2: "infeasible"}[ref.status]
             cold = solve(problem)
             paths = [cold, solve(reseeded(grid, cold.columns))]
@@ -1348,7 +1348,7 @@ class TestGridFuzz:
 
 class TestRelaxAndRetry:
     def test_schedule_validation(self):
-        p = dense([1.0], [[1.0]], [RangeRow(0.0, 1.0)])
+        p = dense([1.0], [[1.0]], [(0.0, 1.0)])
         for schedule in ([], (), [1e-6, 1e-6], [1e-9, 1e-6], (1e-3, 1e-9), (1e-6,)):
             with pytest.raises(ParameterError):
                 relax_and_retry(p, schedule)
