@@ -353,6 +353,9 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
             "the convergence study uses the unconstrained problem; "
             "remove the R2 targets"
         )
+    m_values = list(m_values)
+    if any(not isinstance(m, (int, np.integer)) or isinstance(m, bool) for m in m_values):
+        raise ParameterError(f"m values must be integers, got {m_values}")
     m_values = [int(m) for m in m_values]
     if not m_values:
         raise ParameterError("at least one m value is needed")
@@ -498,7 +501,9 @@ def emit_plot(report: dict, path) -> None:
         raise ParameterError("not a report: expected a JSON object")
     try:
         svg = _report_svg(report)
-    except (AttributeError, KeyError, TypeError) as exc:
+    except ParameterError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParameterError(
             f"malformed {report.get('command')!r} report: {exc!r}"
         ) from exc

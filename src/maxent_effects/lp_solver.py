@@ -45,7 +45,7 @@ Implementation notes
   can enter: the R slacks at positions 0..R-1, then candidate structural
   columns; ids, dense columns, phase costs and one bound direction per
   member (+1 at its lower bound, -1 at its upper, 0 basic or fixed) in
-  contiguous arrays whose capacity doubles when a refill does not fit.
+  four arrays sized exactly to the members, which a refill replaces.
   A pivot prices the pool, one ``cost - y @ columns``; a member's gain
   is its direction times its reduced cost.  When no structural member
   improves, a full scan (:func:`price_columns`, ``PRICE_CHUNK`` columns
@@ -76,10 +76,11 @@ Implementation notes
   the full scan's) and the best slack, each by largest gain above
   ``OPTIMALITY_TOL`` with lowest-id tie-breaking, and enters the larger,
   the structural on a tie; after a stall of ``10 * n_rows`` consecutive
-  degenerate steps the solver switches to Bland's rule, which takes the
-  lowest improving working id: the first improving column of a full
-  scan, which joins the pool, else the first improving slack, until the
-  objective moves again.  A solve stops with ``iteration_limit`` after
+  degenerate steps (a step no longer than ``_DEGENERATE_STEP``) the
+  solver switches to Bland's rule (Bland 1977), which takes the lowest
+  improving working id: the first improving column of a full scan, which
+  joins the pool, else the first improving slack, until a longer step
+  ends the stall.  A solve stops with ``iteration_limit`` after
   ``MAX_ITERATIONS`` pivots.  All scan and reduction orders are fixed, so
   identical inputs give identical output.
 """
@@ -387,35 +388,27 @@ class _Pool:
     Member ``i < R`` is slack ``i``: working id ``n + i``, column
     ``sign[i]`` times the unit column of row ``i``, cost 0; slacks keep
     these positions and are never shed.  The structural members follow in
-    the order they joined.  The first ``n`` entries of one id array, one
-    ``(rows, capacity)`` column array, one cost array (the objective in
-    phase two, 0 in phase one) and one direction array hold the members;
-    ``_sorted`` is ``ids[_order]``, ascending.  Capacity doubles when a
-    refill does not fit.  A member's direction is +1 if it may rise from
-    its lower bound, -1 if it may fall from its upper bound and 0 if it
-    is basic or fixed, so ``dirn * reduced_costs(y)`` is its gain; a new
-    structural member starts at +1.  Basic members are priced like the
-    rest: their reduced costs are 0 within rounding, so :meth:`shed`
-    never drops one.
+    the order they joined.  Four arrays sized exactly to the members hold
+    them: ``ids``, ``cols`` (rows x members), ``cost`` (the objective in
+    phase two, 0 in phase one) and ``dirn``; :meth:`add` and :meth:`shed`
+    replace all four, so a reader must not keep one across a refill.
+    ``_sorted`` is ``ids[_order]``, ascending.  A member's direction is +1
+    if it may rise from its lower bound, -1 if it may fall from its upper
+    bound and 0 if it is basic or fixed, so ``dirn * reduced_costs(y)`` is
+    its gain; a new structural member starts at +1.  Basic members are
+    priced like the rest: their reduced costs are 0 within rounding, so
+    :meth:`shed` never drops one.
     """
 
     def __init__(self, problem: LpProblem, phase: int, signs: np.ndarray):
         self._problem = problem
         self._phase = phase
-        self.n = self._slacks = signs.size
-        self._ids = np.arange(problem.n_columns, problem.n_columns + self.n)
-        self._cols = np.diag(signs)
-        self._cost = np.zeros(self.n)
-        self._dirn = np.zeros(self.n)
+        self._slacks = signs.size
+        self.ids = np.arange(problem.n_columns, problem.n_columns + signs.size)
+        self.cols = np.diag(signs)
+        self.cost = np.zeros(signs.size)
+        self.dirn = np.zeros(signs.size)
         self._index()
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self._ids[: self.n]
-
-    @property
-    def dirn(self) -> np.ndarray:
-        return self._dirn[: self.n]
 
     def _index(self) -> None:
         """Sort the member ids again after they changed."""
@@ -425,7 +418,7 @@ class _Pool:
     def positions(self, work_ids) -> np.ndarray:
         """Position in ``ids`` of each of ``work_ids``, -1 for one that is
         no member."""
-        at = np.minimum(np.searchsorted(self._sorted, work_ids), self.n - 1)
+        at = np.minimum(np.searchsorted(self._sorted, work_ids), self.ids.size - 1)
         return np.where(self._sorted[at] == work_ids, self._order[at], -1)
 
     def add(self, ids) -> None:
@@ -433,47 +426,29 @@ class _Pool:
         new = ids[self.positions(ids) < 0]
         if not new.size:
             return
-        n, stop = self.n, self.n + new.size
-        if stop > self._ids.size:
-            capacity = max(stop, 2 * self._ids.size)
-            self._ids, self._cols, self._cost, self._dirn = (
-                _with_capacity(a, n, capacity)
-                for a in (self._ids, self._cols, self._cost, self._dirn)
-            )
-        self._ids[n:stop] = new
-        self._cols[:, n:stop] = self._problem.columns(new)
-        self._cost[n:stop] = self._problem.objective(new) if self._phase == 2 else 0.0
-        self._dirn[n:stop] = 1.0
-        self.n = stop
+        cost = self._problem.objective(new) if self._phase == 2 else np.zeros(new.size)
+        self.ids = np.concatenate([self.ids, new])
+        self.cols = np.concatenate([self.cols, self._problem.columns(new)], axis=1)
+        self.cost = np.concatenate([self.cost, cost])
+        self.dirn = np.concatenate([self.dirn, np.ones(new.size)])
         self._index()
 
     def shed(self, y: np.ndarray) -> None:
         """Drop the structural members whose reduced cost is below ``-SHED_TOL``."""
         keep = self.reduced_costs(y) >= -SHED_TOL
         keep[: self._slacks] = True
-        keep = np.flatnonzero(keep)
-        if keep.size < self.n:
-            k = self.n = keep.size
-            for a in (self._ids, self._cost, self._dirn):
-                a[:k] = a[keep]
-            self._cols[:, :k] = self._cols[:, keep]
+        if not keep.all():
+            self.ids, self.cost, self.dirn = self.ids[keep], self.cost[keep], self.dirn[keep]
+            self.cols = self.cols[:, keep]
             self._index()
 
     def reduced_costs(self, y: np.ndarray) -> np.ndarray:
         """``cost - y @ column`` of every member, in ``ids`` order."""
-        return self._cost[: self.n] - y @ self._cols[:, : self.n]
+        return self.cost - y @ self.cols
 
     def row(self, rho: np.ndarray) -> np.ndarray:
         """``rho @ column`` of every member, in ``ids`` order."""
-        return rho @ self._cols[:, : self.n]
-
-
-def _with_capacity(a: np.ndarray, n: int, capacity: int) -> np.ndarray:
-    """A copy of the first ``n`` entries (along the last axis) of ``a``,
-    with room for ``capacity``."""
-    grown = np.empty((*a.shape[:-1], capacity), dtype=a.dtype)
-    grown[..., :n] = a[..., :n]
-    return grown
+        return rho @ self.cols
 
 
 class _Simplex:
@@ -561,7 +536,7 @@ class _Simplex:
         basis position ``pos``; the leaving variable goes to its upper bound
         if ``to_upper``, else to 0."""
         pool, R = self.pool, self.R
-        dirn = pool._dirn
+        dirn = pool.dirn
         leaving, out = int(self.basis[pos]), int(self.basis_pos[pos])
         if leaving >= self.n:
             i = leaving - self.n
@@ -579,8 +554,8 @@ class _Simplex:
         dirn[k] = 0.0
         if flags_changed:
             self.rhs = self._effective_rhs()
-        self.basis[pos], self.basis_pos[pos] = pool._ids[k], k
-        self.bmat[:, pos], self.c_basis[pos] = pool._cols[:, k], pool._cost[k]
+        self.basis[pos], self.basis_pos[pos] = pool.ids[k], k
+        self.bmat[:, pos], self.c_basis[pos] = pool.cols[:, k], pool.cost[k]
         self.ub_basis[pos] = self.upper[k] if k < R else np.inf
         if self.updates < _REFACTOR_EVERY and abs(d[pos]) >= _TINY_PIVOT:
             # product form: B'^-1 = E B^-1, E the identity but for column pos
@@ -605,7 +580,7 @@ class _Simplex:
         entering column) against the best slack, by the selection rule of
         the module notes."""
         pool, R = self.pool, self.R
-        gain = pool._dirn[: pool.n] * pool.reduced_costs(y)
+        gain = pool.dirn * pool.reduced_costs(y)
         struct = gain[R:]
         found = None  # (position, reduced cost) of the best structural
         if not bland and struct.size:
@@ -614,7 +589,7 @@ class _Simplex:
             if best > OPTIMALITY_TOL:
                 ties = (struct == best).nonzero()[0]
                 if ties.size > 1:
-                    k = int(ties[pool._ids[R + ties].argmin()])
+                    k = int(ties[pool.ids[R + ties].argmin()])
                 found = R + k, best
         if found is None:
             scan = price_columns(self.p, y, bland=bland, include_objective=self.phase == 2)
@@ -637,14 +612,12 @@ class _Simplex:
 
     def _run_phase(self) -> str:
         """Primal pivots from the kept basis state until the phase ends."""
-        stall = 0
+        stall = 0  # consecutive degenerate steps
         bland = False
-        last_objective = -np.inf
         unbounded = np.full(self.R, np.inf)
 
         while True:
             x, y = self._basic_solution()
-            objective = float(self.c_basis @ x)
 
             if self.phase == 1 and self._infeasibility() <= FEASIBILITY_TOL:
                 return "feasible"
@@ -655,10 +628,10 @@ class _Simplex:
             k = self._entering(y, bland)
             if k is None:
                 return "optimal"
-            d = self.binv @ self.pool._cols[:, k]
+            d = self.binv @ self.pool.cols[:, k]
             if not np.isfinite(d).all():
                 raise EstimationError("numerical breakdown: non-finite direction")
-            step = d if self.pool._dirn[k] > 0.0 else -d  # -1: a slack at its upper bound
+            step = d if self.pool.dirn[k] > 0.0 else -d  # -1: a slack at its upper bound
 
             # -- ratio test: x_basis(t) = x_basis - t*step, t >= 0 (no upper bound: room inf)
             positive, negative = step > _PIVOT_TOL, step < -_PIVOT_TOL
@@ -674,12 +647,10 @@ class _Simplex:
                 if not np.isfinite(ub_enter):
                     return "unbounded"
                 self.at_upper[k] = not self.at_upper[k]
-                self.pool._dirn[k] = -self.pool._dirn[k]
+                self.pool.dirn[k] = -self.pool.dirn[k]
                 self.rhs = self._effective_rhs()
                 t = ub_enter
             else:
-                if not np.isfinite(t_basic):
-                    return "unbounded"
                 tie_pos = np.flatnonzero(self._near_min(t_leave))
                 if bland:
                     pos = int(tie_pos[np.argmin(self.basis[tie_pos])])
@@ -689,14 +660,8 @@ class _Simplex:
                 t = t_basic
 
             self.iterations += 1
-            if t > _DEGENERATE_STEP or objective > last_objective + 1e-12:
-                stall = 0
-                bland = False
-            else:
-                stall += 1
-                if stall > _STALL_PER_ROW * self.R:
-                    bland = True
-            last_objective = max(last_objective, objective)
+            stall = stall + 1 if t <= _DEGENERATE_STEP else 0
+            bland = stall > _STALL_PER_ROW * self.R
 
     # -- the dual loop -----------------------------------------------
 
@@ -714,7 +679,7 @@ class _Simplex:
         self._freeze_artificials()  # no artificial is basic: all fixed at 0
         self._enter_phase(2)
         pool = self.pool
-        dirn = pool.dirn  # no refill in this loop: the view stays valid
+        dirn = pool.dirn  # no refill in this loop: the array stays the pool's
         while True:
             x, y = self._basic_solution()
             d = pool.reduced_costs(y)
@@ -739,8 +704,8 @@ class _Simplex:
                 return False
             ratio = np.maximum(-dirn[eligible] * d[eligible], 0.0) / np.abs(alpha[eligible])
             ties = eligible[self._near_min(ratio)]
-            k = int(ties[pool._ids[ties].argmin()])
-            self._replace(r, k, self.binv @ pool._cols[:, k], not below)
+            k = int(ties[pool.ids[ties].argmin()])
+            self._replace(r, k, self.binv @ pool.cols[:, k], not below)
             self.iterations += 1
 
     # -- phase transitions and extraction ----------------------------

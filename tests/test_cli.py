@@ -26,6 +26,7 @@ from maxent_effects.datasets import fixture_path
 from maxent_effects.errors import ParameterError
 from maxent_effects.grid_lp import DiscretizedProblem
 from maxent_effects.svgplot import convergence_svg, mixture_svg
+from maxent_effects.tables import load_table
 
 MARGINAL = str(fixture_path("table2.csv"))
 STRATIFIED = str(fixture_path("table1.csv"))
@@ -281,6 +282,19 @@ class TestConvergenceReport:
             run_convergence(config, m_values=())
         with pytest.raises(ParameterError):
             run_convergence(config, m_values=(12, 1))
+
+    @pytest.mark.parametrize("m_values", ((12.5, 20.9), (12.0,), (True, 12), ("12",)))
+    def test_rejects_non_integer_m_values(self, m_values):
+        config = RunConfig(input_path=MARGINAL, epsilon=0.01)
+        with pytest.raises(ParameterError, match="m values must be integers"):
+            run_convergence(config, m_values=m_values)
+
+    def test_accepts_numpy_integer_m_values(self):
+        config = RunConfig(input_path=MARGINAL, epsilon=0.01)
+        report = run_convergence(config, m_values=np.array([12]))
+        assert report["config"]["m_values"] == [12]
+        assert [point["m"] for point in report["series"]] == [12]
+        json.dumps(report)
 
     def test_config_omits_settings_the_sweep_ignores(self):
         config = RunConfig(input_path=MARGINAL, epsilon=0.01)
@@ -611,6 +625,33 @@ class TestMainEntry:
         )
         assert code == 2
 
+    def test_infeasible_run_writes_its_report_but_no_plot(self, tmp_path, capsys):
+        report, svg = tmp_path / "r.json", tmp_path / "r.svg"
+        code = main(
+            ["estimate", "--input", MARGINAL, "--m", "10", "--epsilon", "1e-6",
+             "--json-out", str(report), "--svg-out", str(svg)]
+        )
+        assert code == 2
+        assert json.loads(report.read_text(encoding="utf-8"))["status"] == "infeasible"
+        assert not svg.exists()
+        assert "plot skipped:" in capsys.readouterr().err
+
+    def test_smooth_adds_one_half_to_every_count(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main(
+            ["estimate", "--input", STRATIFIED, "--mode", "closed-form", "--smooth",
+             "--json-out", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["config"]["smooth"] is True
+        raw = load_table(STRATIFIED).categories
+        smoothed = report["input"]["categories"]
+        assert [c["label"] for c in smoothed] == [c.label for c in raw]
+        for counts, category in zip(smoothed, raw):
+            for name in ("n01", "n11", "n00", "n10"):
+                assert counts[name] == getattr(category, name) + 0.5
+
     def test_missing_input_exit_code(self, capsys, tmp_path):
         code = main(["estimate", "--input", str(tmp_path / "nope.csv")])
         assert code == 1
@@ -871,7 +912,16 @@ class TestMainEntry:
         code = main(["plot", "--input", str(bad), "--svg-out", str(tmp_path / "x.svg")])
         assert code == 1
 
-    @pytest.mark.parametrize("report", ([1, 2], {"command": "converge"}))
+    @pytest.mark.parametrize(
+        "report",
+        (
+            [1, 2],
+            {"command": "converge"},
+            {"command": "converge", "series": [{"m": np.inf, "entropy": 1}],
+             "reference_entropy": 1},
+            {"command": "other"},
+        ),
+    )
     def test_non_report_json_exit_code(self, report, tmp_path, capsys):
         path = tmp_path / "other.json"
         path.write_text(json.dumps(report), encoding="utf-8")

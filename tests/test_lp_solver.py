@@ -885,9 +885,9 @@ class TestPoolShedding:
         def shed(pool, y):
             at = pool.positions(state["basis"])
             basic = pool.ids[at[at >= 0]]
-            before = pool.n
+            before = pool.ids.size
             real_shed(pool, y)
-            dropped.append(before - pool.n)
+            dropped.append(before - pool.ids.size)
             assert set(basic.tolist()) <= set(pool.ids.tolist())
             assert np.array_equal(pool.ids[: state["slacks"].size], state["slacks"])
             state["y"] = y
@@ -931,7 +931,7 @@ class TestKeptBasisState:
         def checked(self):
             rebuilt = copy.copy(self)
             rebuilt.pool = copy.copy(self.pool)  # the rebuild writes its directions
-            rebuilt.pool._dirn = self.pool._dirn.copy()
+            rebuilt.pool.dirn = self.pool.dirn.copy()
             rebuilt._load_basis()
             for name in ("bmat", "c_basis", "ub_basis", "rhs", "basis_pos"):
                 assert np.array_equal(getattr(self, name), getattr(rebuilt, name)), name
@@ -998,7 +998,7 @@ class TestKeptBasisState:
             if k is not None:
                 # the entering member's cached id, column and cost
                 enter = int(self.pool.ids[k])
-                column, cost = self.pool._cols[:, k], self.pool._cost[k]
+                column, cost = self.pool.cols[:, k], self.pool.cost[k]
                 if k < self.R:
                     assert enter == self.n + k and cost == 0.0
                     assert np.array_equal(column, self.sign[k] * np.eye(self.R)[k])
@@ -1051,13 +1051,13 @@ class TestKeptBasisState:
         slacks = np.array([[1.0, 0.0], [0.0, -1.0]])
         for k, column in enumerate(pool.ids.tolist()):
             expected = slacks[:, k] if k < 2 else matrix[:, column]
-            assert np.array_equal(pool._cols[:, k], expected)
-            assert pool._cost[k] == (0.0 if k < 2 else column)
+            assert np.array_equal(pool.cols[:, k], expected)
+            assert pool.cost[k] == (0.0 if k < 2 else column)
         assert pool.dirn.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 1.0]  # until a basis loads
         # working ids 2 and 8 (row 0's artificial) are no members
         assert pool.positions(np.array([2, 5, 6, 4, 7, 8])).tolist() == [-1, 4, 0, 2, 1, -1]
 
-    def test_pool_grows_and_sheds_in_place(self):
+    def test_pool_grows_and_sheds_keeping_member_order(self):
         rng = np.random.default_rng(RNG_SEED + 25)
         matrix = rng.uniform(-1.0, 1.0, size=(3, 500))
         objective = rng.uniform(-1.0, 1.0, size=500)
@@ -1066,14 +1066,16 @@ class TestKeptBasisState:
         pool = lp_solver._Pool(p, 2, signs)
         slacks = [500, 501, 502]  # working ids n + i, at positions i
         joined = []
-        for size in (1, 2, 7, 40, 3, 150, 90):  # several capacity doublings
+        for size in (1, 2, 7, 40, 3, 150, 90):  # with repeats among the adds
             ids = rng.choice(500, size=size, replace=False)
             pool.add(ids)
             joined += [i for i in ids.tolist() if i not in joined]
             assert pool.ids.tolist() == slacks + joined
+            sizes = {pool.cost.size, pool.dirn.size, pool.cols.shape[1]}
+            assert sizes == {pool.ids.size} and pool.cols.shape[0] == 3  # exact-size arrays
         # the slacks price at -0.3, -0.2 and -0.1, all below -SHED_TOL
         y = np.array([0.3, -0.2, 0.1])
-        pool.dirn[:] = np.arange(pool.n) % 3 - 1.0  # directions move with their members
+        pool.dirn[:] = np.arange(pool.ids.size) % 3 - 1.0  # directions move with their members
         dirn = dict(zip(pool.ids.tolist(), pool.dirn.tolist()))
         pool.shed(y)
         kept = [i for i in joined if objective[i] - y @ matrix[:, i] >= -lp_solver.SHED_TOL]
@@ -1088,8 +1090,8 @@ class TestKeptBasisState:
             members.index(i) if i in members else -1 for i in range(504)
         ]
         for k, column in enumerate(kept, start=3):
-            assert np.array_equal(pool._cols[:, k], matrix[:, column])
-            assert pool._cost[k] == objective[column]
+            assert np.array_equal(pool.cols[:, k], matrix[:, column])
+            assert pool.cost[k] == objective[column]
 
     def test_singular_basis_raises_estimation_error(self):
         p = dense([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [(0.0, 1.0)] * 2)
@@ -1270,6 +1272,29 @@ class TestWarmStart:
         assert warm_pivots < cold_pivots
         # a replicate's solution seeds the next one
         assert solve(base_problem, start=warm).status == "optimal"
+
+    def test_iteration_limit_in_the_dual_phase_gives_the_cold_solve(self, monkeypatch):
+        table = TestPoolPricing.TABLE
+        options = dict(r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
+        base = solve(build_problem(table, 8, **options).as_lp())
+        grid = build_problem(
+            resample_table(table, np.random.default_rng(RNG_SEED + 19)), 8, **options
+        )
+        problem = grid.as_lp()
+        records = self.watch_phases(monkeypatch)
+        assert solve(problem, start=base).status == "optimal"
+        dual, (phase, dual_pivots, _) = records
+        assert dual == ("dual", True) and phase == 2 and dual_pivots >= 2
+        monkeypatch.setattr(lp_solver, "MAX_ITERATIONS", dual_pivots - 1)
+        # the cold start that a warm start falls back to keeps its pool seed
+        cold = solve(reseeded(grid, np.concatenate([problem.seed, base.pool])))
+        records.clear()
+        warm = solve(problem, start=base)
+        assert records[0] == ("dual", False)
+        assert warm.status == cold.status == "iteration_limit"
+        assert warm.iterations == cold.iterations == dual_pivots - 1
+        assert warm.infeasible_rows == cold.infeasible_rows
+        assert np.array_equal(warm.basis, cold.basis) and np.array_equal(warm.pool, cold.pool)
 
 
 class TestGridFuzz:
