@@ -78,7 +78,8 @@ NEAR_DELTA = 3e-3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; validated at construction."""
+    """The settings a run's report records, with their defaults, in the
+    order of its ``config``; validated at construction."""
 
     input_path: str
     mode: str = "lp"  # "closed-form" | "lp"
@@ -90,8 +91,6 @@ class RunConfig:
     smooth: bool = False
     replicates: int = 0
     seed: int | None = None
-    json_out: str | None = None
-    svg_out: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("closed-form", "lp"):
@@ -120,18 +119,9 @@ class RunConfig:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "input": str(self.input_path),
-            "mode": self.mode,
-            "m": self.m,
-            "r2_propensity": self.r2_propensity,
-            "r2_prognosis": self.r2_prognosis,
-            "epsilon": self.epsilon,
-            "adjacency": self.adjacency,
-            "smooth": self.smooth,
-            "replicates": self.replicates,
-            "seed": self.seed,
-        }
+        """Every field in order, ``input_path`` under the key ``input``."""
+        settings = dataclasses.asdict(self)
+        return {"input": str(settings.pop("input_path")), **settings}
 
 
 def _round6(value):
@@ -243,20 +233,6 @@ def _mixture_dict(mix: MixtureSolution) -> dict:
     }
 
 
-def _atom_dict(atom) -> dict:
-    return {
-        "category": atom.category,
-        "label": atom.label,
-        "j": atom.j,
-        "k": atom.k,
-        "l": atom.l,
-        "pi": atom.pi,
-        "r0": atom.r0,
-        "r1": atom.r1,
-        "mass": atom.mass,
-    }
-
-
 def _solve_lp(config: RunConfig, table: StratifiedTable, start=None):
     """Shared LP pipeline: build the grid problem and solve it, from the
     solution ``start`` when given (see :func:`lp_solver.solve`)."""
@@ -317,7 +293,7 @@ def run_estimate(config: RunConfig) -> dict:
         mix = cluster_atoms(problem, atoms, adjacency=config.adjacency)
         atom_residuals = problem.residuals(problem.activities(atoms))
         lp_info["max_residual_atoms"] = float(np.max(atom_residuals, initial=0.0))
-        solution_dict["atoms"] = [_atom_dict(a) for a in atoms]
+        solution_dict["atoms"] = [dataclasses.asdict(a) for a in atoms]
         solution_dict["mixture"] = _mixture_dict(mix)
         bound = closed_form["entropy"] if closed_form else None
         optimal_only["entropy"] = {
@@ -542,24 +518,26 @@ def _report_svg(report: dict) -> str:
 def _add_common(parser: argparse.ArgumentParser, single_grid: bool = True) -> None:
     """Options of every solving command; ``single_grid`` adds the ones
     that only a run on one fixed grid uses (resolution, R2 targets,
-    clustering)."""
-    parser.add_argument("--input", required=True, help="input CSV table")
+    clustering).  A setting's default is its :class:`RunConfig` field's."""
+    parser.add_argument(
+        "--input", dest="input_path", metavar="INPUT", required=True, help="input CSV table"
+    )
     if single_grid:
-        parser.add_argument("--m", type=int, default=75, help="grid resolution")
+        parser.add_argument("--m", type=int, help="grid resolution")
         parser.add_argument(
-            "--r2-propensity", type=float, default=None,
+            "--r2-propensity", type=float,
             help="target discrimination R2 of the exposure model",
         )
         parser.add_argument(
-            "--r2-prognosis", type=float, default=None,
+            "--r2-prognosis", type=float,
             help="target discrimination R2 of the outcome model",
         )
         parser.add_argument(
-            "--adjacency", choices=ADJACENCIES, default="vertex",
+            "--adjacency", choices=ADJACENCIES,
             help="cell adjacency used when merging solution atoms into clusters",
         )
     parser.add_argument(
-        "--epsilon", type=float, default=1e-3,
+        "--epsilon", type=float,
         help="two-sided relaxation of the frequency-matching rows",
     )
     parser.add_argument(
@@ -570,6 +548,16 @@ def _add_common(parser: argparse.ArgumentParser, single_grid: bool = True) -> No
     parser.add_argument("--svg-out", default=None, help="also write an SVG plot")
 
 
+def _m_values(text: str) -> list[int]:
+    """``--m-values``: comma-separated integers, empty items skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"m values must be comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxent-effects",
@@ -577,25 +565,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "effects from stratified 2x2 tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # an option left out stays out of the namespace, so RunConfig supplies its default
+    solving = {"argument_default": argparse.SUPPRESS}
 
-    est = sub.add_parser("estimate", help="closed-form or LP estimation")
-    est.add_argument(
-        "--mode", choices=("closed-form", "lp"), default="lp",
-        help="estimator to run",
-    )
+    est = sub.add_parser("estimate", help="closed-form or LP estimation", **solving)
+    est.add_argument("--mode", choices=("closed-form", "lp"), help="estimator to run")
     _add_common(est)
 
     # no prefix matching: "--m" must not silently mean "--m-values"
     conv = sub.add_parser(
-        "converge", help="entropy vs grid resolution study", allow_abbrev=False
+        "converge", help="entropy vs grid resolution study", allow_abbrev=False, **solving
     )
     _add_common(conv, single_grid=False)
     conv.add_argument(
-        "--m-values", default=",".join(str(m) for m in DEFAULT_M_SWEEP),
+        "--m-values", type=_m_values, default=DEFAULT_M_SWEEP,
         help="comma-separated grid resolutions",
     )
 
-    boot = sub.add_parser("bootstrap", help="resampling stability study")
+    boot = sub.add_parser("bootstrap", help="resampling stability study", **solving)
     _add_common(boot)
     boot.add_argument("--replicates", type=int, default=50)
     boot.add_argument("--seed", type=int, required=True)
@@ -607,15 +594,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    optional = ("mode", "m", "r2_propensity", "r2_prognosis", "adjacency",
-                "replicates", "seed")
+    given = vars(args)
     return RunConfig(
-        input_path=args.input,
-        epsilon=args.epsilon,
-        smooth=args.smooth,
-        json_out=args.json_out,
-        svg_out=args.svg_out,
-        **{name: getattr(args, name) for name in optional if hasattr(args, name)},
+        **{f.name: given[f.name] for f in dataclasses.fields(RunConfig) if f.name in given}
     )
 
 
@@ -638,18 +619,17 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             report = run_estimate(config)
         elif args.command == "converge":
-            m_values = [int(v) for v in str(args.m_values).split(",") if v]
-            report = run_convergence(config, m_values)
+            report = run_convergence(config, args.m_values)
         else:
             report = run_bootstrap(config)
         text = json.dumps(report, indent=2) + "\n"
-        if config.json_out:
-            Path(config.json_out).write_text(text, encoding="utf-8")
+        if args.json_out:
+            Path(args.json_out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
-        if config.svg_out:
+        if args.svg_out:
             try:
-                emit_plot(report, config.svg_out)
+                emit_plot(report, args.svg_out)
             except ParameterError as exc:
                 print(f"plot skipped: {exc}", file=sys.stderr)
     except (EstimationError, OSError, json.JSONDecodeError, ValueError) as exc:

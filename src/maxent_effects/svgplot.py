@@ -50,6 +50,13 @@ def _get(cluster, name: str):
     return getattr(cluster, name)
 
 
+def _check_finite(*values) -> None:
+    """Raise ``ValueError`` unless every value a plot draws is finite."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"cannot draw the non-finite value {v}")
+
+
 class _Frame:
     """Maps data coordinates onto the pixel frame and draws the chrome."""
 
@@ -137,9 +144,10 @@ def mixture_svg(clusters) -> str:
     """Render a point-mass mixture as lines and mass dots.
 
     ``clusters`` is an iterable of objects or mappings exposing pi, r0,
-    r1, and mass.  Each yields one ``effect-line`` from (left axis, r0)
-    to (right axis, r1) and one ``cluster-dot`` of area proportional to
-    mass, horizontally at pi, vertically on its own line.
+    r1, and mass, all finite (else ``ValueError``).  Each yields one
+    ``effect-line`` from (left axis, r0) to (right axis, r1) and one
+    ``cluster-dot`` of area proportional to mass, horizontally at pi,
+    vertically on its own line.
     """
     clusters = list(clusters)
     frame = _Frame((0.0, 1.0), (0.0, 1.0))
@@ -155,6 +163,7 @@ def mixture_svg(clusters) -> str:
     for c in clusters:
         pi, r0, r1 = _get(c, "pi"), _get(c, "r0"), _get(c, "r1")
         mass = _get(c, "mass")
+        _check_finite(pi, r0, r1, mass)
         parts.append(
             f'<line class="effect-line" x1="{frame.left}" y1="{frame.y(r0):.1f}" '
             f'x2="{frame.right}" y2="{frame.y(r1):.1f}"/>'
@@ -175,10 +184,12 @@ def convergence_svg(points, reference: float) -> str:
 
     ``points`` is an iterable of (m, entropy) with entropy None for runs
     that failed; failed points are skipped.  The reference value is drawn
-    as a dashed horizontal ``reference-line`` spanning the frame.
+    as a dashed horizontal ``reference-line`` spanning the frame.  A
+    non-finite entropy or reference raises ``ValueError``.
     """
     points = [(m, e) for m, e in points]
     usable = [(m, e) for m, e in points if e is not None]
+    _check_finite(reference, *(e for _, e in usable))
     ms = [m for m, _ in points] or [0, 1]
     values = [e for _, e in usable] + [reference]
     lo, hi = min(values), max(values)

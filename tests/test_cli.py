@@ -86,6 +86,10 @@ class TestRunConfig:
     def test_as_dict_round_trips_through_json(self):
         config = small_lp_config(r2_propensity=0.3, seed=11, replicates=2)
         text = json.dumps(config.as_dict())
+        assert list(json.loads(text)) == [
+            "input", "mode", "m", "r2_propensity", "r2_prognosis", "epsilon",
+            "adjacency", "smooth", "replicates", "seed",
+        ]
         assert json.loads(text)["m"] == 16
         assert json.loads(text)["adjacency"] == "vertex"
 
@@ -587,6 +591,12 @@ class TestMainEntry:
         assert report["status"] == "optimal"
         assert report["config"]["adjacency"] == "vertex"
 
+    def test_parser_defaults_are_the_run_config_defaults(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["estimate", "--input", MARGINAL, "--json-out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["config"] == RunConfig(input_path=MARGINAL).as_dict()
+
     def test_stdout_when_no_output_path(self, capsys):
         code = main(["estimate", "--input", MARGINAL, "--mode", "closed-form"])
         assert code == 0
@@ -774,6 +784,14 @@ class TestMainEntry:
         assert calls == []
         assert "error: grid resolution must be in [1, 256], got 300" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m_values", ["12.5", "x", "25;30"])
+    def test_converge_rejects_unparsable_m_values(self, m_values, monkeypatch, capsys):
+        calls = record_pools(monkeypatch)
+        code = main(["converge", "--input", MARGINAL, "--m-values", m_values])
+        assert code == 1
+        assert calls == []
+        assert "error: argument --m-values:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("count", ["1e300", "1e-300"])
     def test_extreme_counts_report_an_odds_ratio_of_one(self, tmp_path, count):
         table = tmp_path / "table.csv"
@@ -920,14 +938,23 @@ class TestMainEntry:
             {"command": "converge", "series": [{"m": np.inf, "entropy": 1}],
              "reference_entropy": 1},
             {"command": "other"},
+            {"command": "estimate",
+             "solution": {"mixture": {"clusters": [{"pi": 1e400, "r0": 0.5, "r1": 0.5,
+                                                    "mass": 1}]}}},
+            {"command": "estimate",
+             "solution": {"mixture": {"clusters": [{"pi": float("nan"), "r0": 0.5,
+                                                    "r1": 0.5, "mass": 1}]}}},
+            {"command": "converge", "series": [{"m": 25, "entropy": float("nan")}],
+             "reference_entropy": 1},
         ),
     )
     def test_non_report_json_exit_code(self, report, tmp_path, capsys):
-        path = tmp_path / "other.json"
+        path, svg = tmp_path / "other.json", tmp_path / "x.svg"
         path.write_text(json.dumps(report), encoding="utf-8")
-        code = main(["plot", "--input", str(path), "--svg-out", str(tmp_path / "x.svg")])
+        code = main(["plot", "--input", str(path), "--svg-out", str(svg)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_svg_out_written_alongside_report(self, tmp_path):
         svg = tmp_path / "mix.svg"
