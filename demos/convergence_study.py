@@ -24,7 +24,7 @@ print("    m   entropy    reference - entropy")
 series = []
 for m in range(25, 80, 10):
     problem = build_problem(table, m, epsilon=EPSILON)
-    solution = relax_and_retry(problem.as_lp(), (1e-9,))
+    solution = relax_and_retry(problem, (1e-9,))
     entropy = solution.objective if solution.status == "optimal" else None
     series.append((m, entropy))
     if entropy is None:

@@ -31,7 +31,7 @@ print()
 problem = build_problem(
     table, 75, r2_propensity=0.30, r2_prognosis=0.20, epsilon=1e-3,
 )
-solution = relax_and_retry(problem.as_lp(), (1e-9,))
+solution = relax_and_retry(problem, (1e-9,))
 print(f"LP: {solution.status} in {solution.iterations} iterations")
 
 mixture = mixture_from_solution(problem, solution)

@@ -34,7 +34,7 @@ problem = build_problem(
     table, M, r2_propensity=R2_EXPOSURE, r2_prognosis=R2_OUTCOME,
     epsilon=EPSILON,
 )
-solution = relax_and_retry(problem.as_lp(), (1e-9,))
+solution = relax_and_retry(problem, (1e-9,))
 print(f"LP: {solution.status} in {solution.iterations} iterations, "
       f"{len(solution.columns)} occupied cells")
 

@@ -243,7 +243,7 @@ def _solve_lp(config: RunConfig, table: StratifiedTable, start=None):
         r2_prognosis=config.r2_prognosis,
         epsilon=config.epsilon,
     )
-    solution = relax_and_retry(problem.as_lp(), (1e-9,), start=start)
+    solution = relax_and_retry(problem, (1e-9,), start=start)
     return problem, solution
 
 
@@ -322,7 +322,7 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
     table1 at epsilon 1.5e-3 gives -0.1195, -0.1218 and -0.1223 at
     m = 25, 50 and 75.  Each resolution is solved on its own, its pool
     seeded with the cell block around each category's continuum point
-    (see :meth:`grid_lp.DiscretizedProblem.as_lp`).
+    (see :class:`grid_lp.DiscretizedProblem`).
     """
     if config.r2_propensity is not None or config.r2_prognosis is not None:
         raise ParameterError(
@@ -399,7 +399,7 @@ def run_bootstrap(config: RunConfig) -> dict:
     base_problem, base_solution = _solve_lp(config, table)
     start, baseline = base_solution, None
     if base_solution.status == "optimal":
-        near = near_columns(base_problem.as_lp(), base_solution.duals, NEAR_DELTA)
+        near = near_columns(base_problem, base_solution.duals, NEAR_DELTA)
         start = dataclasses.replace(base_solution, pool=np.concatenate([base_solution.pool, near]))
         base_atoms = atoms_from_solution(base_problem, base_solution)
         baseline = _mixture_dict(
@@ -612,7 +612,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         if args.command == "plot":
-            report = json.loads(Path(args.input).read_text(encoding="utf-8"))
+            try:
+                report = json.loads(Path(args.input).read_text(encoding="utf-8"))
+            except RecursionError:
+                raise ValueError(f"{args.input}: JSON nested too deeply to read") from None
             emit_plot(report, args.svg_out)
             return 0
         config = _config_from_args(args)

@@ -61,7 +61,7 @@ import numpy as np
 
 from .closed_form import r2_to_variance_bound
 from .errors import ParameterError
-from .lp_solver import LpProblem, LpSolution, check_bounds
+from .lp_solver import LpProblem, LpSolution, _seed_ids
 from .model import PropensityPrognosisTriple, StratifiedTable, cell_entropy, cell_probs
 
 __all__ = [
@@ -131,16 +131,19 @@ class Atom:
         return PropensityPrognosisTriple(self.pi, self.r0, self.r1)
 
 
-class DiscretizedProblem:
-    """The grid LP for one stratified table.
+class DiscretizedProblem(LpProblem):
+    """The grid LP for one stratified table, which the solver takes as is.
 
-    Immutable once built; exposes the LP via :meth:`as_lp` and exact
-    (non-discretized) row activities for arbitrary atom sets via
-    :meth:`activities`, which is what residual reporting uses after
-    cluster centroids move off the grid.  Three arrays describe the rows:
-    their bounds ``lower`` and ``upper`` (``upper = +inf`` for a variance
-    floor), and ``row_index``, whose row c holds the LP rows of category
-    c's six coefficient rows (``n_rows`` for an absent variance row).
+    Immutable once built.  Its pricing pool is seeded with
+    :meth:`_block_cells` when it has no variance row; a binding variance
+    row spreads the optimum beyond those blocks, so such a problem has no
+    seed.  Exact (non-discretized) row activities for arbitrary atom sets
+    come from :meth:`activities`, which is what residual reporting uses
+    after cluster centroids move off the grid.  Three arrays describe the
+    rows: their bounds ``lower`` and ``upper`` (``upper = +inf`` for a
+    variance floor), and ``row_index``, whose row c holds the LP rows of
+    category c's six coefficient rows (``n_rows`` for an absent variance
+    row).
     Pricing and the objective come from ten m x m tables of the grid (see
     the module docstring), so building a problem costs O(m**2).
     """
@@ -176,11 +179,13 @@ class DiscretizedProblem:
             )
             if r2 is not None
         }
-        self.lower, self.upper = check_bounds(
+        super().__init__(
             np.concatenate([targets - self.epsilon, list(floors.values())]),
             np.concatenate([targets + self.epsilon, np.full(len(floors), np.inf)]),
+            d * grid.n_cells,
         )
-        self.n_columns = d * grid.n_cells
+        if not floors:  # the block cells need the bounds validated first
+            self.seed = _seed_ids(self._block_cells(), self.n_columns)
 
         # LP rows of each category's six coefficient rows; n_rows pads.
         self.row_index = np.full((d, 6), self.n_rows)
@@ -214,10 +219,6 @@ class DiscretizedProblem:
         return out
 
     # -- LP plumbing --------------------------------------------------
-
-    @property
-    def n_rows(self) -> int:
-        return self.lower.size
 
     def split_column(self, column: int) -> tuple[int, int, int, int]:
         """Global column index -> (category, j, k, l)."""
@@ -301,23 +302,15 @@ class DiscretizedProblem:
             at = s * size + a - lo
             out[at : at + b - a] = rows.ravel()[a - k0 * m : b - k0 * m]
 
-    def as_lp(self) -> LpProblem:
-        """The LP, its pricing pool seeded with :meth:`_block_cells` when
-        the problem has no variance row; a binding variance row spreads
-        the optimum beyond those blocks, so such a problem has no seed."""
-        return LpProblem(
-            self.lower,
-            self.upper,
-            self.n_columns,
-            columns_fn=self._columns,
-            objective_fn=self._objective,
-            reduced_cost_fn=self._reduced_costs,
-            seed=() if np.isinf(self.upper).any() else self._block_cells(),
-        )
+    def as_lp(self) -> DiscretizedProblem:
+        """The problem itself, which is its own LP; kept for callers of the
+        older form ``relax_and_retry(problem.as_lp(), ...)``."""
+        return self
 
     def _block_cells(self) -> np.ndarray:
         """Column ids of each category's 2 x 2 x 2 block of cells around
-        its continuum point, 8 per category (fewer where m < 2).
+        its continuum point, 8 per category (fewer where m < 2; ids repeat
+        at m = 1).
 
         A category's four upper row bounds, normalized to sum 1, are the
         cells q of one triple (pi, r0, r1) = (q1 + q3, q0 / (1 - pi),

@@ -55,10 +55,10 @@ Implementation notes
   pricing below ``-SHED_TOL`` leave the pool first.  Basic columns
   price to 0 (B^T y = c_B) and are never shed.  ``optimal`` needs a full
   scan and the slacks to find nothing, certifying every column.
-* A problem's seed (``LpProblem(..., seed=ids)``), plus a warm start's
-  ``pool``, joins each phase's pool when it starts, so a predictable
-  support (say, the cells around a continuum optimum) needs no full
-  scan.  Seeding changes the path, never the certificate.
+* A problem's ``seed``, the column ids its constructor was given, plus a
+  warm start's ``pool``, joins each phase's pool when it starts, so a
+  predictable support (say, the cells around a continuum optimum) needs
+  no full scan.  Seeding changes the path, never the certificate.
 * A solve can warm-start from a related solution's final basis
   (``solve(..., start=solution)``), typically the same grid with another
   right-hand side, whose optimal basis stays dual feasible.  A dual
@@ -138,7 +138,8 @@ _STALL_PER_ROW = 10
 
 
 class LpProblem:
-    """A wide LP described by row bounds and column generators.
+    """A wide LP: its row bounds and column count, with the columns
+    generated by a subclass.
 
     Parameters
     ----------
@@ -148,33 +149,27 @@ class LpProblem:
         arrays ``lower`` and ``upper``, validated by :func:`check_bounds`.
     n_columns : int
         Total number of structural columns.
-    columns_fn : callable(indices) -> ndarray (n_rows, len(indices))
-        Dense coefficients of the requested columns.
-    objective_fn : callable(indices) -> ndarray (len(indices),)
-        Objective coefficients of the requested columns.
-    reduced_cost_fn : callable(duals, start, stop, include_objective, out)
-        ``objective - duals @ columns`` (without the objective when
-        ``include_objective`` is false) for the contiguous index span
-        [start, stop), the kernel of every full pricing scan.  ``out`` is
-        a buffer of ``stop - start`` floats it may write the result into;
-        it returns the result.
     seed : sequence of int, optional
         Structural column ids (duplicates allowed) that every phase's
         pricing pool starts with; kept as the sorted unique int64 array
         ``seed``.
+
+    A subclass supplies the columns through three methods, which the
+    public :meth:`columns`, :meth:`objective` and :meth:`reduced_costs`
+    call with int64 ids: ``_columns(indices)``, the dense coefficients
+    (n_rows x len(indices)); ``_objective(indices)``, the objective
+    coefficients; and ``_reduced_costs(duals, start, stop,
+    include_objective, out)``, the kernel of every full pricing scan (see
+    :meth:`reduced_costs`).  :meth:`from_dense` builds one from an
+    explicit matrix.
     """
 
-    def __init__(
-        self, lower, upper, n_columns: int, columns_fn, objective_fn, reduced_cost_fn, seed=()
-    ):
+    def __init__(self, lower, upper, n_columns: int, seed=()):
         self.lower, self.upper = check_bounds(lower, upper)
         if n_columns <= 0:
             raise ParameterError("problem needs at least one column")
         self.n_columns = int(n_columns)
         self.seed = _seed_ids(seed, self.n_columns)
-        self._columns_fn = columns_fn
-        self._objective_fn = objective_fn
-        self._reduced_cost_fn = reduced_cost_fn
 
     @property
     def n_rows(self) -> int:
@@ -182,48 +177,53 @@ class LpProblem:
 
     def columns(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
-        out = np.asarray(self._columns_fn(idx), dtype=float)
+        out = np.asarray(self._columns(idx), dtype=float)
         if out.shape != (self.n_rows, idx.size):
             raise ParameterError(
-                f"columns_fn returned shape {out.shape}, "
-                f"expected {(self.n_rows, idx.size)}"
+                f"_columns returned shape {out.shape}, expected {(self.n_rows, idx.size)}"
             )
         return out
 
     def objective(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        return np.asarray(self._objective_fn(idx), dtype=float)
+        return np.asarray(self._objective(np.asarray(indices, dtype=np.int64)), dtype=float)
 
     def reduced_costs(
         self, duals: np.ndarray, start: int, stop: int, include_objective: bool, out: np.ndarray
     ) -> np.ndarray:
-        """``objective - duals @ columns`` for columns [start, stop); ``out``
+        """``objective - duals @ columns`` (without the objective when
+        ``include_objective`` is false) for columns [start, stop); ``out``
         (``stop - start`` floats) may receive the result in place of a new
-        array."""
-        return self._reduced_cost_fn(duals, start, stop, include_objective, out)
+        array.  Every scan calls the kernel through this one method, which
+        subclasses leave as is, so that a wrapper around it (as the
+        benchmark's tracer installs) sees every kernel call."""
+        return self._reduced_costs(duals, start, stop, include_objective, out)
 
-    @classmethod
-    def from_dense(cls, objective, matrix, lower, upper, seed=()) -> LpProblem:
-        """Convenience constructor from an explicit coefficient matrix."""
-        a = np.asarray(matrix, dtype=float)
-        c = np.asarray(objective, dtype=float)
-        if a.ndim != 2 or a.shape != (np.size(lower), c.size):
+    @staticmethod
+    def from_dense(objective, matrix, lower, upper, seed=()) -> LpProblem:
+        """The LP of an explicit coefficient matrix."""
+        return _DenseProblem(objective, matrix, lower, upper, seed)
+
+
+class _DenseProblem(LpProblem):
+    """An LP whose columns are those of a dense matrix."""
+
+    def __init__(self, objective, matrix, lower, upper, seed):
+        self._a = np.asarray(matrix, dtype=float)
+        self._c = np.asarray(objective, dtype=float)
+        if self._a.ndim != 2 or self._a.shape != (np.size(lower), self._c.size):
             raise ParameterError("matrix shape does not match rows/objective")
+        super().__init__(lower, upper, self._c.size, seed)
 
-        def reduced_costs(duals, start, stop, include_objective, out):
-            idx = np.arange(start, stop)
-            rc = -(duals @ a[:, idx])  # the dense columns, as columns() returns them
-            return rc + c[idx] if include_objective else rc
+    def _columns(self, idx):
+        return self._a[:, idx]
 
-        return cls(
-            lower,
-            upper,
-            c.size,
-            columns_fn=lambda idx: a[:, idx],
-            objective_fn=lambda idx: c[idx],
-            reduced_cost_fn=reduced_costs,
-            seed=seed,
-        )
+    def _objective(self, idx):
+        return self._c[idx]
+
+    def _reduced_costs(self, duals, start, stop, include_objective, out):
+        idx = np.arange(start, stop)
+        rc = -(duals @ self._a[:, idx])  # the dense columns, as columns() returns them
+        return rc + self._c[idx] if include_objective else rc
 
 
 def check_bounds(lower, upper) -> tuple[np.ndarray, np.ndarray]:

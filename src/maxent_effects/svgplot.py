@@ -63,6 +63,8 @@ class _Frame:
     def __init__(self, x_range, y_range):
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
+        if not (math.isfinite(self.x1 - self.x0) and math.isfinite(self.y1 - self.y0)):
+            raise ValueError("the plotted values span more than the float range")
         self.left = _MARGIN["left"]
         self.right = _WIDTH - _MARGIN["right"]
         self.top = _MARGIN["top"]

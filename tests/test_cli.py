@@ -1,5 +1,6 @@
 """Report assembly, determinism, exit codes, and SVG rendering."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -24,7 +25,6 @@ from maxent_effects.cli import (
 )
 from maxent_effects.datasets import fixture_path
 from maxent_effects.errors import ParameterError
-from maxent_effects.grid_lp import DiscretizedProblem
 from maxent_effects.svgplot import convergence_svg, mixture_svg
 from maxent_effects.tables import load_table
 
@@ -331,32 +331,22 @@ class Call(NamedTuple):
 
 def record_pools(monkeypatch, seeded=True):
     """Spy on the CLI's solves: record a :class:`Call` (problem, start,
-    solution) of each.  When ``seeded`` is false, every grid LP is built
-    without a pool seed and solved without the start, a true cold solve."""
+    solution) of each.  When ``seeded`` is false, every grid LP is solved
+    as a copy without its pool seed and without the start, a true cold
+    solve."""
     calls = []
     real = cli.relax_and_retry
 
     def spy(problem, schedule, start=None):
-        sol = real(problem, schedule, start=start if seeded else None)
+        if not seeded:
+            problem, start = copy.copy(problem), None
+            problem.seed = problem.seed[:0]
+        sol = real(problem, schedule, start=start)
         calls.append(Call(problem, start, sol))
         return sol
 
     monkeypatch.setattr(cli, "relax_and_retry", spy)
-    if not seeded:
-        monkeypatch.setattr(DiscretizedProblem, "as_lp", unseeded_lp)
     return calls
-
-
-def unseeded_lp(grid):
-    """The LP of ``grid``, a :class:`DiscretizedProblem`, without a seed."""
-    return lp_solver.LpProblem(
-        grid.lower,
-        grid.upper,
-        grid.n_columns,
-        columns_fn=grid._columns,
-        objective_fn=grid._objective,
-        reduced_cost_fn=grid._reduced_costs,
-    )
 
 
 def assert_certified(problem, solution):
@@ -930,6 +920,16 @@ class TestMainEntry:
         code = main(["plot", "--input", str(bad), "--svg-out", str(tmp_path / "x.svg")])
         assert code == 1
 
+    def test_deeply_nested_json_exit_code(self, tmp_path, capsys):
+        # deeper than the decoder's recursion limit
+        deep, svg = tmp_path / "deep.json", tmp_path / "x.svg"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code = main(["plot", "--input", str(deep), "--svg-out", str(svg)])
+        assert code == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:") and "nested" in errors[0]
+        assert not svg.exists()
+
     @pytest.mark.parametrize(
         "report",
         (
@@ -946,6 +946,10 @@ class TestMainEntry:
                                                     "r1": 0.5, "mass": 1}]}}},
             {"command": "converge", "series": [{"m": 25, "entropy": float("nan")}],
              "reference_entropy": 1},
+            # finite entropies whose padded span overflows
+            {"command": "converge", "series": [{"m": 25, "entropy": 1e308},
+                                               {"m": 50, "entropy": -1e308}],
+             "reference_entropy": 0.5},
         ),
     )
     def test_non_report_json_exit_code(self, report, tmp_path, capsys):

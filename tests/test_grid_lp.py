@@ -90,7 +90,7 @@ class TestBlockSeed:
     def assert_blocks(problem):
         """Every seed id is a column of the grid, and each category holds
         between 1 and 8 of them."""
-        seed = problem.as_lp().seed
+        seed = problem.seed
         n_cells = problem.grid.n_cells
         assert seed.dtype == np.int64 and np.array_equal(seed, np.unique(seed))
         assert seed.min() >= 0 and seed.max() < problem.n_columns
@@ -109,7 +109,7 @@ class TestBlockSeed:
         problem = build_problem(table(), m, epsilon=epsilon)
         seed = self.assert_blocks(problem)
         assert seed.size == 8 * problem.table.n_categories
-        sol = solve(problem.as_lp())
+        sol = solve(problem)
         assert sol.status == "optimal"
         assert set(sol.columns.tolist()) <= set(seed.tolist())
 
@@ -125,7 +125,7 @@ class TestBlockSeed:
             for dk in (0, 1)
             for dl in (0, 1)
         ]
-        assert problem.as_lp().seed.tolist() == expected
+        assert problem.seed.tolist() == expected
 
     @pytest.mark.parametrize(
         "options",
@@ -133,7 +133,7 @@ class TestBlockSeed:
         ids=["exposure", "outcome", "both"],
     )
     def test_r2_problem_has_no_seed(self, options):
-        assert build_problem(TABLE_B, 10, **options).as_lp().seed.size == 0
+        assert build_problem(TABLE_B, 10, **options).seed.size == 0
 
     @pytest.mark.parametrize("m", (1, 2))
     def test_tiny_grids(self, m):
@@ -164,6 +164,23 @@ class TestBlockSeed:
 
 
 class TestProblemAssembly:
+    def test_problem_is_its_own_lp(self, monkeypatch):
+        checked = []
+        real = lp_solver.check_bounds
+
+        def check_bounds(lower, upper):
+            checked.append(len(lower))
+            return real(lower, upper)
+
+        monkeypatch.setattr(lp_solver, "check_bounds", check_bounds)
+        for options in ({}, {"r2_propensity": 0.05, "r2_prognosis": 0.02}):
+            checked.clear()
+            p = build_problem(TABLE_B, 5, **options)
+            assert isinstance(p, LpProblem) and p.as_lp() is p
+            assert checked == [p.n_rows]  # bounds validated once per problem
+            assert solve(p).status == "optimal"
+            assert checked == [p.n_rows]  # and not again by the solve
+
     def test_row_layout_and_bounds(self):
         eps = 1e-3
         p = build_problem(TABLE_B, 10, epsilon=eps)
@@ -207,8 +224,8 @@ class TestProblemAssembly:
         pv = build_problem(TABLE_B, 5, r2_propensity=0.05, r2_prognosis=0.02)
         rng = np.random.default_rng(RNG_SEED + 2)
         cols = rng.integers(0, p.n_columns, size=20)
-        block = p.as_lp().columns(cols)
-        variance_block = pv.as_lp().columns(cols)
+        block = p.columns(cols)
+        variance_block = pv.columns(cols)
         pe, pd = pv.marginal_exposure, pv.marginal_outcome
         for pos, col in enumerate(cols):
             c, j, k, l = p.split_column(int(col))
@@ -227,10 +244,9 @@ class TestProblemAssembly:
 
     def test_objective_is_cell_entropy(self):
         p = build_problem(TABLE_A, 6)
-        lp = p.as_lp()
         rng = np.random.default_rng(RNG_SEED + 3)
         cols = rng.integers(0, p.n_columns, size=30)
-        values = lp.objective(cols)
+        values = p.objective(cols)
         centers = p.grid.centers
         for pos, col in enumerate(cols):
             _, j, k, l = p.split_column(int(col))
@@ -288,7 +304,7 @@ class TestProblemAssembly:
                 y = np.append(duals, 0.0)[p.row_index[cats]].T
                 for include in (True, False):
                     chunks.clear()
-                    lp_solver.price_columns(p.as_lp(), duals, include_objective=include)
+                    lp_solver.price_columns(p, duals, include_objective=include)
                     priced = np.concatenate(chunks)
                     expected = (entropies if include else 0.0) - (y * coefficients).sum(axis=0)
                     assert priced.shape == expected.shape
@@ -312,7 +328,7 @@ class TestFeasibilityTransfer:
         # zero slack, solution triple on the grid: the LP must find the
         # single-cell optimum and tie the analytic entropy
         p = build_problem(TABLE_A, 10, epsilon=0.0)
-        sol = solve(p.as_lp())
+        sol = solve(p)
         assert sol.status == "optimal"
         reference = solve_homogeneous(joint_probs(TABLE_A))
         assert sol.objective == pytest.approx(
@@ -347,7 +363,7 @@ class TestOptimumStructure:
         table = StratifiedTable.from_counts({"x": (13.0, 37.0, 61.0, 23.0)})
         entropies = {}
         for m in (6, 18):
-            sol = solve(build_problem(table, m, epsilon=1e-3).as_lp())
+            sol = solve(build_problem(table, m, epsilon=1e-3))
             assert sol.status == "optimal"
             entropies[m] = sol.objective
         assert entropies[18] >= entropies[6] - 1e-12
@@ -357,18 +373,18 @@ class TestOptimumStructure:
         # 4 h(eps) + 8 eps per category (entropy modulus of continuity)
         table = marginal_table()
         eps = 1e-3
-        sol = solve(build_problem(table, 45, epsilon=eps).as_lp())
+        sol = solve(build_problem(table, 45, epsilon=eps))
         assert sol.status == "optimal"
         reference = solve_homogeneous(joint_probs(table)).entropy_per_individual
         allowance = 4 * (-eps * math.log(eps)) + 8 * eps
         assert sol.objective <= reference + allowance + 1e-9
 
     def test_variance_rows_never_raise_entropy(self):
-        plain = solve(build_problem(TABLE_B, 10, epsilon=1e-3).as_lp())
+        plain = solve(build_problem(TABLE_B, 10, epsilon=1e-3))
         constrained_problem = build_problem(
             TABLE_B, 10, r2_propensity=0.05, r2_prognosis=0.02, epsilon=1e-3
         )
-        constrained = solve(constrained_problem.as_lp())
+        constrained = solve(constrained_problem)
         assert plain.status == constrained.status == "optimal"
         assert constrained.objective <= plain.objective + 1e-9
         # the reported vertex satisfies the variance rows when recomputed
@@ -379,7 +395,7 @@ class TestOptimumStructure:
     def test_infeasible_when_grid_cannot_reach_targets(self):
         # baseline risk 0.0189 is below the smallest m=10 center 0.05 and
         # the tiny slack cannot bridge the gap
-        sol = solve(build_problem(marginal_table(), 10, epsilon=1e-6).as_lp())
+        sol = solve(build_problem(marginal_table(), 10, epsilon=1e-6))
         assert sol.status == "infeasible"
         assert sol.infeasible_rows
 
@@ -389,8 +405,8 @@ class TestOptimumStructure:
         m = 10
         base_problem = build_problem(TABLE_B, m, epsilon=0.0)
         swapped_problem = build_problem(TABLE_B.swap_exposure(), m, epsilon=0.0)
-        base = solve(base_problem.as_lp())
-        swapped = solve(swapped_problem.as_lp())
+        base = solve(base_problem)
+        swapped = solve(swapped_problem)
         assert base.status == swapped.status == "optimal"
         assert swapped.objective == pytest.approx(base.objective, abs=1e-9)
         base_atoms = {
@@ -412,8 +428,8 @@ class TestOptimumStructure:
         table = marginal_table()
         base_problem = build_problem(table, m, epsilon=1e-3)
         swapped_problem = build_problem(table.swap_exposure(), m, epsilon=1e-3)
-        base = solve(base_problem.as_lp())
-        swapped = solve(swapped_problem.as_lp())
+        base = solve(base_problem)
+        swapped = solve(swapped_problem)
         assert base.status == swapped.status == "optimal"
         assert swapped.objective == pytest.approx(base.objective, abs=1e-9)
         base_atoms = atoms_from_solution(base_problem, base)

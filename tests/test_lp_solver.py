@@ -8,7 +8,6 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from maxent_effects import lp_solver
 from maxent_effects.errors import (
@@ -43,17 +42,11 @@ def dense(objective, matrix, rows, seed=()):
 
 
 def reseeded(grid, seed):
-    """The LP of ``grid``, a :class:`DiscretizedProblem`, with the pool
+    """A copy of ``grid``, a :class:`DiscretizedProblem`, with the pool
     seed ``seed`` in place of its own."""
-    return LpProblem(
-        grid.lower,
-        grid.upper,
-        grid.n_columns,
-        columns_fn=grid._columns,
-        objective_fn=grid._objective,
-        reduced_cost_fn=grid._reduced_costs,
-        seed=seed,
-    )
+    problem = copy.copy(grid)
+    problem.seed = lp_solver._seed_ids(seed, grid.n_columns)
+    return problem
 
 
 def assert_identical(a, b):
@@ -67,7 +60,9 @@ def assert_identical(a, b):
 
 
 def reference_solve(objective, matrix, lower, upper):
-    """scipy HiGHS solve of the same maximization, for cross-checking."""
+    """scipy HiGHS solve of the same maximization, for cross-checking;
+    the calling test is skipped where scipy is not installed."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     a_ub, b_ub = [], []
     for coef, lo, hi in zip(matrix, lower, upper):
         coef = np.asarray(coef, dtype=float)
@@ -226,17 +221,17 @@ class TestValidation:
     def test_row_cap(self):
         lower, upper = np.zeros(ROW_CAP + 1), np.ones(ROW_CAP + 1)
         with pytest.raises(ParameterError, match="row cap"):
-            LpProblem(lower, upper, 1, None, None, None)
+            LpProblem(lower, upper, 1)
 
     def test_empty_rows_and_columns(self):
         with pytest.raises(ParameterError):
-            LpProblem([], [], 1, None, None, None)
+            LpProblem([], [], 1)
         with pytest.raises(ParameterError):
-            LpProblem([0.0], [1.0], 0, None, None, None)
+            LpProblem([0.0], [1.0], 0)
 
     def test_bounds_need_equal_lengths(self):
         with pytest.raises(ParameterError, match="equal length"):
-            LpProblem([0.0, 0.0], [1.0], 1, None, None, None)
+            LpProblem([0.0, 0.0], [1.0], 1)
 
     def test_range_row_ordering(self):
         for row in ((2.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
@@ -247,16 +242,13 @@ class TestValidation:
         with pytest.raises(ParameterError):
             LpProblem.from_dense([1.0, 2.0], [[1.0]], [0.0], [1.0])
 
-    def test_columns_fn_shape_checked(self):
-        p = LpProblem(
-            [0.0],
-            [1.0],
-            3,
-            columns_fn=lambda idx: np.ones((2, idx.size)),
-            objective_fn=lambda idx: np.zeros(idx.size),
-            reduced_cost_fn=None,
-        )
-        with pytest.raises(ParameterError):
+    def test_columns_shape_checked(self):
+        class TwoRowColumns(LpProblem):
+            def _columns(self, idx):
+                return np.ones((2, idx.size))
+
+        p = TwoRowColumns([0.0], [1.0], 3)
+        with pytest.raises(ParameterError, match="shape"):
             p.columns([0])
 
     def test_rows_need_finite_right_hand_side(self):
@@ -349,20 +341,23 @@ class TestDeterminism:
         matrix = np.asarray(matrix)
         objective = np.asarray(objective)
 
-        def fast_rc(duals, start, stop, include_objective, out):
-            rc = -(duals @ matrix[:, start:stop])
-            if include_objective:
-                rc = rc + objective[start:stop]
-            return rc
+        class SliceKernel(LpProblem):
+            """The dense LP with a kernel over matrix slices."""
+
+            def _columns(self, idx):
+                return matrix[:, idx]
+
+            def _objective(self, idx):
+                return objective[idx]
+
+            def _reduced_costs(self, duals, start, stop, include_objective, out):
+                rc = -(duals @ matrix[:, start:stop])
+                if include_objective:
+                    rc = rc + objective[start:stop]
+                return rc
 
         plain = dense(objective, matrix, rows)
-        fast = LpProblem(
-            *bounds(rows),
-            objective.size,
-            columns_fn=lambda idx: matrix[:, idx],
-            objective_fn=lambda idx: objective[idx],
-            reduced_cost_fn=fast_rc,
-        )
+        fast = SliceKernel(*bounds(rows), objective.size)
         a, b = solve(plain), solve(fast)
         assert a.status == b.status == "optimal"
         assert np.array_equal(a.columns, b.columns)
@@ -516,10 +511,9 @@ class TestScanRecord:
 
     def test_grid_lp_in_both_phases(self, monkeypatch):
         monkeypatch.setattr(lp_solver, "PRICE_CHUNK", 100)  # cuts the 64-column j-slices
-        grid = build_problem(
+        problem = build_problem(
             TestPoolPricing.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
         )
-        problem = grid.as_lp()
         ids = np.arange(problem.n_columns)
         columns, objective = problem.columns(ids), problem.objective(ids)
         rng = np.random.default_rng(RNG_SEED + 28)
@@ -647,10 +641,9 @@ class TestPoolPricing:
         assert s._entering(np.zeros(1), False) is None
 
     def test_grid_lp_matches_reference_with_fewer_scans(self, monkeypatch):
-        grid = build_problem(
+        problem = build_problem(
             self.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
         )
-        problem = grid.as_lp()
         scans = []
         real = lp_solver.price_columns
 
@@ -664,7 +657,7 @@ class TestPoolPricing:
 
         ids = np.arange(problem.n_columns)
         ref = reference_solve(
-            problem.objective(ids), problem.columns(ids), grid.lower, grid.upper
+            problem.objective(ids), problem.columns(ids), problem.lower, problem.upper
         )
         assert sol.status == "optimal"
         assert ref.status == 0
@@ -737,13 +730,13 @@ class TestBasicColumnsPriceToZero:
     def test_grid_lps(self, monkeypatch):
         table = TestPoolPricing.TABLE
         constrained = dict(r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
-        base = solve(build_problem(table, 8, **constrained).as_lp())
+        base = solve(build_problem(table, 8, **constrained))
         assert base.status == "optimal"
         seen = self.watch(monkeypatch)
         for options in (constrained, dict(epsilon=1e-2)):
-            assert solve(build_problem(table, 8, **options).as_lp()).status == "optimal"
+            assert solve(build_problem(table, 8, **options)).status == "optimal"
         replicate = resample_table(table, np.random.default_rng(RNG_SEED + 21))
-        warm = solve(build_problem(replicate, 8, **constrained).as_lp(), start=base)
+        warm = solve(build_problem(replicate, 8, **constrained), start=base)
         assert warm.status == "optimal"
         for key in (("scan", 1), ("scan", 2), ("pool", 1), ("pool", 2), ("pool", "dual")):
             worst, count = seen[key]
@@ -857,12 +850,12 @@ class TestSeededPool:
         gc.disable()
         try:
             grid = build_problem(self.TABLE, 8, r2_propensity=0.1, epsilon=1e-2)
-            alive = weakref.ref(grid)
-            problem = reseeded(grid, solve(grid.as_lp()).pool)
+            problem = reseeded(grid, solve(grid).pool)
+            alive = weakref.ref(grid), weakref.ref(problem)
             sol = solve(problem)
             assert sol.status == "optimal"
             del grid, problem, sol
-            assert alive() is None
+            assert all(ref() is None for ref in alive)
         finally:
             gc.enable()
 
@@ -904,10 +897,10 @@ class TestPoolShedding:
         monkeypatch.setattr(lp_solver._Pool, "add", add)
         table = TestPoolPricing.TABLE
         constrained = dict(r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
-        base = solve(build_problem(table, 8, **constrained).as_lp())
+        base = solve(build_problem(table, 8, **constrained))
         replicate = resample_table(table, np.random.default_rng(RNG_SEED + 26))
-        warm = solve(build_problem(replicate, 8, **constrained).as_lp(), start=base)
-        unconstrained = solve(build_problem(table, 8, epsilon=1e-2).as_lp())
+        warm = solve(build_problem(replicate, 8, **constrained), start=base)
+        unconstrained = solve(build_problem(table, 8, epsilon=1e-2))
         assert base.status == warm.status == unconstrained.status == "optimal"
         assert sum(d > 0 for d in dropped) > 1
 
@@ -985,10 +978,9 @@ class TestKeptBasisState:
         assert records
 
     def test_phase_switch_on_a_grid_lp(self, monkeypatch):
-        grid = build_problem(
+        problem = build_problem(
             TestPoolPricing.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
         )
-        problem = grid.as_lp()
         records = self.watch(monkeypatch)
         entered = []
         real_entering = lp_solver._Simplex._entering
@@ -1016,12 +1008,12 @@ class TestKeptBasisState:
         assert False in entered and True in entered  # structurals and slacks entered
 
     def test_grid_lp_runs_past_the_refactorization_count(self, monkeypatch):
-        grid = build_problem(
+        problem = build_problem(
             TestPoolPricing.TABLE, 8, r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2
         )
-        base = solve(grid.as_lp())
+        base = solve(problem)
         records = self.watch(monkeypatch)
-        sol = solve(grid.as_lp())
+        sol = solve(problem)
         assert_identical(sol, base)
         updates = [u for *_, u in records]
         assert max(updates) == lp_solver._REFACTOR_EVERY
@@ -1250,16 +1242,15 @@ class TestWarmStart:
         # resampled tables: another right-hand side and variance marginals, the same grid
         table = TestPoolPricing.TABLE
         options = dict(r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
-        base_problem = build_problem(table, 8, **options).as_lp()
+        base_problem = build_problem(table, 8, **options)
         base = solve(base_problem)
         assert base.status == "optimal"
         records = self.watch_phases(monkeypatch)
         rng = np.random.default_rng(RNG_SEED + 19)
         warm_pivots = cold_pivots = 0
         for _ in range(4):
-            grid = build_problem(resample_table(table, rng), 8, **options)
-            problem = grid.as_lp()
-            cold = solve(reseeded(grid, base.pool))
+            problem = build_problem(resample_table(table, rng), 8, **options)
+            cold = solve(reseeded(problem, base.pool))
             records.clear()
             warm = solve(problem, start=base)
             assert records[0] == ("dual", True)
@@ -1276,18 +1267,17 @@ class TestWarmStart:
     def test_iteration_limit_in_the_dual_phase_gives_the_cold_solve(self, monkeypatch):
         table = TestPoolPricing.TABLE
         options = dict(r2_propensity=0.1, r2_prognosis=0.05, epsilon=1e-2)
-        base = solve(build_problem(table, 8, **options).as_lp())
-        grid = build_problem(
+        base = solve(build_problem(table, 8, **options))
+        problem = build_problem(
             resample_table(table, np.random.default_rng(RNG_SEED + 19)), 8, **options
         )
-        problem = grid.as_lp()
         records = self.watch_phases(monkeypatch)
         assert solve(problem, start=base).status == "optimal"
         dual, (phase, dual_pivots, _) = records
         assert dual == ("dual", True) and phase == 2 and dual_pivots >= 2
         monkeypatch.setattr(lp_solver, "MAX_ITERATIONS", dual_pivots - 1)
         # the cold start that a warm start falls back to keeps its pool seed
-        cold = solve(reseeded(grid, np.concatenate([problem.seed, base.pool])))
+        cold = solve(reseeded(problem, np.concatenate([problem.seed, base.pool])))
         records.clear()
         warm = solve(problem, start=base)
         assert records[0] == ("dual", False)
@@ -1342,21 +1332,20 @@ class TestGridFuzz:
             built = self.random_grid(rng)
             if built is None:
                 continue
-            grid, table, m, options = built
-            problem = grid.as_lp()
+            problem, table, m, options = built
             ids = np.arange(problem.n_columns)
             ref = reference_solve(
-                problem.objective(ids), problem.columns(ids), grid.lower, grid.upper
+                problem.objective(ids), problem.columns(ids), problem.lower, problem.upper
             )
             expected = {0: "optimal", 2: "infeasible"}[ref.status]
             cold = solve(problem)
-            paths = [cold, solve(reseeded(grid, cold.columns))]
+            paths = [cold, solve(reseeded(problem, cold.columns))]
             try:
                 replicate = build_problem(resample_table(table, rng), m, **options)
             except (DegenerateTableError, DomainError):
                 replicate = None
             if replicate is not None:
-                paths.append(solve(problem, start=solve(replicate.as_lp())))
+                paths.append(solve(problem, start=solve(replicate)))
             with monkeypatch.context() as forced:
                 forced.setattr(lp_solver, "_STALL_PER_ROW", 0)  # Bland after one stall
                 paths.append(solve(problem))

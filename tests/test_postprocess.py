@@ -296,7 +296,7 @@ class TestEffectSummaries:
 class TestSolutionIntegration:
     def test_exact_problem_collapses_to_one_point_per_category(self):
         problem = build_problem(TABLE, m=10, epsilon=0.0)
-        solution = relax_and_retry(problem.as_lp(), (1e-9,))
+        solution = relax_and_retry(problem, (1e-9,))
         assert solution.status == "optimal"
         mix = mixture_from_solution(problem, solution)
         assert len(mix.clusters) == 2
@@ -317,7 +317,7 @@ class TestSolutionIntegration:
         problem = build_problem(
             table, m=16, epsilon=0.01, r2_propensity=0.30, r2_prognosis=0.20
         )
-        solution = relax_and_retry(problem.as_lp(), (1e-9,))
+        solution = relax_and_retry(problem, (1e-9,))
         assert solution.status == "optimal"
         vertex = mixture_from_solution(problem, solution)
         face = mixture_from_solution(problem, solution, adjacency="face")
@@ -335,7 +335,7 @@ class TestSolutionIntegration:
 
     def test_mixture_from_solution_matches_manual_pipeline(self):
         problem = build_problem(TABLE, m=10, epsilon=0.0)
-        solution = relax_and_retry(problem.as_lp(), (1e-9,))
+        solution = relax_and_retry(problem, (1e-9,))
         from maxent_effects.grid_lp import atoms_from_solution
 
         direct = cluster_atoms(problem, atoms_from_solution(problem, solution))
