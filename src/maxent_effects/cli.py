@@ -52,7 +52,7 @@ import numpy as np
 
 from .closed_form import HomogeneousSolution, solve_conditional_homogeneous
 from .errors import DegenerateTableError, EstimationError, ParameterError, UndefinedStatisticError
-from .grid_lp import CubeGrid, atoms_from_solution, build_problem
+from .grid_lp import CubeGrid, atoms_from_solution, build_problem, mean_atoms
 from .lp_solver import near_columns, relax_and_retry
 from .model import StratifiedTable, odds_ratio
 from .postprocess import ADJACENCIES, MixtureSolution, cluster_atoms
@@ -373,10 +373,12 @@ def run_bootstrap(config: RunConfig) -> dict:
     """Pooled-resampling stability study.
 
     Draws the replicate tables in order from one seeded generator, solves
-    each replicate with the same LP config, pools the raw atoms of the
-    successful replicates with mass divided by their count, and clusters
-    the pool against the original problem's rows (so reported residuals
-    measure drift from the observed table, not from any replicate).  A
+    each replicate with the same LP config, pools the optimal replicates
+    as the mean of their solutions by column id
+    (:func:`grid_lp.mean_atoms`: each grid cell's mass summed over the
+    replicates at weight 1/n), and clusters the pool against the
+    original problem's rows (so reported residuals measure drift from
+    the observed table, not from any replicate).  A
     replicate whose table cannot be posed (a category or margin drew no
     individuals) is listed as ``degenerate`` and dropped; the draws of
     the others do not change.  Every replicate's solve starts from the
@@ -407,7 +409,7 @@ def run_bootstrap(config: RunConfig) -> dict:
         )
 
     per_replicate = []
-    pooled_atoms = []
+    optimal = []
     total_iterations = base_solution.iterations
     for index in range(config.replicates):
         try:
@@ -427,27 +429,16 @@ def run_bootstrap(config: RunConfig) -> dict:
             }
         )
         if rep_solution.status == "optimal":
-            pooled_atoms.append(atoms_from_solution(rep_problem, rep_solution))
+            # the columns and masses only: a solution's pool is thousands of ids
+            optimal.append((rep_solution.columns, rep_solution.masses))
         del rep_problem, rep_solution  # not alive while the next replicate builds its grid
 
-    n_ok = len(pooled_atoms)
+    n_ok = len(optimal)
     solution_dict = {"kind": "mixture"}
     status = "infeasible"
     if n_ok:
-        # Pool raw atoms at 1/n_ok weight; cells are shared across
-        # replicates (same grid), so clustering sees one atom per cell.
-        weight = 1.0 / n_ok
-        merged: dict[tuple[int, int, int, int], float] = {}
-        proto: dict[tuple[int, int, int, int], object] = {}
-        for atoms in pooled_atoms:
-            for a in atoms:
-                key = (a.category, a.j, a.k, a.l)
-                merged[key] = merged.get(key, 0.0) + a.mass * weight
-                proto[key] = a
-        pooled = tuple(
-            dataclasses.replace(proto[key], mass=mass)
-            for key, mass in sorted(merged.items())
-        )
+        # every replicate shares the baseline's grid and so its column ids
+        pooled = mean_atoms(base_problem, optimal)
         mix = cluster_atoms(base_problem, pooled, adjacency=config.adjacency)
         solution_dict["mixture"] = _mixture_dict(mix)
         solution_dict["n_pooled_atoms"] = len(pooled)

@@ -61,7 +61,7 @@ import numpy as np
 
 from .closed_form import r2_to_variance_bound
 from .errors import ParameterError
-from .lp_solver import LpProblem, LpSolution, _seed_ids
+from .lp_solver import LpProblem, LpSolution, _seed_ids, _sorted_unique
 from .model import PropensityPrognosisTriple, StratifiedTable, cell_entropy, cell_probs
 
 __all__ = [
@@ -70,6 +70,7 @@ __all__ = [
     "DiscretizedProblem",
     "build_problem",
     "atoms_from_solution",
+    "mean_atoms",
     "MAX_RESOLUTION",
     "MASS_FLOOR",
 ]
@@ -220,18 +221,18 @@ class DiscretizedProblem(LpProblem):
 
     # -- LP plumbing --------------------------------------------------
 
-    def split_column(self, column: int) -> tuple[int, int, int, int]:
-        """Global column index -> (category, j, k, l)."""
-        if not (0 <= column < self.n_columns):
-            raise ParameterError(f"column {column} out of range")
-        category, cell = divmod(int(column), self.grid.n_cells)
-        j, k, l = self.grid.unravel(cell)
-        return category, j, k, l
+    def cells(self, columns: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Column ids -> their (category, j, k, l) arrays; an id outside
+        [0, n_columns) raises :class:`ParameterError`."""
+        columns = np.asarray(columns, dtype=np.int64)
+        if columns.size and not 0 <= columns.min() <= columns.max() < self.n_columns:
+            raise ParameterError(f"column ids must lie in [0, {self.n_columns})")
+        cats, cell = np.divmod(columns, self.grid.n_cells)
+        return (cats, *self.grid.unravel(cell))
 
     def _columns(self, idx: np.ndarray) -> np.ndarray:
-        cats, cells = np.divmod(idx, self.grid.n_cells)
+        cats, j, k, l = self.cells(idx)
         ctr = self.grid.centers
-        j, k, l = self.grid.unravel(cells)
         out = np.zeros((self.n_rows + 1, idx.size))
         out[self.row_index[cats].T, np.arange(idx.size)] = self._coefficients(
             ctr[j], ctr[k], ctr[l]
@@ -239,7 +240,7 @@ class DiscretizedProblem(LpProblem):
         return out[:-1]
 
     def _objective(self, idx: np.ndarray) -> np.ndarray:
-        j, k, l = self.grid.unravel(idx % self.grid.n_cells)
+        _, j, k, l = self.cells(idx)
         # h(pi) + (1-pi) h(r0), then pi h(r1)
         return self._tables[0, j, k] + self._tables[5, j, l]
 
@@ -390,27 +391,26 @@ def build_problem(
 
 
 def atoms_from_solution(problem: DiscretizedProblem, solution: LpSolution) -> tuple[Atom, ...]:
-    """Decode LP columns into grid atoms, dropping masses below
-    ``MASS_FLOOR`` as numerical noise."""
-    atoms = []
-    labels = problem.table.labels
-    centers = problem.grid.centers
-    for col, mass in zip(solution.columns, solution.masses):
-        if mass < MASS_FLOOR:
-            continue
-        category, j, k, l = problem.split_column(int(col))
-        atoms.append(
-            Atom(
-                category=category,
-                label=labels[category],
-                j=j,
-                k=k,
-                l=l,
-                pi=float(centers[j]),
-                r0=float(centers[k]),
-                r1=float(centers[l]),
-                mass=float(mass),
-            )
-        )
-    return tuple(atoms)
+    """Decode one LP solution into grid atoms (see :func:`mean_atoms`)."""
+    return mean_atoms(problem, [(solution.columns, solution.masses)])
 
+
+def mean_atoms(problem: DiscretizedProblem, solutions) -> tuple[Atom, ...]:
+    """The mean of one or more solutions of the problem's grid, as atoms.
+
+    ``solutions`` is a sequence of ``(columns, masses)`` pairs.  Each
+    pair's masses below ``MASS_FLOOR`` are numerical noise and dropped;
+    the rest count at weight ``1 / len(solutions)``, summed per column id
+    in pair order.  One atom per id, in column order.
+    """
+    weight = 1.0 / len(solutions)
+    columns = np.concatenate([c[m >= MASS_FLOOR] for c, m in solutions])
+    masses = np.concatenate([m[m >= MASS_FLOOR] * weight for _, m in solutions])
+    ids = _sorted_unique(columns)
+    total = np.zeros(ids.size)
+    np.add.at(total, np.searchsorted(ids, columns), masses)  # unbuffered: in pair order
+    labels, centers = problem.table.labels, problem.grid.centers.tolist()
+    return tuple(
+        Atom(c, labels[c], j, k, l, centers[j], centers[k], centers[l], mass)
+        for c, j, k, l, mass in zip(*(x.tolist() for x in problem.cells(ids)), total.tolist())
+    )

@@ -288,7 +288,8 @@ def tjur_r2(fitted, observed) -> float:
     UndefinedStatisticError
         If the sample contains no success or no failure.
     DomainError
-        On empty input, mismatched lengths, or fitted values outside [0, 1].
+        On empty input, mismatched lengths, fitted values outside [0, 1],
+        or observed values other than 0 and 1.
     """
     fitted = np.asarray(fitted, dtype=float)
     observed = np.asarray(observed)
@@ -298,6 +299,8 @@ def tjur_r2(fitted, observed) -> float:
         raise DomainError("fitted and observed must have identical shape")
     if np.any(fitted < 0.0) or np.any(fitted > 1.0) or np.any(np.isnan(fitted)):
         raise DomainError("fitted values must lie in [0, 1]")
+    if not np.all((observed == 0) | (observed == 1)):
+        raise DomainError("observed values must be 0 or 1")
     success = observed == 1
     n1 = int(np.count_nonzero(success))
     if n1 == 0 or n1 == fitted.size:
@@ -316,14 +319,13 @@ def joint_probs(table: StratifiedTable, category: int | None = None) -> JointOut
     """
     if category is None:
         cat = table.pooled()
+    elif 0 <= category < table.n_categories:
+        cat = table.categories[category]
     else:
-        try:
-            cat = table.categories[category]
-        except IndexError:
-            raise DomainError(
-                f"category index {category} out of range for "
-                f"{table.n_categories} categories"
-            ) from None
+        raise DomainError(
+            f"category index {category} out of range for "
+            f"{table.n_categories} categories"
+        )
     n = cat.as_array()
     p = n / cat.total
     return JointOutcomeProbs(p01=p[0], p11=p[1], p00=p[2], p10=p[3])

@@ -25,6 +25,7 @@ from maxent_effects.cli import (
 )
 from maxent_effects.datasets import fixture_path
 from maxent_effects.errors import ParameterError
+from maxent_effects.grid_lp import MASS_FLOOR, Atom
 from maxent_effects.svgplot import convergence_svg, mixture_svg
 from maxent_effects.tables import load_table
 
@@ -379,6 +380,41 @@ class TestBootstrapReport:
         total = sum(c["mass"] for c in mixture["clusters"] + mixture["dust"])
         # each replicate's mass drifts by at most one 0.01 slack per row
         assert total == pytest.approx(1.0, abs=4 * 0.01 + 1e-4)
+
+    def test_pool_is_the_per_cell_mean_of_the_optimal_replicates(self, monkeypatch):
+        # unconstrained table2, whose replicates end at different vertices
+        config = small_lp_config(replicates=4, seed=31, adjacency="face")
+        calls = record_pools(monkeypatch)
+        clustered = []
+        real_cluster = cli.cluster_atoms
+
+        def spy(problem, atoms, adjacency):
+            clustered.append(atoms)
+            return real_cluster(problem, atoms, adjacency=adjacency)
+
+        monkeypatch.setattr(cli, "cluster_atoms", spy)
+        run_bootstrap(config)
+        base, *replicates = calls
+        optimal = [call.solution for call in replicates if call.solution.status == "optimal"]
+        assert len(optimal) == 3  # replicate 2 is infeasible
+        assert len({tuple(sol.columns.tolist()) for sol in optimal}) > 1
+        # brute force: a dict mean of each cell's masses at or above the floor
+        mean: dict[tuple[int, int, int, int], float] = {}
+        weight = 1.0 / len(optimal)
+        for sol in optimal:
+            for col, mass in zip(sol.columns.tolist(), sol.masses.tolist()):
+                if mass >= MASS_FLOOR:
+                    category, cell = divmod(col, base.problem.grid.n_cells)
+                    key = (category, *base.problem.grid.unravel(cell))
+                    mean[key] = mean.get(key, 0.0) + mass * weight
+        centers = base.problem.grid.centers.tolist()
+        labels = base.problem.table.labels
+        expected = tuple(
+            Atom(c, labels[c], j, k, l, centers[j], centers[k], centers[l], mass)
+            for (c, j, k, l), mass in sorted(mean.items())
+        )
+        assert len(clustered) == 2  # the baseline, then the pool
+        assert clustered[1] == expected
 
     def test_seeded_bootstrap_is_deterministic(self):
         config = small_lp_config(replicates=2, seed=23)

@@ -18,6 +18,7 @@ from maxent_effects.grid_lp import (
     DiscretizedProblem,
     atoms_from_solution,
     build_problem,
+    mean_atoms,
 )
 from maxent_effects.lp_solver import LpProblem, LpSolution, solve
 from maxent_effects.model import (
@@ -213,11 +214,15 @@ class TestProblemAssembly:
         p = build_problem(TABLE_B, 7)
         assert p.n_columns == 2 * 343
         rng = np.random.default_rng(RNG_SEED + 1)
-        for col in rng.integers(0, p.n_columns, size=100):
-            c, j, k, l = p.split_column(int(col))
+        cols = rng.integers(0, p.n_columns, size=100)
+        for col, c, j, k, l in zip(cols, *p.cells(cols)):
             assert c * p.grid.n_cells + p.grid.ravel(j, k, l) == int(col)
-        with pytest.raises(ParameterError):
-            p.split_column(p.n_columns)
+        # an id outside [0, n_columns) raises, in the LP's columns and
+        # objective too, rather than wrapping round to another cell
+        for outside in (p.n_columns, -1):
+            for decode in (p.cells, p.columns, p.objective):
+                with pytest.raises(ParameterError):
+                    decode(np.array([0, outside]))
 
     def test_column_coefficients_match_center_formulas(self):
         p = build_problem(TABLE_B, 5)
@@ -227,8 +232,7 @@ class TestProblemAssembly:
         block = p.columns(cols)
         variance_block = pv.columns(cols)
         pe, pd = pv.marginal_exposure, pv.marginal_outcome
-        for pos, col in enumerate(cols):
-            c, j, k, l = p.split_column(int(col))
+        for pos, (c, j, k, l) in enumerate(zip(*p.cells(cols))):
             pi, r0, r1 = (x / 5 + 0.1 for x in (j, k, l))
             expected = np.zeros(p.n_rows)
             expected[4 * c + 0] = (1 - pi) * r0
@@ -248,8 +252,7 @@ class TestProblemAssembly:
         cols = rng.integers(0, p.n_columns, size=30)
         values = p.objective(cols)
         centers = p.grid.centers
-        for pos, col in enumerate(cols):
-            _, j, k, l = p.split_column(int(col))
+        for pos, (_, j, k, l) in enumerate(zip(*p.cells(cols))):
             t = Atom(0, "a", j, k, l, centers[j], centers[k], centers[l], 1.0).triple()
             assert values[pos] == pytest.approx(entropy(t), abs=1e-12)
 
@@ -460,6 +463,13 @@ class TestAtomsAndEvaluation:
         assert atoms[0].mass == 0.5
         assert (atoms[0].j, atoms[0].k, atoms[0].l) == p.grid.unravel(426)
         assert atoms[0].label == "a"
+        # a mean of two solutions: each drops its own noise, then every id
+        # sums its masses at weight 1/2
+        pooled = mean_atoms(p, [(np.array([5, 426]), np.array([0.5, 0.5])),
+                                (fake.columns, fake.masses)])
+        assert [(a.j, a.k, a.l, a.mass) for a in pooled] == [
+            (*p.grid.unravel(5), 0.25), (*p.grid.unravel(426), 0.5)
+        ]
 
     def test_activities_match_manual_computation(self):
         p = build_problem(TABLE_B, 10, r2_propensity=0.05, r2_prognosis=0.02)

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import xlogy
-from scipy.stats import entropy as scipy_entropy
 
 from maxent_effects.errors import (
     DegenerateTableError,
@@ -106,6 +104,8 @@ class TestEntropy:
     def test_matches_decomposed_form(self):
         # two algebraic forms: four-term joint entropy versus
         # h(pi) + (1-pi) h(r0) + pi h(r1); they agree to addition error
+        xlogy = pytest.importorskip("scipy.special").xlogy
+
         def h(p):
             return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
 
@@ -115,6 +115,7 @@ class TestEntropy:
             assert abs(entropy(t) - decomposed) < 1e-12
 
     def test_matches_scipy_on_joint_cells(self):
+        scipy_entropy = pytest.importorskip("scipy.stats").entropy
         rng = np.random.default_rng(RNG_SEED + 3)
         for t in random_triples(rng, 100):
             reference = scipy_entropy(t.joint_outcomes().as_array())
@@ -132,6 +133,7 @@ class TestCellEntropy:
 
     @staticmethod
     def reference(q):
+        xlogy = pytest.importorskip("scipy.special").xlogy
         return -sum(xlogy(row, row) for row in q)
 
     @pytest.mark.parametrize("m", (2, 25, 75))
@@ -154,6 +156,7 @@ class TestCellEntropy:
     @pytest.mark.parametrize("m", (2, 25, 75))
     def test_chain_rule_on_every_grid_cell(self, m):
         # H(e, d) = H(e) + H(d | e): the form grid pricing is built on
+        xlogy = pytest.importorskip("scipy.special").xlogy
         c = (np.arange(m) + 0.5) / m
         h = -xlogy(c, c) - xlogy(1.0 - c, 1.0 - c)
         pi, r0, r1 = c[:, None, None], c[None, :, None], c[None, None, :]
@@ -240,6 +243,11 @@ class TestTjurR2:
             tjur_r2([0.5, 1.5], [0, 1])
         with pytest.raises(DomainError):
             tjur_r2([0.5], [0, 1])
+        # an observed value other than 0 or 1 is no outcome, not a failure
+        for observed in ([0, 1, 2], [0, 1, np.nan], [0.0, 1.0, 0.5]):
+            with pytest.raises(DomainError):
+                tjur_r2([0.2, 0.8, 0.5], observed)
+        assert tjur_r2([0.2, 0.8], np.array([False, True])) == pytest.approx(0.6)
 
 
 class TestTables:
@@ -265,8 +273,9 @@ class TestTables:
         assert pa.as_array() == pytest.approx(np.array([1, 2, 3, 4]) / 10.0)
         pp = joint_probs(t)
         assert pp.as_array() == pytest.approx(np.array([6, 8, 10, 12]) / 36.0)
-        with pytest.raises(DomainError):
-            joint_probs(t, 2)
+        for outside in (2, -1, -2):
+            with pytest.raises(DomainError, match="out of range for 2 categories"):
+                joint_probs(t, outside)
 
     def test_swap_exposure_roundtrip(self):
         t = StratifiedTable.from_counts({"a": (1, 2, 3, 4)})
