@@ -19,11 +19,13 @@ Exit codes: 0 for a successful (optimal/complete) run, 2 when the problem
 is infeasible, 1 for usage, I/O, or data errors (including R2 targets in
 closed-form mode, whose solution is the unconstrained one).
 
-Reports are dictionaries serialized as JSON with ``schema_version`` 2.
-Each starts with ``schema_version``, ``command``, ``config`` and
-``input``; ``timing`` holds only the iteration count.  Every float is
-rounded to 6 significant digits before serialization, and no clock
-enters the report, so reruns of a config and input on one machine with
+Reports are dictionaries serialized as JSON with ``schema_version`` 3.
+Schema 3 dropped ``config.adjacency``: clusters always merge by vertex
+(see :mod:`maxent_effects.postprocess`).  Each report starts with
+``schema_version``, ``command``, ``config`` and ``input``; ``timing``
+holds only the iteration count.  Every float is rounded to 6
+significant digits before serialization, and no clock enters the
+report, so reruns of a config and input on one machine with
 one BLAS kernel produce byte-identical output; wall-clock time goes to
 stderr.  Another BLAS kernel (say, ``OPENBLAS_CORETYPE=Haswell``) can
 round pricing sums differently and take other pivots to the same
@@ -55,7 +57,7 @@ from .errors import DegenerateTableError, EstimationError, ParameterError, Undef
 from .grid_lp import CubeGrid, atoms_from_solution, build_problem, mean_atoms
 from .lp_solver import near_columns, relax_and_retry
 from .model import StratifiedTable, odds_ratio
-from .postprocess import ADJACENCIES, MixtureSolution, cluster_atoms
+from .postprocess import MixtureSolution, cluster_atoms
 from .svgplot import convergence_svg, mixture_svg
 from .tables import load_table, resample_table, smooth_table
 
@@ -68,7 +70,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DEFAULT_M_SWEEP = tuple(range(25, 100, 5))
 
@@ -87,7 +89,6 @@ class RunConfig:
     r2_propensity: float | None = None
     r2_prognosis: float | None = None
     epsilon: float = 1e-3
-    adjacency: str = "vertex"
     smooth: bool = False
     replicates: int = 0
     seed: int | None = None
@@ -113,10 +114,6 @@ class RunConfig:
             raise ParameterError("a seed is required when replicates > 0")
         if self.seed is not None and self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
-        if self.adjacency not in ADJACENCIES:
-            raise ParameterError(
-                f"adjacency must be one of {ADJACENCIES}, got {self.adjacency!r}"
-            )
 
     def as_dict(self) -> dict:
         """Every field in order, ``input_path`` under the key ``input``."""
@@ -290,7 +287,7 @@ def run_estimate(config: RunConfig) -> dict:
     optimal_only = {}
     if solution.status == "optimal":
         atoms = atoms_from_solution(problem, solution)
-        mix = cluster_atoms(problem, atoms, adjacency=config.adjacency)
+        mix = cluster_atoms(problem, atoms)
         atom_residuals = problem.residuals(problem.activities(atoms))
         lp_info["max_residual_atoms"] = float(np.max(atom_residuals, initial=0.0))
         solution_dict["atoms"] = [dataclasses.asdict(a) for a in atoms]
@@ -359,7 +356,7 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
         n_ok += solution.status == "optimal"
         series.append(point)
     settings = config.as_dict()
-    del settings["m"], settings["adjacency"]  # the sweep sets m and clusters nothing
+    del settings["m"]  # the sweep sets m
     return _report(
         "converge", {**settings, "m_values": m_values}, table,
         reference_entropy=reference,
@@ -382,15 +379,16 @@ def run_bootstrap(config: RunConfig) -> dict:
     replicate whose table cannot be posed (a category or margin drew no
     individuals) is listed as ``degenerate`` and dropped; the draws of
     the others do not change.  Every replicate's solve starts from the
-    baseline solution: its pool joins the replicate's seed and, when the
-    baseline is optimal, its basis is the warm start.  A replicate
-    changes only the right-hand side and the marginals in the variance
-    rows, so that basis stays dual feasible and a few dual simplex pivots
-    restore primal feasibility.  An optimal baseline's near set
+    baseline solution: its pool joins the replicate's seed and its basis
+    is the warm start.  A replicate changes only the right-hand side and
+    the marginals in the variance rows, so an optimal baseline's basis
+    stays dual feasible and a few dual simplex pivots restore primal
+    feasibility.  An optimal baseline's near set
     (:func:`lp_solver.near_columns` at its duals and ``NEAR_DELTA``) joins
     that seed too, so the dual pivots see the columns the replicates'
-    duals may price in.  An infeasible baseline holds a basic artificial,
-    which sends the replicate to a cold start.
+    duals may price in.  An infeasible baseline's basis holds a basic
+    artificial, which the solver refuses as a start, so its replicates
+    start cold.
     """
     if config.replicates < 1:
         raise ParameterError("bootstrap needs replicates >= 1")
@@ -404,9 +402,7 @@ def run_bootstrap(config: RunConfig) -> dict:
         near = near_columns(base_problem, base_solution.duals, NEAR_DELTA)
         start = dataclasses.replace(base_solution, pool=np.concatenate([base_solution.pool, near]))
         base_atoms = atoms_from_solution(base_problem, base_solution)
-        baseline = _mixture_dict(
-            cluster_atoms(base_problem, base_atoms, adjacency=config.adjacency)
-        )
+        baseline = _mixture_dict(cluster_atoms(base_problem, base_atoms))
 
     per_replicate = []
     optimal = []
@@ -439,7 +435,7 @@ def run_bootstrap(config: RunConfig) -> dict:
     if n_ok:
         # every replicate shares the baseline's grid and so its column ids
         pooled = mean_atoms(base_problem, optimal)
-        mix = cluster_atoms(base_problem, pooled, adjacency=config.adjacency)
+        mix = cluster_atoms(base_problem, pooled)
         solution_dict["mixture"] = _mixture_dict(mix)
         solution_dict["n_pooled_atoms"] = len(pooled)
         status = "optimal"
@@ -508,8 +504,8 @@ def _report_svg(report: dict) -> str:
 
 def _add_common(parser: argparse.ArgumentParser, single_grid: bool = True) -> None:
     """Options of every solving command; ``single_grid`` adds the ones
-    that only a run on one fixed grid uses (resolution, R2 targets,
-    clustering).  A setting's default is its :class:`RunConfig` field's."""
+    that only a run on one fixed grid uses (resolution and R2 targets).
+    A setting's default is its :class:`RunConfig` field's."""
     parser.add_argument(
         "--input", dest="input_path", metavar="INPUT", required=True, help="input CSV table"
     )
@@ -522,10 +518,6 @@ def _add_common(parser: argparse.ArgumentParser, single_grid: bool = True) -> No
         parser.add_argument(
             "--r2-prognosis", type=float,
             help="target discrimination R2 of the outcome model",
-        )
-        parser.add_argument(
-            "--adjacency", choices=ADJACENCIES,
-            help="cell adjacency used when merging solution atoms into clusters",
         )
     parser.add_argument(
         "--epsilon", type=float,

@@ -24,9 +24,13 @@ Implementation notes
   inequality row's slack has sign -1 and no upper bound.
 * Feasibility comes from a big-M-free two-phase start with one artificial
   variable per row.  Phase one is accepted as soon as the total artificial
-  mass drops below ``FEASIBILITY_TOL``; surviving artificial values become
-  the artificials' upper bounds so phase two cannot drift further from
-  feasibility.  Artificials never re-enter the basis.
+  mass drops below ``FEASIBILITY_TOL``.  Each artificial still basic at
+  exactly 0 then hands its basis position to its row's slack, whose
+  column is parallel and whose value it keeps.  A nonzero residue becomes
+  its artificial's upper bound instead (a slack outside its own bounds
+  would leave at them and push the residue onto the entering column), so
+  phase two cannot drift further from feasibility.  The other artificials
+  are fixed at 0 and never re-enter.
 * Each phase keeps its basis state: the basis matrix, basic costs and
   upper bounds, the effective right-hand side (``b`` shifted by the
   logicals at their upper bounds), each basic variable's pool position
@@ -69,9 +73,12 @@ Implementation notes
   (smallest ``|d_j / alpha_j|`` over the eligible nonbasics, ties within
   a relative 1e-9 by lowest id) picks the entering member.  Phase two
   goes on from the kept state, so its full scan still certifies the
-  optimum.  A start that holds a basic artificial or is not dual
-  feasible over the pool, a pivot row with no eligible entering
-  member, or the iteration limit sends the solve to the cold start.
+  optimum.  A start that holds a basic artificial (an infeasible solve's
+  basis, or one whose artificial kept a residue) or is not dual feasible
+  over the pool, a pivot row with no eligible entering member, or the
+  iteration limit sends the solve to the cold start.  A start basis that
+  names an id twice, or a row's slack and its artificial both (parallel
+  columns), is singular and raises :class:`ParameterError`.
 * Pivot selection takes the best improving structural (the pool's, else
   the full scan's) and the best slack, each by largest gain above
   ``OPTIMALITY_TOL`` with lowest-id tie-breaking, and enters the larger,
@@ -671,13 +678,12 @@ class _Simplex:
         the kept state.  False asks for a cold start."""
         R = self.R
         at_upper = start.at_upper.copy()
-        at_upper[R:] = False
+        at_upper[R:] = False  # a start's residue bounds do not carry over
         if np.any(start.basis >= self.art0) or np.any(at_upper & np.isinf(self.upper)):
             return False
         self.basis = start.basis.copy()
         self.at_upper = at_upper
-        self._freeze_artificials()  # no artificial is basic: all fixed at 0
-        self._enter_phase(2)
+        self._enter_phase(2)  # no artificial is basic, and none enters
         pool = self.pool
         dirn = pool.dirn  # no refill in this loop: the array stays the pool's
         while True:
@@ -710,11 +716,16 @@ class _Simplex:
 
     # -- phase transitions and extraction ----------------------------
 
-    def _freeze_artificials(self):
-        """Clamp artificials so phase two cannot regrow any infeasibility."""
+    def _drop_artificials(self) -> None:
+        """End phase one: each basic artificial at exactly 0 gives its basis
+        position to its row's slack, whose column is parallel; a residue
+        bounds its own artificial, and the others are fixed at 0."""
         art = self.basis >= self.art0
+        zero = art & (self.x_basis == 0.0)
+        self.basis[zero] -= self.R
+        self.at_upper[self.basis[zero] - self.n] = False  # the slack is basic now
         self.upper[self.R :] = 0.0
-        self.upper[self.basis[art] - self.n] = np.maximum(self.x_basis[art], 0.0)
+        self.upper[self.basis[art & ~zero] - self.n] = np.maximum(self.x_basis[art & ~zero], 0.0)
 
     def _violation_rows(self) -> tuple[int, ...]:
         violated = (self.basis >= self.art0) & (self.x_basis > FEASIBILITY_TOL)
@@ -775,7 +786,7 @@ def solve(problem: LpProblem, start=None) -> LpSolution:
         return s.extract("iteration_limit", s._violation_rows())
     if outcome != "feasible" and s._infeasibility() > FEASIBILITY_TOL:
         return s.extract("infeasible", s._violation_rows())
-    s._freeze_artificials()
+    s._drop_artificials()
     s._enter_phase(2)
     return s.extract(s._run_phase())
 
@@ -787,6 +798,10 @@ def _check_start(start: LpSolution, problem: LpProblem) -> None:
         raise ParameterError(f"start needs a basis of {rows} ids and {2 * rows} bound flags")
     if start.basis.min() < 0 or start.basis.max() >= n_work:
         raise ParameterError(f"start basis ids must lie in [0, {n_work})")
+    # a row's slack and artificial are parallel columns
+    swapped = np.where(start.basis >= n_work - rows, start.basis - rows, start.basis)
+    if _sorted_unique(swapped).size != rows:
+        raise ParameterError("start basis names an id twice, or a row's slack and artificial both")
 
 
 def _seed_ids(ids, n_columns: int) -> np.ndarray:

@@ -313,12 +313,15 @@ def tjur_r2(fitted, observed) -> float:
 def joint_probs(table: StratifiedTable, category: int | None = None) -> JointOutcomeProbs:
     """Normalize a table's counts into joint outcome probabilities.
 
-    ``category`` selects one stratum by index; ``None`` pools the whole
-    table.  Counts are divided by the corresponding total (category total
-    or grand total), so the result always sums to one.
+    ``category`` selects one stratum by index (an ``int`` or numpy
+    integer, not a ``bool``); ``None`` pools the whole table.  Counts are
+    divided by the corresponding total (category total or grand total),
+    so the result always sums to one.
     """
     if category is None:
         cat = table.pooled()
+    elif not isinstance(category, (int, np.integer)) or isinstance(category, bool):
+        raise DomainError(f"category index must be an integer, got {category!r}")
     elif 0 <= category < table.n_categories:
         cat = table.categories[category]
     else:

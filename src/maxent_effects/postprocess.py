@@ -5,15 +5,11 @@ dozen cells, typically a small blend of touching cells per mode.  This
 module merges touching cells into clusters, one mixture component per
 connected component, with a mass-weighted centroid.
 
-Two adjacency rules are supported.  The default, ``"vertex"``, treats
-cells as neighbors when every grid index differs by at most one (26
-neighbors): a mode straddling cell boundaries in several axes at once
-splits into diagonal cell pairs, and vertex adjacency reassembles it into
-a single component.  ``"face"`` (6 neighbors, exactly one index differing
-by one) is stricter and keeps diagonal neighbors apart; it fragments
-boundary-straddling modes but cannot chain mass across diagonals.
-Distinct modes sit many cells apart in practice, so both rules separate
-them; they differ only in how aggressively one mode's shards reunite.
+Cells are neighbors when every grid index differs by at most one (26
+neighbors).  A mode that straddles cell boundaries on several axes at
+once splits into diagonal cell pairs, and this vertex adjacency joins
+them into one component again.  Distinct modes sit many cells apart in
+practice, so it still keeps them apart.
 
 Merging moves mass off the grid centers, so the equality rows may pick up
 violations of order 1/m.  Nothing is re-optimized and nothing is hidden:
@@ -42,14 +38,10 @@ __all__ = [
     "cluster_atoms",
     "mixture_from_solution",
     "DUST_THRESHOLD",
-    "ADJACENCIES",
 ]
 
 #: Clusters lighter than this are reported as dust, not components.
 DUST_THRESHOLD = 1e-4
-
-#: Supported cell-adjacency rules for merging.
-ADJACENCIES = ("vertex", "face")
 
 
 @dataclass(frozen=True)
@@ -110,15 +102,6 @@ class MixtureSolution:
         return float(np.max(self.residuals, initial=0.0))
 
 
-_FACE_STEPS = (
-    (-1, 0, 0),
-    (1, 0, 0),
-    (0, -1, 0),
-    (0, 1, 0),
-    (0, 0, -1),
-    (0, 0, 1),
-)
-
 _VERTEX_STEPS = tuple(
     (dj, dk, dl)
     for dj in (-1, 0, 1)
@@ -128,9 +111,8 @@ _VERTEX_STEPS = tuple(
 )
 
 
-def _components(atoms: list[Atom], adjacency: str) -> list[list[Atom]]:
-    """Connected components of occupied cells under the given adjacency."""
-    steps = _VERTEX_STEPS if adjacency == "vertex" else _FACE_STEPS
+def _components(atoms: list[Atom]) -> list[list[Atom]]:
+    """Connected components of occupied cells, neighbors by vertex."""
     by_cell = {(a.j, a.k, a.l): i for i, a in enumerate(atoms)}
     seen = [False] * len(atoms)
     components = []
@@ -144,7 +126,7 @@ def _components(atoms: list[Atom], adjacency: str) -> list[list[Atom]]:
             i = queue.popleft()
             members.append(atoms[i])
             j, k, l = atoms[i].j, atoms[i].k, atoms[i].l
-            for dj, dk, dl in steps:
+            for dj, dk, dl in _VERTEX_STEPS:
                 nb = by_cell.get((j + dj, k + dk, l + dl))
                 if nb is not None and not seen[nb]:
                     seen[nb] = True
@@ -172,22 +154,16 @@ def _condense(members: list[Atom]) -> Cluster:
     )
 
 
-def cluster_atoms(
-    problem: DiscretizedProblem, atoms, adjacency: str = "vertex"
-) -> MixtureSolution:
+def cluster_atoms(problem: DiscretizedProblem, atoms) -> MixtureSolution:
     """Merge adjacent atoms into clusters, category by category.
 
     Atoms must lie on cells of ``problem``'s grid (as produced by
     :func:`maxent_effects.grid_lp.atoms_from_solution`).  Components with
     mass below ``DUST_THRESHOLD`` go to the dust list.  Residuals are
     evaluated at the merged representation, dust included, against the
-    problem's rows.  ``adjacency`` selects the neighbor rule ("vertex" or
-    "face"; see module docstring).
+    problem's rows.  Cells are neighbors by vertex (see the module
+    docstring).
     """
-    if adjacency not in ADJACENCIES:
-        raise ParameterError(
-            f"adjacency must be one of {ADJACENCIES}, got {adjacency!r}"
-        )
     atoms = tuple(atoms)
     m = problem.grid.m
     for a in atoms:
@@ -202,7 +178,7 @@ def cluster_atoms(
         )
         if not members:
             continue
-        for component in _components(members, adjacency):
+        for component in _components(members):
             cluster = _condense(component)
             if cluster.mass < DUST_THRESHOLD:
                 dust.append(cluster)
@@ -223,8 +199,6 @@ def cluster_atoms(
     )
 
 
-def mixture_from_solution(
-    problem: DiscretizedProblem, solution: LpSolution, adjacency: str = "vertex"
-) -> MixtureSolution:
+def mixture_from_solution(problem: DiscretizedProblem, solution: LpSolution) -> MixtureSolution:
     """Decode an LP solution and cluster it in one step."""
-    return cluster_atoms(problem, atoms_from_solution(problem, solution), adjacency)
+    return cluster_atoms(problem, atoms_from_solution(problem, solution))

@@ -43,7 +43,7 @@ class TestRunConfig:
     def test_defaults_are_valid(self):
         config = RunConfig(input_path="x.csv")
         assert config.mode == "lp"
-        assert config.adjacency == "vertex"
+        assert (config.m, config.epsilon, config.smooth) == (75, 1e-3, False)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ParameterError):
@@ -61,10 +61,6 @@ class TestRunConfig:
         with pytest.raises(ParameterError):
             RunConfig(input_path="x.csv", replicates=5)
         RunConfig(input_path="x.csv", replicates=5, seed=1)
-
-    def test_unknown_adjacency_rejected(self):
-        with pytest.raises(ParameterError):
-            RunConfig(input_path="x.csv", adjacency="corner")
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ParameterError, match="seed"):
@@ -89,10 +85,9 @@ class TestRunConfig:
         text = json.dumps(config.as_dict())
         assert list(json.loads(text)) == [
             "input", "mode", "m", "r2_propensity", "r2_prognosis", "epsilon",
-            "adjacency", "smooth", "replicates", "seed",
+            "smooth", "replicates", "seed",
         ]
         assert json.loads(text)["m"] == 16
-        assert json.loads(text)["adjacency"] == "vertex"
 
 
 HEAD_KEYS = ["schema_version", "command", "config", "input"]
@@ -140,7 +135,7 @@ class TestEstimateReport:
             RunConfig(input_path=MARGINAL, mode="closed-form")
         )
         assert list(report)[:4] == HEAD_KEYS
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert "tol_schedule" not in report["config"]
         assert report["command"] == "estimate"
         assert report["status"] == "optimal"
@@ -162,7 +157,7 @@ class TestEstimateReport:
         }
         for command, other in reports.items():
             assert list(other)[:4] == HEAD_KEYS
-            assert other["schema_version"] == 2
+            assert other["schema_version"] == 3
             assert other["command"] == command
             assert other["input"] == report["input"]
             assert list(other["timing"]) == ["iterations"]
@@ -224,15 +219,21 @@ class TestEstimateReport:
         assert report["solution"]["lp"]["infeasible_rows"]
         assert "mixture" not in report["solution"]
 
-    def test_adjacency_choice_recorded_and_applied(self):
-        vertex = run_estimate(small_lp_config())
-        face = run_estimate(small_lp_config(adjacency="face"))
-        assert vertex["config"]["adjacency"] == "vertex"
-        assert face["config"]["adjacency"] == "face"
-        n_vertex = len(vertex["solution"]["mixture"]["clusters"])
-        n_face = len(face["solution"]["mixture"]["clusters"])
-        assert n_vertex <= n_face
-
+    def test_clusters_are_the_vertex_components_of_the_atoms(self):
+        report = run_estimate(small_lp_config(input_path=STRATIFIED, m=12))
+        solution = report["solution"]
+        mixture = solution["mixture"]
+        # brute force: join atoms of one category whose indices differ by at most 1
+        cells = [(a["category"], a["j"], a["k"], a["l"]) for a in solution["atoms"]]
+        group = list(range(len(cells)))
+        for i, (c, *x) in enumerate(cells):
+            for other, (d, *y) in enumerate(cells[:i]):
+                if c == d and max(abs(u - v) for u, v in zip(x, y)) <= 1:
+                    old, new = group[i], group[other]
+                    group = [new if g == old else g for g in group]
+        sizes = [group.count(g) for g in set(group)]
+        assert sorted(sizes) == sorted(c["n_atoms"] for c in mixture["clusters"] + mixture["dust"])
+        assert any(size > 1 for size in sizes)
 
     def test_every_optimal_solve_is_certified(self, monkeypatch):
         calls = record_pools(monkeypatch)
@@ -305,7 +306,6 @@ class TestConvergenceReport:
         config = RunConfig(input_path=MARGINAL, epsilon=0.01)
         report = run_convergence(config, m_values=(12,))
         assert "m" not in report["config"]
-        assert "adjacency" not in report["config"]
         assert report["config"]["m_values"] == [12]
 
     def test_infeasible_points_recorded(self):
@@ -383,14 +383,14 @@ class TestBootstrapReport:
 
     def test_pool_is_the_per_cell_mean_of_the_optimal_replicates(self, monkeypatch):
         # unconstrained table2, whose replicates end at different vertices
-        config = small_lp_config(replicates=4, seed=31, adjacency="face")
+        config = small_lp_config(replicates=4, seed=31)
         calls = record_pools(monkeypatch)
         clustered = []
         real_cluster = cli.cluster_atoms
 
-        def spy(problem, atoms, adjacency):
+        def spy(problem, atoms):
             clustered.append(atoms)
-            return real_cluster(problem, atoms, adjacency=adjacency)
+            return real_cluster(problem, atoms)
 
         monkeypatch.setattr(cli, "cluster_atoms", spy)
         run_bootstrap(config)
@@ -615,7 +615,7 @@ class TestMainEntry:
         assert code == 0
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["status"] == "optimal"
-        assert report["config"]["adjacency"] == "vertex"
+        assert report["schema_version"] == 3
 
     def test_parser_defaults_are_the_run_config_defaults(self, tmp_path):
         out = tmp_path / "report.json"
@@ -718,6 +718,13 @@ class TestMainEntry:
         code = main(["converge", "--input", MARGINAL, "--m-values", "12", *option])
         assert code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", (["estimate"], ["bootstrap", "--seed", "1"]))
+    def test_single_grid_commands_have_no_adjacency_option(self, command, capsys):
+        # clusters always merge by vertex
+        code = main([*command, "--input", MARGINAL, "--adjacency", "face"])
+        assert code == 1
+        assert "unrecognized arguments: --adjacency face" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
     @pytest.mark.parametrize("table", DEGENERATE_TABLES.values(), ids=DEGENERATE_TABLES)

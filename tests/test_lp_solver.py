@@ -1229,6 +1229,59 @@ class TestWarmStart:
         outside = dataclasses.replace(start, basis=start.basis + 6)
         with pytest.raises(ParameterError, match="lie in"):
             solve(two, start=outside)
+        # ids 2 and 4 are row 0's slack and artificial: parallel columns
+        for basis in ([1, 1], [2, 4]):
+            twice = dataclasses.replace(start, basis=np.array(basis))
+            with pytest.raises(ParameterError, match="names an id twice"):
+                solve(two, start=twice)
+
+    def test_redundant_row_leaves_no_artificial_in_the_basis(self, monkeypatch):
+        # row 1 is twice row 0, so phase one ends with an artificial basic at 0
+        problem = LpProblem.from_dense([1, 2], [[1, 1], [2, 2]], [1, 2], [1, 2])
+        first = solve(problem)
+        assert first.status == "optimal" and first.objective == 2.0
+        assert first.basis.max() < problem.n_columns + problem.n_rows
+        records = self.watch_phases(monkeypatch)
+        shifted = LpProblem.from_dense([1, 2], [[1, 1], [2, 2]], [1.1, 2.2], [1.1, 2.2])
+        warm = solve(shifted, start=first)
+        assert records == [("dual", True), (2, 0, 0)]
+        assert warm.status == "optimal" and warm.iterations == 0
+        assert warm.objective == pytest.approx(2.2, abs=1e-12)
+        assert solve(shifted).objective == pytest.approx(2.2, abs=1e-12)
+
+    def test_artificial_at_zero_hands_its_position_to_a_slack_at_its_upper_bound(self):
+        # maximize -w over 2 <= w <= 3 and 1 <= w <= 2: phase one ends with
+        # row 1's slack at its upper bound and its artificial basic at 0
+        problem = LpProblem.from_dense([-1.0], [[1.0], [1.0]], [2.0, 1.0], [3.0, 2.0])
+        solution = solve(problem)
+        # the slack becomes basic, so its upper-bound flag must be cleared
+        assert solution.status == "optimal" and solution.objective == -2.0
+        assert solution.row_activity.tolist() == [2.0, 2.0]
+        assert solution.basis.max() < problem.n_columns + problem.n_rows
+
+    def test_artificial_residue_bounds_the_artificial_not_the_slack(self):
+        # row 1 is nearly row 0 with a right-hand side 5e-10 off, so phase one
+        # ends with row 1's artificial basic at 5e-10, within FEASIBILITY_TOL;
+        # handed to row 1's slack (upper bound 0), w1 would enter with step
+        # -2e-10, the slack would leave at 0 and w0 + w1 would become 3.5
+        rows = [1.0, 1.0 + 5e-10]
+        problem = LpProblem.from_dense([0.0, 1.0], [[1.0, 1.0], [1.0, 1.0 - 2e-10]], rows, rows)
+        solution = solve(problem)
+        assert solution.status == "optimal"
+        assert solution.columns.tolist() == [0]
+        assert solution.masses == pytest.approx([1.0], abs=1e-9)
+        assert solution.row_activity == pytest.approx(rows, abs=FEASIBILITY_TOL)
+
+    def test_start_holding_an_artificial_gives_the_cold_solve(self, monkeypatch):
+        # maximize -w0 - 2 w1 over 1 <= w0 + w1 <= 2: ids 2 (slack), 3 (artificial)
+        problem = dense([-1.0, -2.0], [[1.0, 1.0]], [(1.0, 2.0)])
+        cold = solve(problem)
+        assert cold.status == "optimal" and cold.objective == -1.0
+        start = dataclasses.replace(cold, basis=np.array([3]), at_upper=np.array([True, False]))
+        records = self.watch_phases(monkeypatch)
+        warm = solve(problem, start=start)
+        assert records[0] == ("dual", False)
+        assert_identical(warm, cold)
 
     def test_warm_solves_are_bit_identical(self):
         rng = np.random.default_rng(RNG_SEED + 18)

@@ -276,6 +276,12 @@ class TestTables:
         for outside in (2, -1, -2):
             with pytest.raises(DomainError, match="out of range for 2 categories"):
                 joint_probs(t, outside)
+        assert joint_probs(t, np.int64(1)).as_array() == pytest.approx(
+            np.array([5, 6, 7, 8]) / 26.0
+        )
+        for not_an_index in (1.5, 1.0, "1", True, False, np.bool_(True)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                joint_probs(t, not_an_index)
 
     def test_swap_exposure_roundtrip(self):
         t = StratifiedTable.from_counts({"a": (1, 2, 3, 4)})

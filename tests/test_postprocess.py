@@ -7,11 +7,10 @@ import pytest
 
 from maxent_effects.closed_form import solve_conditional_homogeneous
 from maxent_effects.errors import ParameterError
-from maxent_effects.grid_lp import Atom, build_problem
+from maxent_effects.grid_lp import Atom, atoms_from_solution, build_problem
 from maxent_effects.lp_solver import relax_and_retry
 from maxent_effects.model import StratifiedTable, entropy
 from maxent_effects.postprocess import (
-    ADJACENCIES,
     DUST_THRESHOLD,
     Cluster,
     cluster_atoms,
@@ -47,35 +46,35 @@ def make_atom(problem, category, j, k, l, mass):
 
 
 class TestAdjacency:
-    def test_isolated_cells_stay_separate_under_both_rules(self):
+    def test_isolated_cells_stay_separate(self):
         problem = make_problem()
         atoms = [
             make_atom(problem, 0, 1, 1, 1, 0.6),
-            make_atom(problem, 0, 5, 5, 5, 0.4),
+            make_atom(problem, 0, 3, 1, 1, 0.2),  # two steps from the first
+            make_atom(problem, 0, 5, 5, 5, 0.2),
         ]
-        for rule in ADJACENCIES:
-            mix = cluster_atoms(problem, atoms, adjacency=rule)
-            assert len(mix.clusters) == 2
+        mix = cluster_atoms(problem, atoms)
+        assert len(mix.clusters) == 3
 
-    def test_face_neighbors_merge_under_both_rules(self):
+    def test_face_neighbors_merge(self):
         problem = make_problem()
         atoms = [
             make_atom(problem, 0, 2, 2, 2, 0.5),
             make_atom(problem, 0, 3, 2, 2, 0.5),
         ]
-        for rule in ADJACENCIES:
-            mix = cluster_atoms(problem, atoms, adjacency=rule)
-            assert len(mix.clusters) == 1
-            assert len(mix.clusters[0].atoms) == 2
+        mix = cluster_atoms(problem, atoms)
+        assert len(mix.clusters) == 1
+        assert len(mix.clusters[0].atoms) == 2
 
-    def test_diagonal_neighbors_merge_only_under_vertex(self):
+    def test_diagonal_neighbors_merge(self):
+        # a corner neighbor in two axes, and one in all three
         problem = make_problem()
-        atoms = [
-            make_atom(problem, 0, 3, 3, 3, 0.6),
-            make_atom(problem, 0, 4, 4, 4, 0.4),
-        ]
-        assert len(cluster_atoms(problem, atoms).clusters) == 1
-        assert len(cluster_atoms(problem, atoms, adjacency="face").clusters) == 2
+        for far in ((4, 4, 3), (4, 4, 4)):
+            atoms = [
+                make_atom(problem, 0, 3, 3, 3, 0.6),
+                make_atom(problem, 0, *far, 0.4),
+            ]
+            assert len(cluster_atoms(problem, atoms).clusters) == 1
 
     def test_vertex_rule_chains_through_corners(self):
         problem = make_problem()
@@ -84,8 +83,9 @@ class TestAdjacency:
             make_atom(problem, 0, 3, 3, 3, 0.3),
             make_atom(problem, 0, 4, 4, 4, 0.4),
         ]
-        assert len(cluster_atoms(problem, atoms).clusters) == 1
-        assert len(cluster_atoms(problem, atoms, adjacency="face").clusters) == 3
+        mix = cluster_atoms(problem, atoms)
+        assert len(mix.clusters) == 1
+        assert len(mix.clusters[0].atoms) == 3
 
     def test_categories_never_merge(self):
         # same cell in both categories, still two clusters
@@ -98,12 +98,6 @@ class TestAdjacency:
         assert len(mix.clusters) == 2
         assert {c.category for c in mix.clusters} == {0, 1}
         assert {c.label for c in mix.clusters} == {"a", "b"}
-
-    def test_unknown_rule_rejected(self):
-        problem = make_problem()
-        atoms = [make_atom(problem, 0, 1, 1, 1, 1.0)]
-        with pytest.raises(ParameterError):
-            cluster_atoms(problem, atoms, adjacency="corner")
 
     def test_off_grid_cell_rejected(self):
         problem = make_problem(m=10)
@@ -312,32 +306,41 @@ class TestSolutionIntegration:
         assert mix.entropy == pytest.approx(reference, abs=1e-9)
         assert mix.max_residual <= 1e-9
 
-    def test_vertex_never_fragments_more_than_face(self):
+    def test_clusters_are_the_vertex_components_of_an_r2_solution(self):
         table = StratifiedTable.from_counts({"c": (81, 796, 4201, 1680)})
         problem = build_problem(
             table, m=16, epsilon=0.01, r2_propensity=0.30, r2_prognosis=0.20
         )
         solution = relax_and_retry(problem, (1e-9,))
         assert solution.status == "optimal"
-        vertex = mixture_from_solution(problem, solution)
-        face = mixture_from_solution(problem, solution, adjacency="face")
-        assert len(vertex.clusters) <= len(face.clusters)
-        assert vertex.entropy_raw == pytest.approx(face.entropy_raw, abs=1e-15)
-        assert vertex.total_mass == pytest.approx(face.total_mass, abs=1e-12)
-        # same atoms under both rules, only the grouping differs
-        vertex_cells = sorted(
-            (a.j, a.k, a.l) for c in vertex.clusters + vertex.dust for a in c.atoms
-        )
-        face_cells = sorted(
-            (a.j, a.k, a.l) for c in face.clusters + face.dust for a in c.atoms
-        )
-        assert vertex_cells == face_cells
+        atoms = atoms_from_solution(problem, solution)
+        mix = mixture_from_solution(problem, solution)
+        groups = mix.clusters + mix.dust
+
+        def cell(a):
+            return (a.category, a.j, a.k, a.l)
+
+        def touching(x, y):
+            return max(abs(u - v) for u, v in zip(x, y)) <= 1
+
+        # every atom lands in exactly one cluster, and the mass is kept
+        members = [a for c in groups for a in c.atoms]
+        assert sorted(members, key=cell) == sorted(atoms, key=cell)
+        assert mix.total_mass == pytest.approx(math.fsum(a.mass for a in atoms), abs=1e-12)
+        cells = [{(a.j, a.k, a.l) for a in c.atoms} for c in groups]
+        for i, group in enumerate(cells):
+            # each cluster is connected by vertex steps ...
+            reached = {min(group)}
+            while (grown := {x for x in group if any(touching(x, y) for y in reached)}) != reached:
+                reached = grown
+            assert reached == group
+            # ... and maximal: no cell of another cluster touches it
+            for other in cells[i + 1 :]:
+                assert not any(touching(x, y) for x in group for y in other)
 
     def test_mixture_from_solution_matches_manual_pipeline(self):
         problem = build_problem(TABLE, m=10, epsilon=0.0)
         solution = relax_and_retry(problem, (1e-9,))
-        from maxent_effects.grid_lp import atoms_from_solution
-
         direct = cluster_atoms(problem, atoms_from_solution(problem, solution))
         wrapped = mixture_from_solution(problem, solution)
         assert wrapped.clusters == direct.clusters
