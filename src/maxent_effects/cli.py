@@ -25,14 +25,14 @@ Schema 3 dropped ``config.adjacency``: clusters always merge by vertex
 ``schema_version``, ``command``, ``config`` and ``input``; ``timing``
 holds only the iteration count.  Every float is rounded to 6
 significant digits before serialization, and no clock enters the
-report, so reruns of a config and input on one machine with
-one BLAS kernel produce byte-identical output; wall-clock time goes to
-stderr.  Another BLAS kernel (say, ``OPENBLAS_CORETYPE=Haswell``) can
-round pricing sums differently and take other pivots to the same
-optimum, which changes the iteration counts.  The grid entropies come
-from numpy's ``log``, which numpy dispatches to a kernel for the CPU it
-runs on; another CPU can round some entropies a last bit apart, with
-the same effect.
+report, so reruns of a config and input on one machine with one
+BLAS kernel, at any BLAS thread count, produce byte-identical output;
+wall-clock time goes to stderr.  Another BLAS kernel (say,
+``OPENBLAS_CORETYPE=Haswell``) can round pricing sums differently and
+take other pivots to the same optimum, which changes the iteration
+counts.  The grid entropies come from numpy's ``log``, which numpy
+dispatches to a kernel for the CPU it runs on; another CPU can round
+some entropies a last bit apart, with the same effect.
 
 Every LP is solved once, through :func:`lp_solver.relax_and_retry` with
 its only schedule ``(1e-9,)``: the solver's fixed feasibility tolerance
@@ -100,8 +100,8 @@ class RunConfig:
             raise ParameterError(
                 f"epsilon must be finite and nonnegative, got {self.epsilon}"
             )
-        if self.mode == "lp" and self.m < 2:
-            raise ParameterError("lp mode requires a grid resolution m >= 2")
+        if self.mode == "lp":
+            CubeGrid(self.m)
         if self.mode == "closed-form" and (
             self.r2_propensity is not None or self.r2_prognosis is not None
         ):
@@ -326,16 +326,10 @@ def run_convergence(config: RunConfig, m_values=DEFAULT_M_SWEEP) -> dict:
             "the convergence study uses the unconstrained problem; "
             "remove the R2 targets"
         )
-    m_values = list(m_values)
-    if any(not isinstance(m, (int, np.integer)) or isinstance(m, bool) for m in m_values):
-        raise ParameterError(f"m values must be integers, got {m_values}")
-    m_values = [int(m) for m in m_values]
+    # every resolution is checked before any solve
+    m_values = [int(CubeGrid(m).m) for m in m_values]
     if not m_values:
         raise ParameterError("at least one m value is needed")
-    if any(m < 2 for m in m_values):
-        raise ParameterError("m values must all be >= 2")
-    for m in m_values:
-        CubeGrid(m)  # rejects a resolution above MAX_RESOLUTION before any solve
     table = _load_input(config)
     reference = solve_conditional_homogeneous(table).entropy_per_individual
     series = []

@@ -44,12 +44,12 @@ grid axes, because ``(r - P(d=1))**2 = (a - P(d=1))**2 + 2 (a - P(d=1)) b
 weighted sums of ten m x m tables of the grid, which are all a problem
 keeps: nothing it holds has m**3 entries.  Each j-slice of m x m reduced
 costs is the rank-3 product ``[P, 1, -2 y5 (a - P(d=1))] @ [1; Q; b]``,
-rank 2 when ``y5 = 0``.  Pricing a span of columns weights the tables of
-the j-slices it touches only, fills the slices it covers whole with one
-batched product written straight into the output, and computes the rows
-it needs of the at most two slices it cuts.  The objective of a column
-comes from the same tables; its LP coefficients, like
-:meth:`DiscretizedProblem.activities`, from the direct formula
+whose cross row is zero when ``y5 = 0``.  Pricing a span of columns
+weights the tables of the j-slices it touches only, fills the slices it
+covers whole with one batched product written straight into the output,
+and computes the rows it needs of the at most two slices it cuts.  The
+objective of a column comes from the same tables; its LP coefficients,
+like :meth:`DiscretizedProblem.activities`, from the direct formula
 (:meth:`DiscretizedProblem._coefficients`).
 """
 
@@ -214,7 +214,7 @@ class DiscretizedProblem(LpProblem):
         four cells, then the exposure- and outcome-variance contributions."""
         pi, r0, r1 = (np.asarray(x, dtype=float) for x in (pi, r0, r1))
         out = np.empty((6, *np.broadcast_shapes(pi.shape, r0.shape, r1.shape)))
-        cell_probs(pi, r0, r1, out=out[:4])
+        out[:4] = cell_probs(pi, r0, r1)
         out[4] = (pi - self.marginal_exposure) ** 2
         out[5] = (out[0] + out[1] - self.marginal_outcome) ** 2
         return out
@@ -275,15 +275,13 @@ class DiscretizedProblem(LpProblem):
             [0.0, 0.0, 0.0, 0.0, 0.0, h, y3 - y1, -y3, -y5, 0.0],  # Q
             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, y5],  # -2 y5 (a - P(d=1))
         ])
-        rank = 3 if y5 else 2
         tables = self._tables[:, first : last + 1].reshape(10, -1)
-        u = (weights[:rank] @ tables).reshape(rank, -1, m)  # P, Q, cross per slice
+        u = (weights @ tables).reshape(3, -1, m)  # P, Q, cross per slice
         v = np.empty_like(u)
         v[0] = 1.0
         v[1] = u[1]
         u[1] = 1.0
-        if rank == 3:
-            v[2] = self._tables[6, first : last + 1]  # b
+        v[2] = self._tables[6, first : last + 1]  # b
         # slice s of the span is u[s] @ v[s]: [P, 1, cross] @ [1; Q; b]
         u, v = u.transpose(1, 2, 0), v.transpose(1, 0, 2)
         whole_lo, whole_hi = -(-lo // size), hi // size  # slices covered whole
@@ -401,8 +399,13 @@ def mean_atoms(problem: DiscretizedProblem, solutions) -> tuple[Atom, ...]:
     ``solutions`` is a sequence of ``(columns, masses)`` pairs.  Each
     pair's masses below ``MASS_FLOOR`` are numerical noise and dropped;
     the rest count at weight ``1 / len(solutions)``, summed per column id
-    in pair order.  One atom per id, in column order.
+    in pair order.  One atom per id, in column order.  No pairs, or a
+    pair whose arrays differ in shape, raise :class:`ParameterError`.
     """
+    if not solutions:
+        raise ParameterError("mean_atoms needs at least one solution")
+    if any(np.shape(c) != np.shape(m) for c, m in solutions):
+        raise ParameterError("a solution's columns and masses must have the same shape")
     weight = 1.0 / len(solutions)
     columns = np.concatenate([c[m >= MASS_FLOOR] for c, m in solutions])
     masses = np.concatenate([m[m >= MASS_FLOOR] * weight for _, m in solutions])

@@ -59,10 +59,11 @@ Implementation notes
   pricing below ``-SHED_TOL`` leave the pool first.  Basic columns
   price to 0 (B^T y = c_B) and are never shed.  ``optimal`` needs a full
   scan and the slacks to find nothing, certifying every column.
-* A problem's ``seed``, the column ids its constructor was given, plus a
-  warm start's ``pool``, joins each phase's pool when it starts, so a
-  predictable support (say, the cells around a continuum optimum) needs
-  no full scan.  Seeding changes the path, never the certificate.
+* A problem's ``seed``, the column ids a subclass sets (empty by
+  default), plus a warm start's ``pool``, joins each phase's pool when
+  it starts, so a predictable support (say, the cells around a continuum
+  optimum) needs no full scan.  Seeding changes the path, never the
+  certificate.
 * A solve can warm-start from a related solution's final basis
   (``solve(..., start=solution)``), typically the same grid with another
   right-hand side, whose optimal basis stays dual feasible.  A dual
@@ -156,27 +157,24 @@ class LpProblem:
         arrays ``lower`` and ``upper``, validated by :func:`check_bounds`.
     n_columns : int
         Total number of structural columns.
-    seed : sequence of int, optional
-        Structural column ids (duplicates allowed) that every phase's
-        pricing pool starts with; kept as the sorted unique int64 array
-        ``seed``.
 
+    ``seed``, the sorted unique int64 structural column ids that every
+    phase's pricing pool starts with, is empty unless a subclass sets it.
     A subclass supplies the columns through three methods, which the
     public :meth:`columns`, :meth:`objective` and :meth:`reduced_costs`
     call with int64 ids: ``_columns(indices)``, the dense coefficients
     (n_rows x len(indices)); ``_objective(indices)``, the objective
     coefficients; and ``_reduced_costs(duals, start, stop,
     include_objective, out)``, the kernel of every full pricing scan (see
-    :meth:`reduced_costs`).  :meth:`from_dense` builds one from an
-    explicit matrix.
+    :meth:`reduced_costs`).
     """
 
-    def __init__(self, lower, upper, n_columns: int, seed=()):
+    def __init__(self, lower, upper, n_columns: int):
         self.lower, self.upper = check_bounds(lower, upper)
         if n_columns <= 0:
             raise ParameterError("problem needs at least one column")
         self.n_columns = int(n_columns)
-        self.seed = _seed_ids(seed, self.n_columns)
+        self.seed = np.empty(0, dtype=np.int64)
 
     @property
     def n_rows(self) -> int:
@@ -204,33 +202,6 @@ class LpProblem:
         subclasses leave as is, so that a wrapper around it (as the
         benchmark's tracer installs) sees every kernel call."""
         return self._reduced_costs(duals, start, stop, include_objective, out)
-
-    @staticmethod
-    def from_dense(objective, matrix, lower, upper, seed=()) -> LpProblem:
-        """The LP of an explicit coefficient matrix."""
-        return _DenseProblem(objective, matrix, lower, upper, seed)
-
-
-class _DenseProblem(LpProblem):
-    """An LP whose columns are those of a dense matrix."""
-
-    def __init__(self, objective, matrix, lower, upper, seed):
-        self._a = np.asarray(matrix, dtype=float)
-        self._c = np.asarray(objective, dtype=float)
-        if self._a.ndim != 2 or self._a.shape != (np.size(lower), self._c.size):
-            raise ParameterError("matrix shape does not match rows/objective")
-        super().__init__(lower, upper, self._c.size, seed)
-
-    def _columns(self, idx):
-        return self._a[:, idx]
-
-    def _objective(self, idx):
-        return self._c[idx]
-
-    def _reduced_costs(self, duals, start, stop, include_objective, out):
-        idx = np.arange(start, stop)
-        rc = -(duals @ self._a[:, idx])  # the dense columns, as columns() returns them
-        return rc + self._c[idx] if include_objective else rc
 
 
 def check_bounds(lower, upper) -> tuple[np.ndarray, np.ndarray]:

@@ -214,7 +214,7 @@ class StratifiedTable:
         return cls(tuple(CategoryCounts(lbl, *cnt) for lbl, cnt in counts.items()))
 
 
-def cell_probs(pi, r0, r1, out=None) -> np.ndarray:
+def cell_probs(pi, r0, r1) -> np.ndarray:
     """Joint cell probabilities of triples, stacked on a new first axis.
 
     Broadcasts ``pi``, ``r0`` and ``r1`` against each other and returns an
@@ -223,37 +223,23 @@ def cell_probs(pi, r0, r1, out=None) -> np.ndarray:
 
         (1-pi) r0,   pi r1,   (1-pi)(1-r0),   pi (1-r1),
 
-    i.e. P(e=0,d=1), P(e=1,d=1), P(e=0,d=0), P(e=1,d=0).  Each row is
-    written by broadcast assignment, so ``out`` (an existing array of that
-    shape) can receive a full grid from 1-d axis vectors without any
-    full-size temporary.
+    i.e. P(e=0,d=1), P(e=1,d=1), P(e=0,d=0), P(e=1,d=0).
     """
     pi, r0, r1 = (np.asarray(x, dtype=float) for x in (pi, r0, r1))
-    if out is None:
-        out = np.empty((4, *np.broadcast_shapes(pi.shape, r0.shape, r1.shape)))
-    out[0] = (1.0 - pi) * r0
-    out[1] = pi * r1
-    out[2] = (1.0 - pi) * (1.0 - r0)
-    out[3] = pi * (1.0 - r1)
-    return out
+    return np.stack(np.broadcast_arrays(
+        (1.0 - pi) * r0, pi * r1, (1.0 - pi) * (1.0 - r0), pi * (1.0 - r1)
+    ))
 
 
 def cell_entropy(q) -> np.ndarray | float:
     """Entropy (nats), ``-sum_i q_i log q_i``, over the first axis of ``q``.
 
-    ``q`` stacks four-cell distributions as :func:`cell_probs` returns
-    them; zero cells contribute 0.  Rows are accumulated one at a time, so
-    a grid's entropy needs one row-sized temporary, not a copy of ``q``.
+    ``q`` stacks distributions as :func:`cell_probs` returns them; zero
+    cells contribute 0.
     """
     q = np.asarray(q, dtype=float)
-    h = np.zeros(q.shape[1:])
-    term = np.empty_like(h)
-    for row in q:
-        # x log x, 0 where x == 0 (log is skipped there)
-        term.fill(0.0)
-        np.log(row, out=term, where=row != 0.0)
-        term *= row
-        h -= term
+    # 0 - sum, not -sum: a distribution with no uncertainty has entropy +0.0
+    h = 0.0 - np.sum(q * np.log(q, out=np.zeros_like(q), where=q != 0.0), axis=0)
     return h if h.ndim else float(h)
 
 

@@ -49,9 +49,23 @@ class TestRunConfig:
         with pytest.raises(ParameterError):
             RunConfig(input_path="x.csv", mode="bayes")
 
-    def test_tiny_grid_rejected_for_lp(self):
-        with pytest.raises(ParameterError):
-            RunConfig(input_path="x.csv", m=1)
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (0, r"grid resolution must be in \[1, 256\], got 0"),
+            (257, r"grid resolution must be in \[1, 256\], got 257"),
+            (1.5, "grid resolution must be an integer"),
+            (True, "grid resolution must be an integer"),
+        ],
+    )
+    def test_lp_resolution_follows_the_cube_grid(self, m, message):
+        with pytest.raises(ParameterError, match=message):
+            RunConfig(input_path="x.csv", m=m)
+        # the closed form solves no grid
+        RunConfig(input_path="x.csv", mode="closed-form", m=m)
+
+    def test_one_cell_grid_accepted(self):
+        assert RunConfig(input_path="x.csv", m=1).m == 1
 
     def test_negative_replicates_rejected(self):
         with pytest.raises(ParameterError):
@@ -284,15 +298,15 @@ class TestConvergenceReport:
 
     def test_rejects_bad_m_values(self):
         config = RunConfig(input_path=MARGINAL)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="at least one m value"):
             run_convergence(config, m_values=())
-        with pytest.raises(ParameterError):
-            run_convergence(config, m_values=(12, 1))
+        with pytest.raises(ParameterError, match="got 0"):
+            run_convergence(config, m_values=(12, 0))
 
     @pytest.mark.parametrize("m_values", ((12.5, 20.9), (12.0,), (True, 12), ("12",)))
     def test_rejects_non_integer_m_values(self, m_values):
         config = RunConfig(input_path=MARGINAL, epsilon=0.01)
-        with pytest.raises(ParameterError, match="m values must be integers"):
+        with pytest.raises(ParameterError, match="grid resolution must be an integer"):
             run_convergence(config, m_values=m_values)
 
     def test_accepts_numpy_integer_m_values(self):
@@ -816,6 +830,20 @@ class TestMainEntry:
         assert code == 1
         assert calls == []
         assert "error: grid resolution must be in [1, 256], got 300" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (["estimate", "--m", "1"], ["converge", "--m-values", "1,25"]),
+        ids=("estimate", "converge"),
+    )
+    def test_one_cell_grid_solves(self, argv, tmp_path):
+        # m = 1 is a grid like any other: a solve, not a usage error
+        out = tmp_path / "r.json"
+        code = main([*argv, "--input", MARGINAL, "--json-out", str(out)])
+        assert code in (0, 2)
+        assert json.loads(out.read_text(encoding="utf-8"))["status"] in (
+            "optimal", "complete", "infeasible",
+        )
 
     @pytest.mark.parametrize("m_values", ["12.5", "x", "25;30"])
     def test_converge_rejects_unparsable_m_values(self, m_values, monkeypatch, capsys):

@@ -471,6 +471,16 @@ class TestAtomsAndEvaluation:
             (*p.grid.unravel(5), 0.25), (*p.grid.unravel(426), 0.5)
         ]
 
+    def test_mean_atoms_rejects_no_solutions(self):
+        with pytest.raises(ParameterError, match="at least one solution"):
+            mean_atoms(build_problem(TABLE_A, 10), [])
+
+    def test_mean_atoms_rejects_unequal_columns_and_masses(self):
+        ids = np.array([5, 426])
+        pairs = [(ids, np.array([0.5, 0.5])), (ids, np.array([0.5]))]
+        with pytest.raises(ParameterError, match="same shape"):
+            mean_atoms(build_problem(TABLE_A, 10), pairs)
+
     def test_activities_match_manual_computation(self):
         p = build_problem(TABLE_B, 10, r2_propensity=0.05, r2_prognosis=0.02)
         atoms = [

@@ -9,6 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
+from dense_lp import DenseProblem
+
 from maxent_effects import lp_solver
 from maxent_effects.errors import (
     DegenerateTableError,
@@ -38,7 +40,7 @@ def bounds(rows):
 
 
 def dense(objective, matrix, rows, seed=()):
-    return LpProblem.from_dense(objective, matrix, *bounds(rows), seed=seed)
+    return DenseProblem(objective, matrix, *bounds(rows), seed=seed)
 
 
 def reseeded(grid, seed):
@@ -238,10 +240,6 @@ class TestValidation:
             with pytest.raises(ParameterError, match=r"row 0 needs lower <= upper"):
                 dense([1.0], [[1.0]], [row])
 
-    def test_from_dense_shape_mismatch(self):
-        with pytest.raises(ParameterError):
-            LpProblem.from_dense([1.0, 2.0], [[1.0]], [0.0], [1.0])
-
     def test_columns_shape_checked(self):
         class TwoRowColumns(LpProblem):
             def _columns(self, idx):
@@ -363,25 +361,6 @@ class TestDeterminism:
         assert np.array_equal(a.columns, b.columns)
         assert np.array_equal(a.masses, b.masses)
         assert a.objective == b.objective
-
-    def test_from_dense_kernel_matches_dense_formula(self):
-        rng = np.random.default_rng(RNG_SEED + 6)
-        objective, matrix = rng.normal(size=50), rng.normal(size=(4, 50))
-        problem = dense(objective, matrix, [(-1.0, 1.0)] * 4)
-        for _ in range(20):
-            duals = rng.normal(size=4)
-            start = int(rng.integers(0, 50))
-            stop = int(rng.integers(start + 1, 51))
-            idx = np.arange(start, stop)
-            columns = problem.columns(idx)
-            out = np.empty(stop - start)
-            np.testing.assert_array_equal(
-                problem.reduced_costs(duals, start, stop, True, out),
-                objective[idx] - duals @ columns,
-            )
-            np.testing.assert_array_equal(
-                problem.reduced_costs(duals, start, stop, False, out), -(duals @ columns)
-            )
 
 
 class TestBlandMode:
@@ -1237,12 +1216,12 @@ class TestWarmStart:
 
     def test_redundant_row_leaves_no_artificial_in_the_basis(self, monkeypatch):
         # row 1 is twice row 0, so phase one ends with an artificial basic at 0
-        problem = LpProblem.from_dense([1, 2], [[1, 1], [2, 2]], [1, 2], [1, 2])
+        problem = DenseProblem([1, 2], [[1, 1], [2, 2]], [1, 2], [1, 2])
         first = solve(problem)
         assert first.status == "optimal" and first.objective == 2.0
         assert first.basis.max() < problem.n_columns + problem.n_rows
         records = self.watch_phases(monkeypatch)
-        shifted = LpProblem.from_dense([1, 2], [[1, 1], [2, 2]], [1.1, 2.2], [1.1, 2.2])
+        shifted = DenseProblem([1, 2], [[1, 1], [2, 2]], [1.1, 2.2], [1.1, 2.2])
         warm = solve(shifted, start=first)
         assert records == [("dual", True), (2, 0, 0)]
         assert warm.status == "optimal" and warm.iterations == 0
@@ -1252,7 +1231,7 @@ class TestWarmStart:
     def test_artificial_at_zero_hands_its_position_to_a_slack_at_its_upper_bound(self):
         # maximize -w over 2 <= w <= 3 and 1 <= w <= 2: phase one ends with
         # row 1's slack at its upper bound and its artificial basic at 0
-        problem = LpProblem.from_dense([-1.0], [[1.0], [1.0]], [2.0, 1.0], [3.0, 2.0])
+        problem = DenseProblem([-1.0], [[1.0], [1.0]], [2.0, 1.0], [3.0, 2.0])
         solution = solve(problem)
         # the slack becomes basic, so its upper-bound flag must be cleared
         assert solution.status == "optimal" and solution.objective == -2.0
@@ -1265,7 +1244,7 @@ class TestWarmStart:
         # handed to row 1's slack (upper bound 0), w1 would enter with step
         # -2e-10, the slack would leave at 0 and w0 + w1 would become 3.5
         rows = [1.0, 1.0 + 5e-10]
-        problem = LpProblem.from_dense([0.0, 1.0], [[1.0, 1.0], [1.0, 1.0 - 2e-10]], rows, rows)
+        problem = DenseProblem([0.0, 1.0], [[1.0, 1.0], [1.0, 1.0 - 2e-10]], rows, rows)
         solution = solve(problem)
         assert solution.status == "optimal"
         assert solution.columns.tolist() == [0]

@@ -75,12 +75,14 @@ class TestCellProbs:
             ]
             assert q[:, i].tolist() == expected
 
-    def test_broadcasts_axes_into_out(self):
+    def test_broadcasts_axes(self):
         x = np.array([0.1, 0.5, 0.8])
-        out = np.empty((4, 3, 3, 3))
-        q = cell_probs(x[:, None, None], x[None, :, None], x[None, None, :], out=out)
-        assert q is out
-        assert out[:, 2, 0, 1].tolist() == cell_probs(0.8, 0.1, 0.5).tolist()
+        q = cell_probs(x[:, None, None], x[None, :, None], x[None, None, :])
+        assert q.shape == (4, 3, 3, 3)
+        assert q[:, 2, 0, 1].tolist() == cell_probs(0.8, 0.1, 0.5).tolist()
+        # an axis only one argument spans still broadcasts over every row
+        assert cell_probs(0.5, x, 0.5).shape == (4, 3)
+        assert cell_probs(0.5, 0.5, 0.5).shape == (4,)
 
 
 class TestEntropy:
@@ -151,6 +153,7 @@ class TestCellEntropy:
         h = cell_entropy(q)
         np.testing.assert_allclose(h, self.reference(q), rtol=self.TOL, atol=self.TOL)
         assert np.all(h[np.all(q != 1e-300, axis=0)] == 0.0)
+        assert not np.signbit(h).any()  # a certain outcome has entropy +0.0, not -0.0
         assert cell_entropy(np.zeros((4, 3))).tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("m", (2, 25, 75))
@@ -163,6 +166,34 @@ class TestCellEntropy:
         chain = (h[:, None, None] + (1.0 - pi) * h[None, :, None]) + pi * h[None, None, :]
         q = cell_probs(pi, r0, r1)
         np.testing.assert_allclose(chain, cell_entropy(q), rtol=0, atol=8 * np.finfo(float).eps)
+
+    @staticmethod
+    def row_loop(q):
+        """The entropy accumulated one row at a time, ``h -= x log x``."""
+        h = np.zeros(q.shape[1:])
+        for row in q:
+            h -= np.where(row != 0.0, row * np.log(np.where(row != 0.0, row, 1.0)), 0.0)
+        return h
+
+    def test_matches_the_row_loop_bit_for_bit(self):
+        # the same products summed in the same row order: equal bits,
+        # the sign of zero included
+        rng = np.random.default_rng(RNG_SEED + 9)
+        x = rng.uniform(size=(3, 2000))
+        x[:, ::7] = rng.choice([0.0, 1.0], size=(3, x[:, ::7].shape[1]))
+        c = (np.arange(75) + 0.5) / 75
+        for q in (
+            cell_probs(*x),
+            np.stack([c, 1.0 - c]),
+            cell_probs(c[:, None], c, c),
+            cell_probs(c[:, None, None], c[None, :, None], c[None, None, :]),
+        ):
+            np.testing.assert_array_equal(
+                cell_entropy(q).view(np.int64), self.row_loop(q).view(np.int64)
+            )
+        for column in cell_probs(*x[:, :200]).T:  # one distribution at a time
+            h, reference = np.float64(cell_entropy(column)), self.row_loop(column)
+            assert h.view(np.int64) == reference.view(np.int64)
 
     def test_scalar_input_returns_float(self):
         h = cell_entropy([0.25, 0.25, 0.5, 0.0])
