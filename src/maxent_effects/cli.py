@@ -474,16 +474,7 @@ def _report_svg(report: dict) -> str:
         mixture = solution.get("mixture")
         if mixture is None:
             if command == "estimate" and solution.get("kind") == "homogeneous":
-                clusters = [
-                    {
-                        "pi": comp["pi"],
-                        "r0": comp["r0"],
-                        "r1": comp["r1"],
-                        "mass": comp["weight"],
-                    }
-                    for comp in solution["components"]
-                ]
-                svg = mixture_svg(clusters)
+                svg = mixture_svg({**c, "mass": c["weight"]} for c in solution["components"])
             else:
                 raise ParameterError("report contains no mixture to plot")
         else:

@@ -48,9 +48,12 @@ whose cross row is zero when ``y5 = 0``.  Pricing a span of columns
 weights the tables of the j-slices it touches only, fills the slices it
 covers whole with one batched product written straight into the output,
 and computes the rows it needs of the at most two slices it cuts.  The
-objective of a column comes from the same tables; its LP coefficients,
+objective of a column (:meth:`DiscretizedProblem.objective`) comes from
+the same tables; its LP coefficients (:meth:`DiscretizedProblem.columns`),
 like :meth:`DiscretizedProblem.activities`, from the direct formula
-(:meth:`DiscretizedProblem._coefficients`).
+(:meth:`DiscretizedProblem._coefficients`).  Both take any sequence of
+integer column ids.  :func:`build_problem` is :class:`DiscretizedProblem`
+itself, under the name the pipeline calls.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import numpy as np
 
 from .closed_form import r2_to_variance_bound
 from .errors import ParameterError
-from .lp_solver import LpProblem, LpSolution, _seed_ids, _sorted_unique
+from .lp_solver import LpProblem, LpSolution, _sorted_unique
 from .model import PropensityPrognosisTriple, StratifiedTable, cell_entropy, cell_probs
 
 __all__ = [
@@ -133,9 +136,12 @@ class Atom:
 
 
 class DiscretizedProblem(LpProblem):
-    """The grid LP for one stratified table, which the solver takes as is.
+    """The grid LP of one stratified table on an m-resolution cube grid,
+    which the solver takes as is; :func:`build_problem` is this class.
 
-    Immutable once built.  Its pricing pool is seeded with
+    Immutable once built.  The resolution ``m`` is validated (by
+    :class:`CubeGrid`) before ``epsilon``, the relaxation of the frequency
+    rows.  Its pricing pool is seeded with
     :meth:`_block_cells` when it has no variance row; a binding variance
     row spreads the optimum beyond those blocks, so such a problem has no
     seed.  Exact (non-discretized) row activities for arbitrary atom sets
@@ -152,15 +158,15 @@ class DiscretizedProblem(LpProblem):
     def __init__(
         self,
         table: StratifiedTable,
-        grid: CubeGrid,
+        m: int,
         r2_propensity: float | None = None,
         r2_prognosis: float | None = None,
         epsilon: float = 1e-3,
     ):
+        self.grid = grid = CubeGrid(m)
         if not 0.0 <= epsilon < np.inf:
             raise ParameterError(f"epsilon must be finite and nonnegative, got {epsilon}")
         self.table = table
-        self.grid = grid
         self.epsilon = float(epsilon)
 
         n = table.total
@@ -186,7 +192,7 @@ class DiscretizedProblem(LpProblem):
             d * grid.n_cells,
         )
         if not floors:  # the block cells need the bounds validated first
-            self.seed = _seed_ids(self._block_cells(), self.n_columns)
+            self.seed = _sorted_unique(self._block_cells())
 
         # LP rows of each category's six coefficient rows; n_rows pads.
         self.row_index = np.full((d, 6), self.n_rows)
@@ -221,26 +227,32 @@ class DiscretizedProblem(LpProblem):
 
     # -- LP plumbing --------------------------------------------------
 
-    def cells(self, columns: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Column ids -> their (category, j, k, l) arrays; an id outside
-        [0, n_columns) raises :class:`ParameterError`."""
-        columns = np.asarray(columns, dtype=np.int64)
+    def cells(self, columns) -> tuple[np.ndarray, ...]:
+        """Column ids -> their (category, j, k, l) arrays; non-integer ids
+        (a float or bool array), or an id outside [0, n_columns), raise
+        :class:`ParameterError`."""
+        columns = np.asarray(columns)
+        if columns.size and columns.dtype.kind not in "iu":
+            raise ParameterError("column ids must be integers")
+        columns = columns.astype(np.int64, copy=False)
         if columns.size and not 0 <= columns.min() <= columns.max() < self.n_columns:
             raise ParameterError(f"column ids must lie in [0, {self.n_columns})")
         cats, cell = np.divmod(columns, self.grid.n_cells)
         return (cats, *self.grid.unravel(cell))
 
-    def _columns(self, idx: np.ndarray) -> np.ndarray:
-        cats, j, k, l = self.cells(idx)
+    def columns(self, ids) -> np.ndarray:
+        """Dense coefficients of column ids, n_rows x len(ids)."""
+        cats, j, k, l = self.cells(ids)
         ctr = self.grid.centers
-        out = np.zeros((self.n_rows + 1, idx.size))
-        out[self.row_index[cats].T, np.arange(idx.size)] = self._coefficients(
+        out = np.zeros((self.n_rows + 1, cats.size))
+        out[self.row_index[cats].T, np.arange(cats.size)] = self._coefficients(
             ctr[j], ctr[k], ctr[l]
         )
         return out[:-1]
 
-    def _objective(self, idx: np.ndarray) -> np.ndarray:
-        _, j, k, l = self.cells(idx)
+    def objective(self, ids) -> np.ndarray:
+        """Objective coefficients of column ids."""
+        _, j, k, l = self.cells(ids)
         # h(pi) + (1-pi) h(r0), then pi h(r1)
         return self._tables[0, j, k] + self._tables[5, j, l]
 
@@ -371,21 +383,9 @@ class DiscretizedProblem(LpProblem):
         return (cats, *fields[:, 1:].T)
 
 
-def build_problem(
-    table: StratifiedTable,
-    m: int,
-    r2_propensity: float | None = None,
-    r2_prognosis: float | None = None,
-    epsilon: float = 1e-3,
-) -> DiscretizedProblem:
-    """Discretize a stratified table onto an m-resolution cube grid."""
-    return DiscretizedProblem(
-        table,
-        CubeGrid(m),
-        r2_propensity=r2_propensity,
-        r2_prognosis=r2_prognosis,
-        epsilon=epsilon,
-    )
+#: Discretize a stratified table onto an m-resolution cube grid: the
+#: problem's constructor, under the name the pipeline calls.
+build_problem = DiscretizedProblem
 
 
 def atoms_from_solution(problem: DiscretizedProblem, solution: LpSolution) -> tuple[Atom, ...]:

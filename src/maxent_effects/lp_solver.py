@@ -160,13 +160,14 @@ class LpProblem:
 
     ``seed``, the sorted unique int64 structural column ids that every
     phase's pricing pool starts with, is empty unless a subclass sets it.
-    A subclass supplies the columns through three methods, which the
-    public :meth:`columns`, :meth:`objective` and :meth:`reduced_costs`
-    call with int64 ids: ``_columns(indices)``, the dense coefficients
-    (n_rows x len(indices)); ``_objective(indices)``, the objective
-    coefficients; and ``_reduced_costs(duals, start, stop,
-    include_objective, out)``, the kernel of every full pricing scan (see
-    :meth:`reduced_costs`).
+    A subclass supplies the columns through three methods:
+    ``columns(ids)``, the dense float coefficients (n_rows x len(ids)),
+    and ``objective(ids)``, the objective coefficients, each for any
+    sequence of integer column ids; and ``_reduced_costs(duals, start,
+    stop, include_objective, out)``, the kernel of every full pricing
+    scan.  Only the kernel keeps a public wrapper, :meth:`reduced_costs`,
+    because a wrapper around that one class attribute (as the benchmark's
+    tracer installs) must see every kernel call of every subclass.
     """
 
     def __init__(self, lower, upper, n_columns: int):
@@ -180,18 +181,6 @@ class LpProblem:
     def n_rows(self) -> int:
         return self.lower.size
 
-    def columns(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        out = np.asarray(self._columns(idx), dtype=float)
-        if out.shape != (self.n_rows, idx.size):
-            raise ParameterError(
-                f"_columns returned shape {out.shape}, expected {(self.n_rows, idx.size)}"
-            )
-        return out
-
-    def objective(self, indices) -> np.ndarray:
-        return np.asarray(self._objective(np.asarray(indices, dtype=np.int64)), dtype=float)
-
     def reduced_costs(
         self, duals: np.ndarray, start: int, stop: int, include_objective: bool, out: np.ndarray
     ) -> np.ndarray:
@@ -199,8 +188,7 @@ class LpProblem:
         ``include_objective`` is false) for columns [start, stop); ``out``
         (``stop - start`` floats) may receive the result in place of a new
         array.  Every scan calls the kernel through this one method, which
-        subclasses leave as is, so that a wrapper around it (as the
-        benchmark's tracer installs) sees every kernel call."""
+        subclasses leave as is (see the class docstring)."""
         return self._reduced_costs(duals, start, stop, include_objective, out)
 
 
@@ -424,10 +412,6 @@ class _Pool:
         """``cost - y @ column`` of every member, in ``ids`` order."""
         return self.cost - y @ self.cols
 
-    def row(self, rho: np.ndarray) -> np.ndarray:
-        """``rho @ column`` of every member, in ``ids`` order."""
-        return rho @ self.cols
-
 
 class _Simplex:
     """One solve: working problem, state, the current phase's pool, and
@@ -584,10 +568,6 @@ class _Simplex:
             return found[0]
         return i if slack[i] > OPTIMALITY_TOL else None
 
-    def _infeasibility(self) -> float:
-        art = self.basis >= self.art0
-        return float(np.sum(np.maximum(self.x_basis[art], 0.0)))
-
     def _run_phase(self) -> str:
         """Primal pivots from the kept basis state until the phase ends."""
         stall = 0  # consecutive degenerate steps
@@ -597,8 +577,9 @@ class _Simplex:
         while True:
             x, y = self._basic_solution()
 
-            if self.phase == 1 and self._infeasibility() <= FEASIBILITY_TOL:
-                return "feasible"
+            if self.phase == 1:  # done once the artificials' mass is within tolerance
+                if np.sum(np.maximum(x[self.basis >= self.art0], 0.0)) <= FEASIBILITY_TOL:
+                    return "feasible"
 
             if self.iterations >= MAX_ITERATIONS:
                 return "iteration_limit"
@@ -672,7 +653,7 @@ class _Simplex:
                 return False
 
             # -- pivot row alpha = e_r B^-1 a over the members
-            alpha = pool.row(self.binv[r])
+            alpha = self.binv[r] @ pool.cols
             # a member may enter only if moving it off its own bound pushes
             # x_r back towards the bound it violates (0 from below, or its upper)
             below = x[r] < 0.0
@@ -755,7 +736,7 @@ def solve(problem: LpProblem, start=None) -> LpSolution:
     outcome = s._run_phase()
     if outcome == "iteration_limit":
         return s.extract("iteration_limit", s._violation_rows())
-    if outcome != "feasible" and s._infeasibility() > FEASIBILITY_TOL:
+    if outcome != "feasible":  # optimal or unbounded with artificial mass left
         return s.extract("infeasible", s._violation_rows())
     s._drop_artificials()
     s._enter_phase(2)

@@ -19,10 +19,10 @@ class DenseProblem(lp_solver.LpProblem):
         super().__init__(lower, upper, self._c.size)
         self.seed = lp_solver._seed_ids(seed, self.n_columns)
 
-    def _columns(self, idx):
+    def columns(self, idx):
         return self._a[:, idx]
 
-    def _objective(self, idx):
+    def objective(self, idx):
         return self._c[idx]
 
     def _reduced_costs(self, duals, start, stop, include_objective, out):

@@ -985,6 +985,19 @@ class TestMainEntry:
         assert code == 0
         assert 'class="cluster-dot"' in svg_path.read_text(encoding="utf-8")
 
+    def test_plot_of_closed_form_report_draws_its_components(self, tmp_path):
+        # each component is one cluster of mass equal to its weight
+        report_path, svg_path = tmp_path / "report.json", tmp_path / "replot.svg"
+        main(["estimate", "--input", STRATIFIED, "--mode", "closed-form",
+              "--json-out", str(report_path)])
+        assert main(["plot", "--input", str(report_path), "--svg-out", str(svg_path)]) == 0
+        components = json.loads(report_path.read_text(encoding="utf-8"))["solution"]["components"]
+        assert len(components) == 10
+        clusters = [
+            {"pi": c["pi"], "r0": c["r0"], "r1": c["r1"], "mass": c["weight"]} for c in components
+        ]
+        assert svg_path.read_text(encoding="utf-8") == mixture_svg(clusters)
+
     def test_corrupt_report_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")

@@ -224,6 +224,33 @@ class TestProblemAssembly:
                 with pytest.raises(ParameterError):
                     decode(np.array([0, outside]))
 
+    def test_column_ids_must_be_integers(self):
+        # a float or bool id used to be truncated to another column
+        p = build_problem(TABLE_B, 5)
+        for ids in ([5.7], np.array([0.0, 1.0]), [True, False]):
+            for decode in (p.cells, p.columns, p.objective):
+                with pytest.raises(ParameterError, match="integers"):
+                    decode(ids)
+        with pytest.raises(ParameterError, match="integers"):
+            mean_atoms(p, [(np.array([5.9]), np.array([1.0]))])
+        assert p.columns(np.array([], dtype=float)).shape == (p.n_rows, 0)  # no id is fine
+        assert [x.tolist() for x in p.cells(np.array([5], dtype=np.uint8))] == [[0], [0], [1], [0]]
+
+    def test_columns_and_objective_take_any_integer_sequence(self):
+        p = build_problem(TABLE_B, 5, r2_prognosis=0.02)
+        ids = [3, 140, 7, 3]
+        for same in (tuple(ids), np.array(ids, dtype=np.int64)):
+            assert np.array_equal(p.columns(same), p.columns(ids))
+            assert np.array_equal(p.objective(same), p.objective(ids))
+        assert p.columns(ids).shape == (p.n_rows, 4)
+        assert p.columns([]).shape == (p.n_rows, 0) and p.objective([]).shape == (0,)
+        assert p.columns([0]).shape == (p.n_rows, 1)
+
+    def test_build_problem_is_the_constructor(self):
+        assert build_problem is DiscretizedProblem
+        p = DiscretizedProblem(TABLE_B, 4, r2_propensity=0.05, epsilon=0.01)
+        assert p.grid == CubeGrid(4) and p.epsilon == 0.01 and p.n_rows == 9
+
     def test_column_coefficients_match_center_formulas(self):
         p = build_problem(TABLE_B, 5)
         pv = build_problem(TABLE_B, 5, r2_propensity=0.05, r2_prognosis=0.02)
@@ -271,9 +298,9 @@ class TestProblemAssembly:
             for duals in (random_duals, sparse_duals, np.zeros(p.n_rows)):
                 for include in (True, False):
                     fast = p._reduced_costs(duals, start, stop, include, np.empty(stop - start))
-                    generic = -(duals @ p._columns(idx))
+                    generic = -(duals @ p.columns(idx))
                     if include:
-                        generic = generic + p._objective(idx)
+                        generic = generic + p.objective(idx)
                     assert fast == pytest.approx(generic, abs=1e-12)
 
     def test_scan_prices_every_column_by_the_direct_formula(self, monkeypatch):
@@ -324,6 +351,10 @@ class TestProblemAssembly:
                 build_problem(TABLE_A, 10, epsilon=eps)
         with pytest.raises(ParameterError):
             build_problem(TABLE_A, 0)
+        # with a bad epsilon too, the resolution's error comes first
+        for m in (0, 2.5):
+            with pytest.raises(ParameterError, match="grid resolution"):
+                build_problem(TABLE_A, m, epsilon=-1.0)
 
 
 class TestFeasibilityTransfer:

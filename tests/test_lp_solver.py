@@ -240,15 +240,6 @@ class TestValidation:
             with pytest.raises(ParameterError, match=r"row 0 needs lower <= upper"):
                 dense([1.0], [[1.0]], [row])
 
-    def test_columns_shape_checked(self):
-        class TwoRowColumns(LpProblem):
-            def _columns(self, idx):
-                return np.ones((2, idx.size))
-
-        p = TwoRowColumns([0.0], [1.0], 3)
-        with pytest.raises(ParameterError, match="shape"):
-            p.columns([0])
-
     def test_rows_need_finite_right_hand_side(self):
         # an inequality row with a NaN or infinite bound, or a range row
         # with two infinite ones
@@ -342,10 +333,10 @@ class TestDeterminism:
         class SliceKernel(LpProblem):
             """The dense LP with a kernel over matrix slices."""
 
-            def _columns(self, idx):
+            def columns(self, idx):
                 return matrix[:, idx]
 
-            def _objective(self, idx):
+            def objective(self, idx):
                 return objective[idx]
 
             def _reduced_costs(self, duals, start, stop, include_objective, out):
